@@ -15,8 +15,7 @@ Typical use::
     from gainloss import parse_csv, fit_series, ModelKind, SamplerConfig
 
     series = parse_csv("sp500.csv")
-    reports, _ = fit_series(series, [ModelKind.STUDENT_T, ModelKind.INV_GAMMA],
-                            SamplerConfig(seed=1))
+    reports, _ = fit_series(series, list(ModelKind), SamplerConfig(seed=1))
     for r in reports:
         print(r.model, r.d_mean, (r.hdi_low, r.hdi_high))
 
@@ -56,16 +55,14 @@ from .gbm import (
 )
 from .hitting import HittingSample, LogHittingSample, hitting_times, log_sample
 from .models import (
-    InvGammaParams,
+    FAMILIES,
     ModelKind,
     ModelSpec,
     Posterior,
     PriorSpec,
-    StudentParams,
     ig_moments,
     ig_shape_rate,
     invgamma_logpdf,
-    log_prior,
     student_logpdf,
 )
 from .nuts import SamplerConfig, Trace, leapfrog, nuts_draw, run_chains, save_trace

@@ -29,7 +29,7 @@ from .errors import (
     MalformedReportError,
     TooFewSamplesError,
 )
-from .models import ModelKind
+from .models import FAMILIES, ModelKind
 from .nuts import Trace
 
 __all__ = [
@@ -78,20 +78,17 @@ def pooled_effect_size(loc_plus, loc_minus, scale_plus, scale_minus,
     return (np.asarray(loc_plus) - np.asarray(loc_minus)) / pooled
 
 
-def effect_size_draws(trace: Trace, n_plus: int, n_minus: int) -> EffectSizeDraws:
-    """Effect-size posterior from a fitted trace.
+def effect_size_draws(trace: Trace, kind: ModelKind, n_plus: int,
+                      n_minus: int) -> EffectSizeDraws:
+    """Effect-size posterior from a trace of one model family.
 
-    The location/scale roles are (mu, sigma) for the Student-t model and
-    (m, s) for the Inverse-Gamma model; the parameter names on the trace
-    decide which.
+    The family of ``kind`` names the location and scale parameters.
     """
-    names = trace.param_names
-    if "mu_plus" in names:
-        loc_p, loc_m = trace.chains_for("mu_plus"), trace.chains_for("mu_minus")
-        sc_p, sc_m = trace.chains_for("sigma_plus"), trace.chains_for("sigma_minus")
-    else:
-        loc_p, loc_m = trace.chains_for("m_plus"), trace.chains_for("m_minus")
-        sc_p, sc_m = trace.chains_for("s_plus"), trace.chains_for("s_minus")
+    family = FAMILIES[kind]
+    (loc_p, loc_m), (sc_p, sc_m) = (
+        [trace.chains_for(name) for name in family.side_names(index)]
+        for index in (family.loc, family.scale)
+    )
     d = pooled_effect_size(loc_p, loc_m, sc_p, sc_m, n_plus, n_minus)
     return EffectSizeDraws(d=d, n_plus=n_plus, n_minus=n_minus)
 

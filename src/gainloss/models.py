@@ -1,31 +1,40 @@
-"""Two hierarchical models for log hitting times.
+"""Per-side model families for log hitting times, joined into one posterior.
 
-Both models treat the gain-side and loss-side log hitting times x = ln tau as
-exchangeable draws from a parametric family, with one independent parameter
-block per side.
+The gain-side and loss-side log hitting times x = ln tau are treated as
+exchangeable draws from one parametric family, with an independent parameter
+block per side: a two-group comparison in the style of Kruschke's BEST. The
+two families are two rows of one table; everything else (coordinate maps,
+posterior, effect size, report) is shared.
 
-Student-t block (three parameters per side):
+    family      per-side parameters   data support   location   scale
+    student-t   mu, sigma, nu         all x          mu         sigma
+    inv-gamma   m, s                  x > 0          m          s
 
-    x ~ StudentT(mu, sigma, nu)          location mu, scale sigma, dof nu
-    mu    ~ Normal(m, s^2)               m, s = empirical mean/std of the side
-    sigma ~ Uniform(1, 100)
-    nu    ~ 1 + Exponential(rate 1/29)   mean 30, support nu > 1
-
-Inverse-Gamma block (two parameters per side), parameterized by its own mean
-m and standard deviation s through
+The Student-t block is x ~ StudentT(mu, sigma, nu). The Inverse-Gamma block
+is parameterized by its own mean m and standard deviation s through
 
     alpha = 2 + m^2 / s^2,   beta = m * (alpha - 1),
 
-so that mean(IG(alpha, beta)) = m and std = s:
+so that mean(IG(alpha, beta)) = m and std = s. Priors per side, with m_emp
+and s_emp the empirical mean and std of that side:
 
-    x ~ InverseGamma(alpha, beta)
-    m ~ Normal(m_emp, s_emp^2) restricted to m > 0
-    s ~ Uniform(1, 100)
+    location ~ Normal(m_emp, s_emp^2)     restricted to m > 0 for inv-gamma
+    scale    ~ Uniform(1, 100)
+    nu       ~ 1 + Exponential(rate 1/29) mean 30, support nu > 1
 
-Sampling happens in unconstrained coordinates: identity for locations, a
-scaled logit for interval-bounded scales, and a (shifted) log for lower
-bounded parameters; the log Jacobian of each map is added to the density.
-All gradients are analytic.
+The truncation constant of the inv-gamma location prior is dropped, which
+only shifts the log posterior by a constant.
+
+Hitting times are integers, so each side holds few distinct values. A side is
+stored once as (distinct value, count) pairs, and a family's ``prepare``
+reduces them to what its likelihood reads: the pairs themselves for the
+Student-t, (n, sum c ln x, sum c / x) for the Inverse-Gamma, whose gradient is
+then O(1) in the data.
+
+Sampling happens in unconstrained coordinates. The support (low, high) of
+each parameter picks its map: identity when unbounded, a scaled logit on an
+interval, a shifted log above a lower bound; the log Jacobian of the map is
+added to the density. All gradients are analytic.
 """
 
 from __future__ import annotations
@@ -33,23 +42,24 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from scipy.special import digamma, expit, gammaln
 
-from .errors import DomainError, EmptySideError, NonFiniteError
+from .errors import DomainError, EmptySideError, NonFiniteError, ZeroVarianceError
 
 __all__ = [
     "ModelKind",
     "PriorSpec",
+    "SidePrior",
     "ModelSpec",
-    "StudentParams",
-    "InvGammaParams",
+    "Family",
+    "FAMILIES",
     "student_logpdf",
     "invgamma_logpdf",
     "ig_shape_rate",
     "ig_moments",
-    "log_prior",
     "Posterior",
 ]
 
@@ -69,6 +79,18 @@ class ModelKind(str, enum.Enum):
 
 
 @dataclass(frozen=True)
+class SidePrior:
+    """Prior of one side's block: location center/width and fixed hyperparameters."""
+
+    m: float
+    s: float
+    sigma_low: float
+    sigma_high: float
+    nu_rate: float
+    nu_shift: float
+
+
+@dataclass(frozen=True)
 class PriorSpec:
     """Empirical prior centers/widths plus the fixed hyperparameters."""
 
@@ -85,52 +107,32 @@ class PriorSpec:
     def from_data(cls, x_plus: np.ndarray, x_minus: np.ndarray) -> "PriorSpec":
         """Center the location priors on the empirical moments of each side."""
         if x_plus.size < 2 or x_minus.size < 2:
-            raise EmptySideError("priors need at least two observations per side")
-        return cls(
-            m_plus=float(np.mean(x_plus)),
-            s_plus=float(np.std(x_plus, ddof=1)),
-            m_minus=float(np.mean(x_minus)),
-            s_minus=float(np.std(x_minus, ddof=1)),
-        )
+            raise EmptySideError(
+                "priors need at least two observations per side, got "
+                f"{x_plus.size} and {x_minus.size}"
+            )
+        s_plus = float(np.std(x_plus, ddof=1))
+        s_minus = float(np.std(x_minus, ddof=1))
+        for side, s in (("gain", s_plus), ("loss", s_minus)):
+            if not (math.isfinite(s) and s > 0.0):
+                raise ZeroVarianceError(
+                    f"{side}-side log hitting times have std {s}; the location "
+                    "prior needs a positive, finite spread"
+                )
+        return cls(m_plus=float(np.mean(x_plus)), s_plus=s_plus,
+                   m_minus=float(np.mean(x_minus)), s_minus=s_minus)
+
+    def sides(self) -> tuple[SidePrior, SidePrior]:
+        """The gain-side and loss-side priors."""
+        fixed = (self.sigma_low, self.sigma_high, self.nu_rate, self.nu_shift)
+        return (SidePrior(self.m_plus, self.s_plus, *fixed),
+                SidePrior(self.m_minus, self.s_minus, *fixed))
 
 
 @dataclass(frozen=True)
 class ModelSpec:
     kind: ModelKind
     prior: PriorSpec
-
-
-@dataclass(frozen=True)
-class StudentParams:
-    mu_plus: float
-    sigma_plus: float
-    nu_plus: float
-    mu_minus: float
-    sigma_minus: float
-    nu_minus: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.mu_plus, self.sigma_plus, self.nu_plus,
-                         self.mu_minus, self.sigma_minus, self.nu_minus])
-
-    @classmethod
-    def from_array(cls, theta: np.ndarray) -> "StudentParams":
-        return cls(*map(float, theta))
-
-
-@dataclass(frozen=True)
-class InvGammaParams:
-    m_plus: float
-    s_plus: float
-    m_minus: float
-    s_minus: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.m_plus, self.s_plus, self.m_minus, self.s_minus])
-
-    @classmethod
-    def from_array(cls, theta: np.ndarray) -> "InvGammaParams":
-        return cls(*map(float, theta))
 
 
 # ---------------------------------------------------------------------------
@@ -182,156 +184,242 @@ def ig_moments(alpha: float, beta: float) -> tuple[float, float]:
     return m, s
 
 
-def _normal_logpdf(x: float, m: float, s: float) -> float:
-    return -0.5 * math.log(2.0 * math.pi * s * s) - (x - m) ** 2 / (2.0 * s * s)
+# ---------------------------------------------------------------------------
+# per-side families
 
 
-def log_prior(theta: np.ndarray, spec: ModelSpec) -> float:
-    """Joint log prior at a constrained parameter vector.
+def _loc_scale_prior(loc: float, p: SidePrior):
+    """Normal location plus flat scale prior: value and d/d loc."""
+    dev = loc - p.m
+    value = (-0.5 * math.log(2.0 * math.pi * p.s * p.s)
+             - dev * dev / (2.0 * p.s * p.s)
+             - math.log(p.sigma_high - p.sigma_low))
+    return value, -dev / (p.s * p.s)
 
-    Returns -inf outside the support (not an error; the samplers reject such
-    points). The normal prior on the Inverse-Gamma mean is restricted to
-    m > 0; its truncation constant is dropped, which only shifts the log
-    posterior by a constant.
+
+def _initial_scale(p: SidePrior) -> float:
+    return float(np.clip(p.s, p.sigma_low * 1.05, p.sigma_high * 0.95))
+
+
+def _student_prepare(values: np.ndarray, counts: np.ndarray):
+    return values, counts, float(counts.sum())
+
+
+def _student_value_grad(theta, stats, p: SidePrior):
+    x, c, n = stats
+    mu, sigma, nu = theta
+    t = (x - mu) / sigma
+    t2 = t * t
+    lu = np.log1p(t2 / nu)
+    cw = c * (nu + 1.0) / (nu + t2)
+    # numpy's own summation, not a BLAS dot, whose rounding follows the CPU
+    sum_lu, sum_wt, sum_wt2 = (c * lu).sum(), (cw * t).sum(), (cw * t2).sum()
+    value = n * (
+        gammaln((nu + 1.0) / 2.0) - gammaln(nu / 2.0)
+        - 0.5 * math.log(math.pi * nu) - math.log(sigma)
+    ) - 0.5 * (nu + 1.0) * sum_lu
+    d_nu = (
+        0.5 * n * (digamma((nu + 1.0) / 2.0) - digamma(nu / 2.0))
+        - 0.5 * n / nu - 0.5 * sum_lu + sum_wt2 / (2.0 * nu)
+    )
+    prior, d_loc = _loc_scale_prior(mu, p)
+    value += prior + math.log(p.nu_rate) - p.nu_rate * (nu - p.nu_shift)
+    return value, [sum_wt / sigma + d_loc, (sum_wt2 - n) / sigma, d_nu - p.nu_rate]
+
+
+def _ig_prepare(values: np.ndarray, counts: np.ndarray):
+    return (float(counts.sum()), float((counts * np.log(values)).sum()),
+            float((counts / values).sum()))
+
+
+def _ig_value_grad(theta, stats, p: SidePrior):
+    n, sum_ln, sum_inv = stats
+    m, s = theta
+    if m <= 0.0:  # the location map can underflow to the bound
+        return -math.inf, [0.0, 0.0]
+    alpha = 2.0 + (m * m) / (s * s)
+    beta = m * (alpha - 1.0)
+    value = n * (alpha * math.log(beta) - gammaln(alpha)) \
+        - (alpha + 1.0) * sum_ln - beta * sum_inv
+    d_alpha = n * (math.log(beta) - digamma(alpha)) - sum_ln
+    d_beta = n * alpha / beta - sum_inv
+    da_dm = 2.0 * m / (s * s)
+    da_ds = -2.0 * m * m / (s * s * s)
+    db_dm = 1.0 + 3.0 * m * m / (s * s)
+    db_ds = -2.0 * m * m * m / (s * s * s)
+    prior, d_loc = _loc_scale_prior(m, p)
+    return value + prior, [d_alpha * da_dm + d_beta * db_dm + d_loc,
+                           d_alpha * da_ds + d_beta * db_ds]
+
+
+@dataclass(frozen=True)
+class Family:
+    """One per-side model family; :data:`FAMILIES` holds the two instances.
+
+    ``support(prior)`` gives the (low, high) bounds of each per-side
+    parameter; ``value_grad(theta, stats, prior)`` takes one side's
+    parameters as a list of floats and returns the log likelihood of the
+    prepared data plus the side's log prior, and its gradient as a list;
+    ``logpdf(x, theta)`` is the density at each value of ``x``.
     """
-    p = spec.prior
-    theta = np.asarray(theta, dtype=np.float64)
-    if np.any(np.isnan(theta)):
-        raise NonFiniteError("parameter vector contains NaN")
-    total = 0.0
-    if spec.kind is ModelKind.STUDENT_T:
-        mu_p, sg_p, nu_p, mu_m, sg_m, nu_m = theta
-        for sg in (sg_p, sg_m):
-            if not (p.sigma_low < sg < p.sigma_high):
-                return -math.inf
-            total -= math.log(p.sigma_high - p.sigma_low)
-        for nu in (nu_p, nu_m):
-            if nu < p.nu_shift:
-                return -math.inf
-            total += math.log(p.nu_rate) - p.nu_rate * (nu - p.nu_shift)
-        total += _normal_logpdf(mu_p, p.m_plus, p.s_plus)
-        total += _normal_logpdf(mu_m, p.m_minus, p.s_minus)
-    else:
-        m_p, s_p, m_m, s_m = theta
-        for s in (s_p, s_m):
-            if not (p.sigma_low < s < p.sigma_high):
-                return -math.inf
-            total -= math.log(p.sigma_high - p.sigma_low)
-        if m_p <= 0.0 or m_m <= 0.0:
+
+    names: tuple[str, ...]
+    loc: int
+    scale: int
+    data_low: float  # observations must exceed this
+    support: Callable[[SidePrior], tuple[tuple[float, ...], tuple[float, ...]]]
+    prepare: Callable[[np.ndarray, np.ndarray], tuple]
+    value_grad: Callable[[list[float], tuple, SidePrior], tuple[float, list[float]]]
+    logpdf: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    initial: Callable[[SidePrior], tuple[float, ...]]
+
+    @property
+    def param_names(self) -> tuple[str, ...]:
+        """Gain-side parameters first, then loss-side."""
+        return tuple(f"{n}_{side}" for side in ("plus", "minus") for n in self.names)
+
+    def side_names(self, index: int) -> tuple[str, str]:
+        """Gain-side and loss-side names of one per-side parameter."""
+        return f"{self.names[index]}_plus", f"{self.names[index]}_minus"
+
+    def log_prior(self, theta: np.ndarray, prior: SidePrior) -> float:
+        """Log prior of one side's parameters; -inf off the support.
+
+        The prior is the side's ``value_grad`` on no data.
+        """
+        theta = np.asarray(theta, dtype=np.float64)
+        if np.any(np.isnan(theta)):
+            raise NonFiniteError("parameter vector contains NaN")
+        low, high = self.support(prior)
+        if not np.all((np.asarray(low) < theta) & (theta < np.asarray(high))):
             return -math.inf
-        total += _normal_logpdf(m_p, p.m_plus, p.s_plus)
-        total += _normal_logpdf(m_m, p.m_minus, p.s_minus)
-    return float(total)
+        stats = self.prepare(np.empty(0), np.empty(0))
+        return float(self.value_grad(theta.tolist(), stats, prior)[0])
+
+
+FAMILIES: dict[ModelKind, Family] = {
+    ModelKind.STUDENT_T: Family(
+        names=("mu", "sigma", "nu"), loc=0, scale=1, data_low=-math.inf,
+        support=lambda p: ((-math.inf, p.sigma_low, p.nu_shift),
+                           (math.inf, p.sigma_high, math.inf)),
+        prepare=_student_prepare,
+        value_grad=_student_value_grad,
+        logpdf=lambda x, theta: student_logpdf(x, *theta),
+        initial=lambda p: (p.m, _initial_scale(p), NU_INIT),
+    ),
+    ModelKind.INV_GAMMA: Family(
+        names=("m", "s"), loc=0, scale=1, data_low=0.0,
+        support=lambda p: ((0.0, p.sigma_low), (math.inf, p.sigma_high)),
+        prepare=_ig_prepare,
+        value_grad=_ig_value_grad,
+        logpdf=lambda x, theta: invgamma_logpdf(x, *ig_shape_rate(*theta)),
+        initial=lambda p: (max(p.m, 1e-3), _initial_scale(p)),
+    ),
+}
 
 
 # ---------------------------------------------------------------------------
-# unconstrained coordinates
-
-_IDENTITY = "identity"
-_INTERVAL = "interval"   # scaled logit onto (sigma_low, sigma_high)
-_LOWER = "lower"         # shift + exp onto (bound, inf)
-
-
-def _softplus(z: float) -> float:
-    return math.log1p(math.exp(-abs(z))) + max(z, 0.0)
+# posterior
 
 
 class Posterior:
-    """Joint unconstrained log posterior of one model on one data set.
+    """Joint unconstrained log posterior of one family on one data set.
 
-    The object bundles data-dependent sufficient statistics, the coordinate
-    transform, and analytic gradients; it is the target handed to the
-    sampler. Per-observation log likelihoods (gain side first, then loss
-    side) are exposed for information-criterion computations.
+    The object bundles the per-side prepared data, the coordinate transform
+    and analytic gradients; it is the target handed to the sampler.
+    Per-observation log likelihoods (gain side first, then loss side) are
+    exposed for information-criterion computations.
     """
 
     def __init__(self, spec: ModelSpec, x_plus: np.ndarray, x_minus: np.ndarray):
         self.spec = spec
+        family = self.family
         self.x_plus = np.asarray(x_plus, dtype=np.float64)
         self.x_minus = np.asarray(x_minus, dtype=np.float64)
         if self.x_plus.size == 0 or self.x_minus.size == 0:
             raise EmptySideError("both sides need at least one observation")
-        if spec.kind is ModelKind.INV_GAMMA:
-            if np.any(self.x_plus <= 0.0) or np.any(self.x_minus <= 0.0):
-                raise DomainError(
-                    "inverse gamma support is x > 0; drop or rescale "
-                    "non-positive observations before fitting"
-                )
-            # Likelihood and gradient depend on the data only through
-            # (n, sum ln x, sum 1/x) per side.
-            self._ig_stats = tuple(
-                (float(x.size), float(np.sum(np.log(x))), float(np.sum(1.0 / x)))
-                for x in (self.x_plus, self.x_minus)
+        if not (np.all(self.x_plus > family.data_low)
+                and np.all(self.x_minus > family.data_low)):
+            raise DomainError(
+                f"{spec.kind} support is x > {family.data_low:g}; drop the "
+                "observations outside it before fitting"
             )
-            self.param_names = ("m_plus", "s_plus", "m_minus", "s_minus")
-            self._transforms = (_LOWER, _INTERVAL, _LOWER, _INTERVAL)
-            self._bounds = (0.0, None, 0.0, None)
-        else:
-            self.param_names = ("mu_plus", "sigma_plus", "nu_plus",
-                                "mu_minus", "sigma_minus", "nu_minus")
-            self._transforms = (_IDENTITY, _INTERVAL, _LOWER,
-                                _IDENTITY, _INTERVAL, _LOWER)
-            self._bounds = (None, None, spec.prior.nu_shift,
-                            None, None, spec.prior.nu_shift)
+        self.param_names = family.param_names
         self.dim = len(self.param_names)
+        priors = spec.prior.sides()
+        # each side as (distinct value, count); the inverse index restores
+        # the observation order for pointwise_loglik
+        unique = [np.unique(x, return_inverse=True, return_counts=True)
+                  for x in (self.x_plus, self.x_minus)]
+        (values_p, inverse_p, _), (values_m, inverse_m, _) = unique
+        self._values = (values_p, values_m)
+        self._inverse = np.concatenate([inverse_p, inverse_m + values_p.size])
+        k = self.dim // 2
+        self._sides = tuple(
+            (sl, family.prepare(values, counts.astype(np.float64)), prior)
+            for (values, _, counts), sl, prior
+            in zip(unique, (slice(0, k), slice(k, None)), priors)
+        )
+
+        (low_p, high_p), (low_m, high_m) = (family.support(p) for p in priors)
+        self._low = np.array(low_p + low_m)
+        self._high = np.array(high_p + high_m)
+        bounded_low, bounded_high = np.isfinite(self._low), np.isfinite(self._high)
+        self._interval = np.flatnonzero(bounded_low & bounded_high)
+        self._lower = np.flatnonzero(bounded_low & ~bounded_high)
+        self._width = self._high[self._interval] - self._low[self._interval]
+        # d log|d theta / dz| / dz is 1 above a lower bound, 0 when unbounded
+        self._dlog_jac = np.zeros(self.dim)
+        self._dlog_jac[self._lower] = 1.0
+
+    @property
+    def family(self) -> Family:
+        return FAMILIES[self.spec.kind]
 
     # -- coordinate maps ----------------------------------------------------
 
+    def _forward(self, z: np.ndarray):
+        """theta(z), d theta / dz, log |d theta / dz| and its gradient in z."""
+        iv, lw = self._interval, self._lower
+        theta, dtheta, dlog_jac = z.copy(), np.ones(self.dim), self._dlog_jac.copy()
+        z_iv = z[iv]
+        sig = expit(z_iv)
+        width_sig = self._width * sig
+        theta[iv] = self._low[iv] + width_sig
+        dtheta[iv] = width_sig * expit(-z_iv)
+        dlog_jac[iv] = 1.0 - 2.0 * sig
+        gap = np.exp(np.minimum(z[lw], 700.0))
+        theta[lw] = self._low[lw] + gap
+        dtheta[lw] = gap
+        # the Jacobian is diagonal: its log determinant sums the log slopes
+        return theta, dtheta, float(np.log(dtheta).sum()), dlog_jac
+
     def constrain(self, z: np.ndarray) -> np.ndarray:
         """Map an unconstrained vector to model parameters."""
-        p = self.spec.prior
-        z = np.asarray(z, dtype=np.float64)
-        theta = np.empty_like(z)
-        for k, kind in enumerate(self._transforms):
-            if kind == _IDENTITY:
-                theta[k] = z[k]
-            elif kind == _INTERVAL:
-                theta[k] = p.sigma_low + (p.sigma_high - p.sigma_low) * expit(z[k])
-            else:
-                theta[k] = self._bounds[k] + math.exp(min(z[k], 700.0))
-        return theta
+        return self._forward(np.asarray(z, dtype=np.float64))[0]
 
     def unconstrain(self, theta: np.ndarray) -> np.ndarray:
         """Inverse of :meth:`constrain`; raises DomainError off the support."""
-        p = self.spec.prior
         theta = np.asarray(theta, dtype=np.float64)
-        z = np.empty_like(theta)
-        for k, kind in enumerate(self._transforms):
-            if kind == _IDENTITY:
-                z[k] = theta[k]
-            elif kind == _INTERVAL:
-                frac = (theta[k] - p.sigma_low) / (p.sigma_high - p.sigma_low)
-                if not (0.0 < frac < 1.0):
-                    raise DomainError(
-                        f"{self.param_names[k]}={theta[k]} outside "
-                        f"({p.sigma_low}, {p.sigma_high})"
-                    )
-                z[k] = math.log(frac) - math.log1p(-frac)
-            else:
-                gap = theta[k] - self._bounds[k]
-                if gap <= 0.0:
-                    raise DomainError(
-                        f"{self.param_names[k]}={theta[k]} must exceed {self._bounds[k]}"
-                    )
-                z[k] = math.log(gap)
+        off = np.flatnonzero(~((self._low < theta) & (theta < self._high)))
+        if off.size:
+            k = off[0]
+            raise DomainError(
+                f"{self.param_names[k]}={theta[k]} outside "
+                f"({self._low[k]}, {self._high[k]})"
+            )
+        iv, lw = self._interval, self._lower
+        z = theta.copy()
+        frac = (theta[iv] - self._low[iv]) / self._width
+        z[iv] = np.log(frac) - np.log1p(-frac)
+        z[lw] = np.log(theta[lw] - self._low[lw])
         return z
 
     def log_jacobian(self, z: np.ndarray) -> float:
         """Log |d theta / d z| of the constraining map."""
-        p = self.spec.prior
-        total = 0.0
-        for k, kind in enumerate(self._transforms):
-            if kind == _INTERVAL:
-                total += (math.log(p.sigma_high - p.sigma_low)
-                          - _softplus(z[k]) - _softplus(-z[k]))
-            elif kind == _LOWER:
-                total += z[k]
-        return total
+        return self._forward(np.asarray(z, dtype=np.float64))[2]
 
     # -- densities ----------------------------------------------------------
-
-    def log_posterior(self, z: np.ndarray) -> float:
-        return self.value_and_grad(z)[0]
 
     def value_and_grad(self, z: np.ndarray) -> tuple[float, np.ndarray]:
         """Unconstrained log posterior and its gradient in one pass.
@@ -340,97 +428,20 @@ class Posterior:
         a caller bug and raises :class:`NonFiniteError`.
         """
         z = np.asarray(z, dtype=np.float64)
-        if np.any(np.isnan(z)):
+        if np.isnan(z).any():
             raise NonFiniteError("unconstrained vector contains NaN")
-        p = self.spec.prior
-        grad = np.zeros(self.dim)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            theta = self.constrain(z)
-            if not np.all(np.isfinite(theta)):
-                return -math.inf, grad
-            if self.spec.kind is ModelKind.STUDENT_T:
-                value, grad_theta = self._student_value_grad(theta)
-            else:
-                value, grad_theta = self._invgamma_value_grad(theta)
-            if not math.isfinite(value):
-                return -math.inf, grad
+            theta, dtheta, value, dlog_jac = self._forward(z)
+            params, grad_theta = theta.tolist(), []
+            for sl, stats, prior in self._sides:
+                side_value, side_grad = self.family.value_grad(params[sl], stats, prior)
+                value += side_value
+                grad_theta += side_grad
             # chain rule through the transform, plus the Jacobian term
-            for k, kind in enumerate(self._transforms):
-                if kind == _IDENTITY:
-                    grad[k] = grad_theta[k]
-                elif kind == _INTERVAL:
-                    sig = expit(z[k])
-                    grad[k] = (grad_theta[k] * (p.sigma_high - p.sigma_low)
-                               * sig * (1.0 - sig)) + (1.0 - 2.0 * sig)
-                else:
-                    grad[k] = grad_theta[k] * (theta[k] - self._bounds[k]) + 1.0
-            value += self.log_jacobian(z)
-        if not np.all(np.isfinite(grad)) or not math.isfinite(value):
+            grad = np.array(grad_theta) * dtheta + dlog_jac
+        if not (math.isfinite(value) and np.isfinite(grad).all()):
             return -math.inf, np.zeros(self.dim)
         return float(value), grad
-
-    def _student_value_grad(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
-        p = self.spec.prior
-        grad = np.zeros(6)
-        value = 0.0
-        for side, (x, m0, s0) in enumerate(
-            ((self.x_plus, p.m_plus, p.s_plus), (self.x_minus, p.m_minus, p.s_minus))
-        ):
-            off = 3 * side
-            mu, sigma, nu = theta[off], theta[off + 1], theta[off + 2]
-            n = x.size
-            t = (x - mu) / sigma
-            t2 = t * t
-            lu = np.log1p(t2 / nu)
-            w = (nu + 1.0) / (nu + t2)
-            sum_lu = float(np.sum(lu))
-            sum_wt = float(np.sum(w * t))
-            sum_wt2 = float(np.sum(w * t2))
-            value += n * (
-                gammaln((nu + 1.0) / 2.0) - gammaln(nu / 2.0)
-                - 0.5 * math.log(math.pi * nu) - math.log(sigma)
-            ) - 0.5 * (nu + 1.0) * sum_lu
-            d_mu = sum_wt / sigma
-            d_sigma = (sum_wt2 - n) / sigma
-            d_nu = (
-                0.5 * n * (digamma((nu + 1.0) / 2.0) - digamma(nu / 2.0))
-                - 0.5 * n / nu - 0.5 * sum_lu + sum_wt2 / (2.0 * nu)
-            )
-            # priors: mu ~ N(m0, s0^2), sigma ~ U (flat inside), nu shifted exp
-            value += _normal_logpdf(mu, m0, s0)
-            value -= math.log(p.sigma_high - p.sigma_low)
-            value += math.log(p.nu_rate) - p.nu_rate * (nu - p.nu_shift)
-            grad[off] = d_mu - (mu - m0) / (s0 * s0)
-            grad[off + 1] = d_sigma
-            grad[off + 2] = d_nu - p.nu_rate
-        return value, grad
-
-    def _invgamma_value_grad(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
-        p = self.spec.prior
-        grad = np.zeros(4)
-        value = 0.0
-        for side, ((n, sum_ln, sum_inv), m0, s0) in enumerate(
-            zip(self._ig_stats, (p.m_plus, p.m_minus), (p.s_plus, p.s_minus))
-        ):
-            off = 2 * side
-            m, s = theta[off], theta[off + 1]
-            if m <= 0.0:
-                return -math.inf, grad
-            alpha = 2.0 + (m * m) / (s * s)
-            beta = m * (alpha - 1.0)
-            value += n * (alpha * math.log(beta) - gammaln(alpha)) \
-                - (alpha + 1.0) * sum_ln - beta * sum_inv
-            d_alpha = n * (math.log(beta) - digamma(alpha)) - sum_ln
-            d_beta = n * alpha / beta - sum_inv
-            da_dm = 2.0 * m / (s * s)
-            da_ds = -2.0 * m * m / (s ** 3)
-            db_dm = 1.0 + 3.0 * m * m / (s * s)
-            db_ds = -2.0 * m ** 3 / (s ** 3)
-            value += _normal_logpdf(m, m0, s0)
-            value -= math.log(p.sigma_high - p.sigma_low)
-            grad[off] = d_alpha * da_dm + d_beta * db_dm - (m - m0) / (s0 * s0)
-            grad[off + 1] = d_alpha * da_ds + d_beta * db_ds
-        return value, grad
 
     # -- per-observation likelihood ------------------------------------------
 
@@ -441,25 +452,13 @@ class Posterior:
     def pointwise_loglik(self, theta: np.ndarray) -> np.ndarray:
         """Log likelihood of each observation (gain side first, then loss)."""
         theta = np.asarray(theta, dtype=np.float64)
-        if self.spec.kind is ModelKind.STUDENT_T:
-            plus = student_logpdf(self.x_plus, theta[0], theta[1], theta[2])
-            minus = student_logpdf(self.x_minus, theta[3], theta[4], theta[5])
-        else:
-            a_p, b_p = ig_shape_rate(theta[0], theta[1])
-            a_m, b_m = ig_shape_rate(theta[2], theta[3])
-            plus = invgamma_logpdf(self.x_plus, a_p, b_p)
-            minus = invgamma_logpdf(self.x_minus, a_m, b_m)
-        return np.concatenate([np.atleast_1d(plus), np.atleast_1d(minus)])
+        per_value = np.concatenate([
+            self.family.logpdf(values, theta[sl])
+            for values, (sl, _, _) in zip(self._values, self._sides)
+        ])
+        return per_value[self._inverse]
 
     def initial_unconstrained(self) -> np.ndarray:
         """Empirical-moment starting point, mapped to unconstrained space."""
-        p = self.spec.prior
-        lo, hi = p.sigma_low, p.sigma_high
-        clip = lambda v: float(np.clip(v, lo * 1.05, hi * 0.95))
-        if self.spec.kind is ModelKind.STUDENT_T:
-            theta = np.array([p.m_plus, clip(p.s_plus), NU_INIT,
-                              p.m_minus, clip(p.s_minus), NU_INIT])
-        else:
-            theta = np.array([max(p.m_plus, 1e-3), clip(p.s_plus),
-                              max(p.m_minus, 1e-3), clip(p.s_minus)])
-        return self.unconstrain(theta)
+        theta = [v for p in self.spec.prior.sides() for v in self.family.initial(p)]
+        return self.unconstrain(np.array(theta))

@@ -85,7 +85,6 @@ class Trace:
     """Retained draws of one run; tuning iterations are excluded."""
 
     draws: np.ndarray                 # [n_chains, n_draw, dim], constrained
-    draws_unconstrained: np.ndarray   # [n_chains, n_draw, dim]
     param_names: tuple[str, ...]
     accept_stat: np.ndarray           # [n_chains, n_draw]
     divergent: np.ndarray             # [n_chains, n_draw] bool
@@ -437,8 +436,7 @@ def run_chains(target, cfg: SamplerConfig) -> Trace:
     constrain = getattr(target, "constrain", None)
     pointwise = getattr(target, "pointwise_loglik", None)
 
-    draws_u = np.empty((cfg.n_chains, cfg.n_draw, dim))
-    draws_c = np.empty_like(draws_u)
+    draws_c = np.empty((cfg.n_chains, cfg.n_draw, dim))
     accept = np.empty((cfg.n_chains, cfg.n_draw))
     divergent = np.zeros((cfg.n_chains, cfg.n_draw), dtype=bool)
     depth = np.zeros((cfg.n_chains, cfg.n_draw), dtype=np.int16)
@@ -467,7 +465,6 @@ def run_chains(target, cfg: SamplerConfig) -> Trace:
             z, value, grad, info = nuts_draw(z, value, grad, eps, inv_mass, rng,
                                              target.value_and_grad,
                                              cfg.max_tree_depth)
-            draws_u[chain, it] = z
             theta = constrain(z) if constrain is not None else z
             draws_c[chain, it] = theta
             accept[chain, it] = info["accept_stat"]
@@ -482,7 +479,6 @@ def run_chains(target, cfg: SamplerConfig) -> Trace:
 
     return Trace(
         draws=draws_c,
-        draws_unconstrained=draws_u,
         param_names=names,
         accept_stat=accept,
         divergent=divergent,

@@ -18,13 +18,12 @@ import numpy as np
 from .detrend import DEFAULT_FILTER_SIZE, FilteredSeries, detrend, threshold_from_std
 from .diagnostics import FitReport, build_report, effect_size_draws
 from .errors import (
-    EmptySideError,
     GainLossError,
     MalformedReportError,
     NonPositiveRhoError,
 )
 from .hitting import HittingSample, LogHittingSample, hitting_times, log_sample
-from .models import ModelKind, ModelSpec, Posterior, PriorSpec
+from .models import FAMILIES, ModelKind, ModelSpec, Posterior, PriorSpec
 from .nuts import SamplerConfig, Trace, run_chains
 from .series import PriceSeries, SeriesStats, log_prices, slice_window, summary_stats
 
@@ -107,26 +106,20 @@ def fit_log_sample(
 ) -> tuple[FitReport, Trace]:
     """Fit one model to a log hitting-time sample and summarize it.
 
-    The Inverse-Gamma likelihood lives on x > 0, so observations at exactly
-    x = 0 (single-step hits, tau = 1) are excluded from that fit and counted
-    on the report; the Student-t fit always uses the full sample.
+    Observations outside the family's data support are excluded from the
+    fit and counted on the report: the Inverse-Gamma likelihood lives on
+    x > 0, so it drops single-step hits (tau = 1, x = 0); the Student-t fit
+    uses the full sample.
     """
-    x_plus, x_minus = logs.x_plus, logs.x_minus
-    dropped_plus = dropped_minus = 0
-    if kind is ModelKind.INV_GAMMA:
-        keep_p = x_plus > 0.0
-        keep_m = x_minus > 0.0
-        dropped_plus = int(np.count_nonzero(~keep_p))
-        dropped_minus = int(np.count_nonzero(~keep_m))
-        x_plus, x_minus = x_plus[keep_p], x_minus[keep_m]
-        if x_plus.size < 2 or x_minus.size < 2:
-            raise EmptySideError(
-                "too few positive log hitting times for the inverse-gamma fit"
-            )
+    x_low = FAMILIES[kind].data_low
+    keep_p, keep_m = logs.x_plus > x_low, logs.x_minus > x_low
+    x_plus, x_minus = logs.x_plus[keep_p], logs.x_minus[keep_m]
+    dropped_plus = int(np.count_nonzero(~keep_p))
+    dropped_minus = int(np.count_nonzero(~keep_m))
     spec = ModelSpec(kind=kind, prior=PriorSpec.from_data(x_plus, x_minus))
     posterior = Posterior(spec, x_plus, x_minus)
     trace = run_chains(posterior, sampler)
-    effect = effect_size_draws(trace, n_plus=x_plus.size, n_minus=x_minus.size)
+    effect = effect_size_draws(trace, kind, n_plus=x_plus.size, n_minus=x_minus.size)
     report = build_report(
         trace,
         effect,

@@ -26,7 +26,7 @@ from gainloss.errors import (
     MalformedReportError,
     TooFewSamplesError,
 )
-from gainloss.models import ModelKind, ModelSpec, Posterior, PriorSpec
+from gainloss.models import FAMILIES, ModelKind, ModelSpec, Posterior, PriorSpec
 from gainloss.nuts import SamplerConfig, Trace, run_chains
 
 
@@ -39,7 +39,6 @@ def fake_trace(values_by_name, n_chains=2, n_draw=60):
     cfg = SamplerConfig(n_chains=n_chains, n_draw=n_draw, n_tune=0, seed=0)
     return Trace(
         draws=draws,
-        draws_unconstrained=draws.copy(),
         param_names=names,
         accept_stat=np.full((n_chains, n_draw), 0.9),
         divergent=np.zeros((n_chains, n_draw), dtype=bool),
@@ -87,22 +86,21 @@ class TestPooledEffectSize:
 
 
 class TestEffectSizeDraws:
-    def test_student_parameter_roles(self):
-        trace = fake_trace(
-            {"mu_plus": 1.0, "sigma_plus": 2.0, "nu_plus": 5.0,
-             "mu_minus": 3.0, "sigma_minus": 4.0, "nu_minus": 6.0}
-        )
-        eff = effect_size_draws(trace, n_plus=10, n_minus=14)
-        want = pooled_effect_size(1.0, 3.0, 2.0, 4.0, 10, 14)
+    @pytest.mark.parametrize("kind,loc,scale", [
+        (ModelKind.STUDENT_T, "mu", "sigma"),
+        (ModelKind.INV_GAMMA, "m", "s"),
+    ], ids=["student-t", "inv-gamma"])
+    def test_parameter_roles(self, kind, loc, scale):
+        names = FAMILIES[kind].param_names
+        values = dict(zip(names, 1.0 + np.arange(len(names))))
+        eff = effect_size_draws(fake_trace(values), kind, n_plus=10, n_minus=14)
+        want = pooled_effect_size(values[f"{loc}_plus"], values[f"{loc}_minus"],
+                                  values[f"{scale}_plus"], values[f"{scale}_minus"],
+                                  10, 14)
         assert eff.d.shape == (2, 60)
         assert np.allclose(eff.d, want)
         assert eff.flat.shape == (120,)
         assert (eff.n_plus, eff.n_minus) == (10, 14)
-
-    def test_invgamma_parameter_roles(self):
-        trace = fake_trace({"m_plus": 2.0, "s_plus": 1.0, "m_minus": 2.5, "s_minus": 1.5})
-        eff = effect_size_draws(trace, n_plus=20, n_minus=20)
-        assert np.allclose(eff.d, pooled_effect_size(2.0, 2.5, 1.0, 1.5, 20, 20))
 
 
 class TestHdi:
@@ -288,7 +286,7 @@ def tiny_student_fit(seed=72):
     post = Posterior(ModelSpec(ModelKind.STUDENT_T, PriorSpec.from_data(xp, xm)), xp, xm)
     cfg = SamplerConfig(n_chains=2, n_draw=150, n_tune=150, seed=seed)
     trace = run_chains(post, cfg)
-    effect = effect_size_draws(trace, xp.size, xm.size)
+    effect = effect_size_draws(trace, ModelKind.STUDENT_T, xp.size, xm.size)
     return trace, effect
 
 
@@ -356,7 +354,7 @@ class TestBuildReport:
         trace = run_chains(
             NamedGaussianTarget(), SamplerConfig(n_chains=2, n_draw=60, n_tune=150, seed=73)
         )
-        effect = effect_size_draws(trace, 10, 10)
+        effect = effect_size_draws(trace, ModelKind.STUDENT_T, 10, 10)
         with pytest.raises(MalformedReportError):
             build_report(
                 trace, effect, index_id="x", kind=ModelKind.STUDENT_T,

@@ -17,6 +17,7 @@ from gainloss.errors import (
     GainLossError,
     MalformedReportError,
     NonPositiveRhoError,
+    ZeroVarianceError,
 )
 from gainloss.hitting import LogHittingSample, hitting_times, log_sample
 from gainloss.models import ModelKind
@@ -24,6 +25,7 @@ from gainloss.nuts import SamplerConfig
 from gainloss.pipeline import (
     SCAN_CSV_HEADER,
     ScanPoint,
+    _fit_point,
     fit_log_sample,
     fit_series,
     parse_model_choice,
@@ -155,6 +157,17 @@ class TestFitLogSample:
         )
         with pytest.raises(EmptySideError):
             fit_log_sample(logs, ModelKind.INV_GAMMA, QUICK)
+
+    def test_zero_spread_side_is_an_input_error(self):
+        logs = LogHittingSample(
+            x_plus=np.zeros(40), x_minus=np.log(np.arange(1, 41.0)), rho=0.1
+        )
+        with pytest.raises(ZeroVarianceError):
+            fit_log_sample(logs, ModelKind.STUDENT_T,
+                           SamplerConfig(n_chains=2, n_draw=50, n_tune=50))
+        point = _fit_point("rho", "1", logs, ModelKind.STUDENT_T, QUICK, "flat", 0.1, 100)
+        assert point.error.startswith("ZeroVarianceError")
+        assert math.isnan(point.d_mean)
 
 
 class TestFitSeries:
