@@ -91,27 +91,27 @@ def _load_config(path: Optional[str]) -> dict:
     return payload
 
 
-def _resolve(args, config: dict, key: str, default):
-    """Flag value if given, else config file value, else the default."""
-    flag = getattr(args, key, None)
-    if flag is not None:
-        return flag
-    if key in config:
-        return config[key]
-    return default
+def _resolve(args, config: dict, key: str, default, cast):
+    """Flag value if given, else config file value, else the default, by ``cast``."""
+    value = next((v for v in (getattr(args, key, None), config.get(key), default)
+                  if v is not None), None)
+    try:
+        return None if value is None else cast(value)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"bad value for {key}: {value!r} ({exc})") from exc
 
 
 def _sampler_config(args, config: dict) -> SamplerConfig:
     return SamplerConfig(
-        n_chains=int(_resolve(args, config, "chains", 4)),
-        n_draw=int(_resolve(args, config, "draws", 4000)),
-        n_tune=int(_resolve(args, config, "tune", 2000)),
-        seed=int(_resolve(args, config, "seed", 0)),
+        n_chains=_resolve(args, config, "chains", 4, int),
+        n_draw=_resolve(args, config, "draws", 4000, int),
+        n_tune=_resolve(args, config, "tune", 2000, int),
+        seed=_resolve(args, config, "seed", 0, int),
     )
 
 
 def _out_dir(args, config: dict) -> Path:
-    out = Path(_resolve(args, config, "out_dir", "."))
+    out = _resolve(args, config, "out_dir", ".", Path)
     out.mkdir(parents=True, exist_ok=True)
     return out
 
@@ -133,7 +133,7 @@ def _float_list(text) -> tuple[float, ...]:
 
 
 def _cmd_stats(args, config) -> int:
-    f = int(_resolve(args, config, "filter_size", DEFAULT_FILTER_SIZE))
+    f = _resolve(args, config, "filter_size", DEFAULT_FILTER_SIZE, int)
     print("index,raw_count,raw_mean,raw_std,filtered_count,filtered_mean,filtered_std")
     series_list = []
     for path in args.inputs:
@@ -155,7 +155,7 @@ def _cmd_stats(args, config) -> int:
 
 
 def _cmd_detrend(args, config) -> int:
-    f = int(_resolve(args, config, "filter_size", DEFAULT_FILTER_SIZE))
+    f = _resolve(args, config, "filter_size", DEFAULT_FILTER_SIZE, int)
     series = _read_series(args.input)
     filtered = detrend(series, f)
     if args.out:
@@ -168,11 +168,11 @@ def _cmd_detrend(args, config) -> int:
 
 
 def _cmd_hittimes(args, config) -> int:
-    f = int(_resolve(args, config, "filter_size", DEFAULT_FILTER_SIZE))
-    rho = _resolve(args, config, "rho", None)
+    f = _resolve(args, config, "filter_size", DEFAULT_FILTER_SIZE, int)
+    rho = _resolve(args, config, "rho", None, float)
     series = _read_series(args.input)
     filtered = detrend(series, f)
-    rho = float(rho) if rho is not None else threshold_from_std(filtered)
+    rho = rho if rho is not None else threshold_from_std(filtered)
     sample = hitting_times(filtered.values, rho)
     lines = [
         f"# index={series.name} filter_size={f} rho={rho:.10g}",
@@ -202,19 +202,17 @@ def _report_line(r: FitReport) -> str:
 
 
 def _cmd_fit(args, config) -> int:
-    f = int(_resolve(args, config, "filter_size", DEFAULT_FILTER_SIZE))
-    rho_opt = _resolve(args, config, "rho", None)
-    model = str(_resolve(args, config, "model", "both"))
-    allow = bool(_resolve(args, config, "allow_nonconverged", False))
-    hdi_mass = float(_resolve(args, config, "hdi_mass", 0.94))
+    f = _resolve(args, config, "filter_size", DEFAULT_FILTER_SIZE, int)
+    rho_opt = _resolve(args, config, "rho", None, float)
+    model = _resolve(args, config, "model", "both", str)
+    allow = _resolve(args, config, "allow_nonconverged", False, bool)
+    hdi_mass = _resolve(args, config, "hdi_mass", 0.94, float)
     sampler = _sampler_config(args, config)
     out = _out_dir(args, config)
 
     series = _read_series(args.input)
     kinds = parse_model_choice(model)
-    _, rho_used, sample, logs = prepare_sample(
-        series, f, float(rho_opt) if rho_opt is not None else None
-    )
+    _, rho_used, sample, logs = prepare_sample(series, f, rho_opt)
     print(
         f"# {series.name}: anchors={sample.n_anchors} n+={logs.n_plus} "
         f"n-={logs.n_minus} censored+={sample.censored_plus} "
@@ -272,16 +270,16 @@ def _finish_scan(points: list[ScanPoint], out: Path, stem: str, allow: bool) -> 
 def _cmd_scan_filter(args, config) -> int:
     sampler = _sampler_config(args, config)
     out = _out_dir(args, config)
-    allow = bool(_resolve(args, config, "allow_nonconverged", False))
-    model = str(_resolve(args, config, "model", "both"))
-    rho_opt = _resolve(args, config, "rho", None)
-    sizes = _resolve(args, config, "filter_sizes", None)
+    allow = _resolve(args, config, "allow_nonconverged", False, bool)
+    model = _resolve(args, config, "model", "both", str)
+    rho_opt = _resolve(args, config, "rho", None, float)
+    sizes = _resolve(args, config, "filter_sizes", None, _int_list)
     series = _read_series(args.input)
     kwargs = {}
     if sizes is not None:
-        kwargs["filter_sizes"] = _int_list(sizes)
+        kwargs["filter_sizes"] = sizes
     if rho_opt is not None:
-        kwargs["rho"] = float(rho_opt)
+        kwargs["rho"] = rho_opt
     points = scan_filter(series, parse_model_choice(model), sampler, **kwargs)
     return _finish_scan(points, out, f"scan_filter_{series.name}", allow)
 
@@ -289,14 +287,14 @@ def _cmd_scan_filter(args, config) -> int:
 def _cmd_scan_rho(args, config) -> int:
     sampler = _sampler_config(args, config)
     out = _out_dir(args, config)
-    allow = bool(_resolve(args, config, "allow_nonconverged", False))
-    model = str(_resolve(args, config, "model", "both"))
-    f = int(_resolve(args, config, "filter_size", DEFAULT_FILTER_SIZE))
-    scales = _resolve(args, config, "rho_scales", None)
+    allow = _resolve(args, config, "allow_nonconverged", False, bool)
+    model = _resolve(args, config, "model", "both", str)
+    f = _resolve(args, config, "filter_size", DEFAULT_FILTER_SIZE, int)
+    scales = _resolve(args, config, "rho_scales", None, _float_list)
     series = _read_series(args.input)
     kwargs = {"filter_size": f}
     if scales is not None:
-        kwargs["scales"] = _float_list(scales)
+        kwargs["scales"] = scales
     points = scan_rho(series, parse_model_choice(model), sampler, **kwargs)
     return _finish_scan(points, out, f"scan_rho_{series.name}", allow)
 
@@ -304,11 +302,11 @@ def _cmd_scan_rho(args, config) -> int:
 def _cmd_scan_window(args, config) -> int:
     sampler = _sampler_config(args, config)
     out = _out_dir(args, config)
-    allow = bool(_resolve(args, config, "allow_nonconverged", False))
-    model = str(_resolve(args, config, "model", "both"))
-    f = int(_resolve(args, config, "filter_size", DEFAULT_WINDOW_FILTER))
-    rho = float(_resolve(args, config, "rho", DEFAULT_WINDOW_RHO))
-    years = int(_resolve(args, config, "window_years", DEFAULT_WINDOW_YEARS))
+    allow = _resolve(args, config, "allow_nonconverged", False, bool)
+    model = _resolve(args, config, "model", "both", str)
+    f = _resolve(args, config, "filter_size", DEFAULT_WINDOW_FILTER, int)
+    rho = _resolve(args, config, "rho", DEFAULT_WINDOW_RHO, float)
+    years = _resolve(args, config, "window_years", DEFAULT_WINDOW_YEARS, int)
     series = _read_series(args.input)
     points = scan_window(series, parse_model_choice(model), sampler,
                          window_years=years, filter_size=f, rho=rho)
@@ -320,8 +318,8 @@ def _cmd_scan_window(args, config) -> int:
 
 
 def _cmd_gbm_validate(args, config) -> int:
-    seed = int(_resolve(args, config, "seed", 0))
-    out = _resolve(args, config, "out_dir", None)
+    seed = _resolve(args, config, "seed", 0, int)
+    out = _resolve(args, config, "out_dir", None, str)
     if args.two_sided:
         up, down = simulate_fht_two_sided(
             sigma=args.sigma, rho=args.rho, dt=args.dt,
@@ -368,7 +366,10 @@ def _cmd_plot(args, config) -> int:
         except OSError as exc:
             raise InputError(f"cannot read {path}: {exc}") from exc
         if path.suffix.lower() == ".json":
-            payload = json.loads(text) if text.strip() else None
+            try:
+                payload = json.loads(text) if text.strip() else None
+            except json.JSONDecodeError as exc:
+                raise MalformedReportError(f"{path}: not valid JSON: {exc}") from exc
             if isinstance(payload, list):
                 svg = scan_svg(scan_points_from_json(text))
             elif isinstance(payload, dict):

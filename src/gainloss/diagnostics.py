@@ -9,8 +9,8 @@ size") between the gain and loss sides,
 evaluated per posterior draw, so d itself has a posterior. Convergence is
 judged with the between/within-chain variance ratio (potential scale
 reduction) and a multi-chain autocorrelation effective sample size; model fit
-is compared with the widely applicable information criterion computed from
-per-draw pointwise log likelihoods.
+is compared with the widely applicable information criterion, computed after
+sampling with one log-likelihood column per distinct value, weighted by count.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .errors import (
     MalformedReportError,
     TooFewSamplesError,
 )
-from .models import FAMILIES, ModelKind
+from .models import FAMILIES, ModelKind, Posterior
 from .nuts import Trace
 
 __all__ = [
@@ -198,41 +198,45 @@ class WaicResult:
     n_obs: int
 
 
-def waic(pointwise_loglik: np.ndarray) -> WaicResult:
+def waic(pointwise_loglik: np.ndarray, counts: Optional[np.ndarray] = None) -> WaicResult:
     """Widely applicable information criterion, -2(lppd - p_waic).
 
     ``pointwise_loglik`` has one row per retained posterior draw and one
-    column per observation. The effective parameter count is the sum of
-    per-observation sample variances; the standard error scales the spread
-    of per-observation contributions by sqrt(n_obs).
+    column per observation, or per distinct value when ``counts`` gives how
+    many observations share each column (``None``: one each). The effective
+    parameter count is the count-weighted sum of per-column sample variances;
+    the standard error scales the spread of per-observation contributions by
+    sqrt(n_obs), with n_obs the total count.
     """
     ll = np.asarray(pointwise_loglik)
     if ll.ndim != 2:
         raise TooFewSamplesError(f"expected [draws, n_obs], got shape {ll.shape}")
-    n_draws, n_obs = ll.shape
-    if n_draws < 2 or n_obs < 1:
+    n_draws, n_cols = ll.shape
+    if n_draws < 2 or n_cols < 1:
         raise TooFewSamplesError("waic needs >= 2 draws and >= 1 observation")
-    log_s = math.log(n_draws)
-    lppd_i = np.empty(n_obs)
-    p_i = np.empty(n_obs)
-    # column blocks keep the float64 temporaries bounded for large n_obs
+    c = np.ones(n_cols) if counts is None else np.asarray(counts, dtype=np.float64)
+    lppd_i = np.empty(n_cols)
+    p_i = np.empty(n_cols)
+    # column blocks keep the float64 temporaries bounded for large n_cols
     block = max(1, int(8e6) // max(n_draws, 1))
-    for start in range(0, n_obs, block):
-        stop = min(start + block, n_obs)
+    for start in range(0, n_cols, block):
+        stop = min(start + block, n_cols)
         cols = ll[:, start:stop].astype(np.float64)
         peak = cols.max(axis=0)
         lppd_i[start:stop] = peak + np.log(np.mean(np.exp(cols - peak), axis=0))
         p_i[start:stop] = np.var(cols, axis=0, ddof=1)
-    elpd_i = lppd_i - p_i
-    contrib = -2.0 * elpd_i
-    total = float(np.sum(contrib))
-    se = math.sqrt(n_obs * float(np.var(contrib, ddof=1))) if n_obs > 1 else 0.0
+    contrib = -2.0 * (lppd_i - p_i)
+    # numpy's own summation, not a BLAS dot, whose rounding follows the CPU
+    n = float(c.sum())
+    total = float((c * contrib).sum())
+    spread = float((c * (contrib - total / n) ** 2).sum())
+    se = math.sqrt(n * (spread / (n - 1.0))) if n > 1.0 else 0.0
     return WaicResult(
         waic=total,
         se=se,
-        lppd=float(np.sum(lppd_i)),
-        p_waic=float(np.sum(p_i)),
-        n_obs=n_obs,
+        lppd=float((c * lppd_i).sum()),
+        p_waic=float((c * p_i).sum()),
+        n_obs=int(n),
     )
 
 
@@ -318,6 +322,7 @@ class FitReport:
 def build_report(
     trace: Trace,
     effect: EffectSizeDraws,
+    posterior: Posterior,
     *,
     index_id: str,
     kind: ModelKind,
@@ -328,15 +333,16 @@ def build_report(
     n_dropped_plus: int = 0,
     n_dropped_minus: int = 0,
 ) -> FitReport:
-    """Summarize one fitted trace into a :class:`FitReport`."""
+    """Summarize one trace of ``posterior`` into a :class:`FitReport`."""
     flat = effect.flat
     lo, hi = hdi(flat, hdi_mass)
     rhat = {name: gelman_rubin(trace.chains_for(name)) for name in trace.param_names}
     rhat["d"] = gelman_rubin(effect.d)
-    if trace.pointwise_loglik is None:
-        raise MalformedReportError("trace has no pointwise log likelihoods")
-    ll = trace.pointwise_loglik.reshape(-1, trace.pointwise_loglik.shape[2])
-    w = waic(ll)
+    draws = trace.draws.reshape(-1, trace.draws.shape[2])
+    ll = np.empty((draws.shape[0], posterior.counts.size), dtype=np.float32)
+    for row, theta in zip(ll, draws):
+        row[:] = posterior.pointwise_loglik(theta)
+    w = waic(ll, posterior.counts)
     counts, edges = np.histogram(flat, bins=_HIST_BINS)
     return FitReport(
         index_id=index_id,

@@ -29,7 +29,8 @@ Hitting times are integers, so each side holds few distinct values. A side is
 stored once as (distinct value, count) pairs, and a family's ``prepare``
 reduces them to what its likelihood reads: the pairs themselves for the
 Student-t, (n, sum c ln x, sum c / x) for the Inverse-Gamma, whose gradient is
-then O(1) in the data.
+then O(1) in the data. WAIC reads the same pairs, through ``pointwise_loglik``
+and ``counts``.
 
 Sampling happens in unconstrained coordinates. The support (low, high) of
 each parameter picks its map: identity when unbounded, a scaled logit on an
@@ -327,8 +328,8 @@ class Posterior:
 
     The object bundles the per-side prepared data, the coordinate transform
     and analytic gradients; it is the target handed to the sampler.
-    Per-observation log likelihoods (gain side first, then loss side) are
-    exposed for information-criterion computations.
+    Log likelihoods of each distinct value (gain side first, then loss side)
+    and their counts are exposed for information-criterion computations.
     """
 
     def __init__(self, spec: ModelSpec, x_plus: np.ndarray, x_minus: np.ndarray):
@@ -347,17 +348,14 @@ class Posterior:
         self.param_names = family.param_names
         self.dim = len(self.param_names)
         priors = spec.prior.sides()
-        # each side as (distinct value, count); the inverse index restores
-        # the observation order for pointwise_loglik
-        unique = [np.unique(x, return_inverse=True, return_counts=True)
-                  for x in (self.x_plus, self.x_minus)]
-        (values_p, inverse_p, _), (values_m, inverse_m, _) = unique
-        self._values = (values_p, values_m)
-        self._inverse = np.concatenate([inverse_p, inverse_m + values_p.size])
+        # each side as (distinct value, count)
+        unique = [np.unique(x, return_counts=True) for x in (self.x_plus, self.x_minus)]
+        self._values = tuple(values for values, _ in unique)
+        self.counts = np.concatenate([counts for _, counts in unique])
         k = self.dim // 2
         self._sides = tuple(
             (sl, family.prepare(values, counts.astype(np.float64)), prior)
-            for (values, _, counts), sl, prior
+            for (values, counts), sl, prior
             in zip(unique, (slice(0, k), slice(k, None)), priors)
         )
 
@@ -443,20 +441,20 @@ class Posterior:
             return -math.inf, np.zeros(self.dim)
         return float(value), grad
 
-    # -- per-observation likelihood ------------------------------------------
+    # -- per-value likelihood -------------------------------------------------
 
     @property
     def n_obs(self) -> int:
         return int(self.x_plus.size + self.x_minus.size)
 
     def pointwise_loglik(self, theta: np.ndarray) -> np.ndarray:
-        """Log likelihood of each observation (gain side first, then loss)."""
+        """Log likelihood of one observation at each distinct value (gain side
+        first); ``counts`` holds how many observations share each value."""
         theta = np.asarray(theta, dtype=np.float64)
-        per_value = np.concatenate([
+        return np.concatenate([
             self.family.logpdf(values, theta[sl])
             for values, (sl, _, _) in zip(self._values, self._sides)
         ])
-        return per_value[self._inverse]
 
     def initial_unconstrained(self) -> np.ndarray:
         """Empirical-moment starting point, mapped to unconstrained space."""

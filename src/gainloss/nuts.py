@@ -16,14 +16,14 @@ the last dual-averaging stretch.
 
 Chains are independent: chain ``c`` of a run seeded with ``seed`` draws from
 a counter-based generator keyed by ``(seed, c)``, so results do not depend on
-execution order. Per-draw pointwise log likelihoods are recorded whenever the
-target exposes them, for information-criterion use downstream.
+execution order. The trace holds draws and sampler statistics only; what is
+derived from the draws, such as WAIC, is computed afterwards.
 
 The target is any object with a ``dim`` attribute and a
 ``value_and_grad(z) -> (logp, grad)`` method in unconstrained coordinates
 (off-support points must return ``-inf``, not raise). Optional methods
-``constrain``, ``pointwise_loglik``, ``param_names`` and
-``initial_unconstrained`` refine what the trace records.
+``constrain``, ``param_names`` and ``initial_unconstrained`` refine what the
+trace records.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Optional, Union
+from typing import Callable, Union
 
 import numpy as np
 
@@ -92,7 +92,6 @@ class Trace:
     step_size: np.ndarray             # [n_chains]
     mass_diag: np.ndarray             # [n_chains, dim]
     config: SamplerConfig
-    pointwise_loglik: Optional[np.ndarray] = None  # [n_chains, n_draw, n_obs] f32
 
     @property
     def n_chains(self) -> int:
@@ -434,7 +433,6 @@ def run_chains(target, cfg: SamplerConfig) -> Trace:
     names = tuple(getattr(target, "param_names",
                           tuple(f"param_{k}" for k in range(dim))))
     constrain = getattr(target, "constrain", None)
-    pointwise = getattr(target, "pointwise_loglik", None)
 
     draws_c = np.empty((cfg.n_chains, cfg.n_draw, dim))
     accept = np.empty((cfg.n_chains, cfg.n_draw))
@@ -442,7 +440,6 @@ def run_chains(target, cfg: SamplerConfig) -> Trace:
     depth = np.zeros((cfg.n_chains, cfg.n_draw), dtype=np.int16)
     step_sizes = np.empty(cfg.n_chains)
     masses = np.empty((cfg.n_chains, dim))
-    loglik = None
 
     if hasattr(target, "initial_unconstrained"):
         z_center = np.asarray(target.initial_unconstrained(), dtype=np.float64)
@@ -465,17 +462,10 @@ def run_chains(target, cfg: SamplerConfig) -> Trace:
             z, value, grad, info = nuts_draw(z, value, grad, eps, inv_mass, rng,
                                              target.value_and_grad,
                                              cfg.max_tree_depth)
-            theta = constrain(z) if constrain is not None else z
-            draws_c[chain, it] = theta
+            draws_c[chain, it] = constrain(z) if constrain is not None else z
             accept[chain, it] = info["accept_stat"]
             divergent[chain, it] = info["divergent"]
             depth[chain, it] = info["depth"]
-            if pointwise is not None:
-                ll = pointwise(theta)
-                if loglik is None:
-                    loglik = np.empty((cfg.n_chains, cfg.n_draw, ll.shape[0]),
-                                      dtype=np.float32)
-                loglik[chain, it] = ll
 
     return Trace(
         draws=draws_c,
@@ -486,7 +476,6 @@ def run_chains(target, cfg: SamplerConfig) -> Trace:
         step_size=step_sizes,
         mass_diag=masses,
         config=cfg,
-        pointwise_loglik=loglik,
     )
 
 

@@ -123,6 +123,7 @@ def fit_log_sample(
     report = build_report(
         trace,
         effect,
+        posterior,
         index_id=index_id,
         kind=kind,
         rho=float(rho) if rho is not None else float(logs.rho),

@@ -48,29 +48,6 @@ class CorrelatedGaussianTarget:
         return 0.5 * float(z @ grad), grad
 
 
-class NamedGaussianTarget(GaussianTarget):
-    """Unit Gaussian wearing location-scale-shape parameter names.
-
-    Lets report-building tests exercise the draw bookkeeping without paying
-    for a real model fit.  Deliberately has no pointwise_loglik attribute.
-    """
-
-    param_names = (
-        "mu_plus",
-        "sigma_plus",
-        "nu_plus",
-        "mu_minus",
-        "sigma_minus",
-        "nu_minus",
-    )
-
-    def __init__(self):
-        super().__init__(np.ones(6))
-
-    def constrain(self, z):
-        return np.asarray(z, dtype=np.float64)
-
-
 class StallingTarget:
     """Pathological stub: every call after the first reports a worse density.
 

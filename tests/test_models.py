@@ -299,7 +299,7 @@ class TestPosterior:
             z = rng.uniform(-1.5, 1.5, size=post.dim)
             theta = post.constrain(z)
             want = (
-                float(np.sum(post.pointwise_loglik(theta)))
+                float((post.counts * post.pointwise_loglik(theta)).sum())
                 + joint_log_prior(post, theta)
                 + post.log_jacobian(z)
             )
@@ -395,25 +395,28 @@ class TestPosterior:
             assert np.all(np.isfinite(grad))
 
     def test_pointwise_loglik_layout(self):
-        st, ig = make_posteriors()
-        for post in (st, ig):
+        for post in repeated_posteriors():
             theta = post.constrain(post.initial_unconstrained())
             ll = post.pointwise_loglik(theta)
-            assert ll.shape == (post.n_obs,)
+            assert ll.shape == (post.counts.size,)
+            assert post.counts.sum() == post.n_obs
+            assert post.counts.size < post.n_obs
             assert post.n_obs == post.x_plus.size + post.x_minus.size
 
     def test_pointwise_loglik_values(self):
         st, _ = make_posteriors()
         theta = np.array([1.0, 2.0, 5.0, 1.5, 2.5, 8.0])
         ll = st.pointwise_loglik(theta)
-        assert ll[0] == pytest.approx(student_logpdf(st.x_plus[0], 1.0, 2.0, 5.0))
-        assert ll[-1] == pytest.approx(student_logpdf(st.x_minus[-1], 1.5, 2.5, 8.0))
+        assert ll[0] == pytest.approx(student_logpdf(st.x_plus.min(), 1.0, 2.0, 5.0))
+        assert ll[-1] == pytest.approx(student_logpdf(st.x_minus.max(), 1.5, 2.5, 8.0))
         for post in repeated_posteriors():
             theta = post.constrain(post.initial_unconstrained())
             k = post.dim // 2
-            want = np.concatenate([post.family.logpdf(post.x_plus, theta[:k]),
-                                   post.family.logpdf(post.x_minus, theta[k:])])
+            want = np.concatenate([post.family.logpdf(np.unique(post.x_plus), theta[:k]),
+                                   post.family.logpdf(np.unique(post.x_minus), theta[k:])])
             assert np.allclose(post.pointwise_loglik(theta), want, rtol=1e-12, atol=0.0)
+            values, counts = np.unique(post.x_plus, return_counts=True)
+            assert np.array_equal(post.counts[:values.size], counts)
 
     def test_ig_requires_positive_observations(self):
         rng = np.random.default_rng(29)

@@ -11,7 +11,7 @@ import pytest
 from gainloss import cli
 from gainloss.cli import EXIT_CONVERGENCE, EXIT_INPUT, EXIT_OK, EXIT_PARTIAL, main
 from gainloss.detrend import detrend, threshold_from_std
-from gainloss.diagnostics import REPORT_CSV_HEADER, FitReport
+from gainloss.diagnostics import REPORT_CSV_HEADER, FitReport, waic
 from gainloss.errors import (
     EmptySideError,
     GainLossError,
@@ -20,7 +20,7 @@ from gainloss.errors import (
     ZeroVarianceError,
 )
 from gainloss.hitting import LogHittingSample, hitting_times, log_sample
-from gainloss.models import ModelKind
+from gainloss.models import FAMILIES, ModelKind
 from gainloss.nuts import SamplerConfig
 from gainloss.pipeline import (
     SCAN_CSV_HEADER,
@@ -150,6 +150,24 @@ class TestFitLogSample:
         report, _ = fit_log_sample(logs, ModelKind.STUDENT_T, QUICK)
         assert report.n_dropped_plus == report.n_dropped_minus == 0
         assert (report.n_plus, report.n_minus) == (logs.n_plus, logs.n_minus)
+
+    @pytest.mark.parametrize("kind", list(ModelKind), ids=str)
+    def test_waic_matches_the_per_observation_oracle(self, kind):
+        rng = np.random.default_rng(14)
+        logs = log_sample(hitting_times(np.cumsum(rng.standard_normal(500)), 0.8))
+        report, trace = fit_log_sample(logs, kind, QUICK)
+        family = FAMILIES[kind]
+        xp = logs.x_plus[logs.x_plus > family.data_low]
+        xm = logs.x_minus[logs.x_minus > family.data_low]
+        assert np.unique(xp).size < xp.size and np.unique(xm).size < xm.size
+        k = len(family.names)
+        ll = np.array([np.concatenate([family.logpdf(xp, theta[:k]),
+                                       family.logpdf(xm, theta[k:])])
+                       for theta in trace.draws.reshape(-1, 2 * k)], dtype=np.float32)
+        want = waic(ll)
+        assert want.n_obs == report.n_plus + report.n_minus
+        assert report.waic == pytest.approx(want.waic, rel=1e-9)
+        assert report.waic_se == pytest.approx(want.se, rel=1e-9)
 
     def test_invgamma_with_nothing_left_raises(self):
         logs = LogHittingSample(
@@ -452,6 +470,16 @@ class TestCliFit:
         assert (report.n_chains, report.n_draw, report.n_tune) == (2, 100, 150)
         assert report.seed == 9
 
+    def test_config_value_of_the_wrong_type_is_an_input_error(self, price_file,
+                                                              tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"draws": "many"}))
+        code, _, err = run_cli(
+            ["--config", str(cfg), "fit", str(price_file)], capsys
+        )
+        assert code == EXIT_INPUT
+        assert "draws" in err and "many" in err
+
     def test_bogus_model_in_config_is_an_input_error(self, price_file, tmp_path,
                                                      capsys):
         cfg = tmp_path / "cfg.json"
@@ -560,6 +588,12 @@ class TestCliPlot:
                                capsys)
         assert code == EXIT_INPUT
         assert "header mismatch" in err
+        bad_json = tmp_path / "bad.json"
+        bad_json.write_text("{bad")
+        code, _, err = run_cli(["plot", str(bad_json), "--out-dir", str(tmp_path)],
+                               capsys)
+        assert code == EXIT_INPUT
+        assert "not valid JSON" in err
 
     def test_scan_with_only_failures_cannot_be_plotted(self, tmp_path, capsys):
         p = ScanPoint(scan="rho", label="1", index_id="x", model="student-t",
