@@ -128,6 +128,13 @@ def _float_list(text) -> tuple[float, ...]:
     return tuple(float(v) for v in str(text).split(",") if v.strip())
 
 
+def _bool(value) -> bool:
+    # bool("false") is True, so anything but a real true/false is refused
+    if not isinstance(value, bool):
+        raise TypeError("expected true or false")
+    return value
+
+
 # ---------------------------------------------------------------------------
 # commands
 
@@ -205,7 +212,7 @@ def _cmd_fit(args, config) -> int:
     f = _resolve(args, config, "filter_size", DEFAULT_FILTER_SIZE, int)
     rho_opt = _resolve(args, config, "rho", None, float)
     model = _resolve(args, config, "model", "both", str)
-    allow = _resolve(args, config, "allow_nonconverged", False, bool)
+    allow = _resolve(args, config, "allow_nonconverged", False, _bool)
     hdi_mass = _resolve(args, config, "hdi_mass", 0.94, float)
     sampler = _sampler_config(args, config)
     out = _out_dir(args, config)
@@ -270,7 +277,7 @@ def _finish_scan(points: list[ScanPoint], out: Path, stem: str, allow: bool) -> 
 def _cmd_scan_filter(args, config) -> int:
     sampler = _sampler_config(args, config)
     out = _out_dir(args, config)
-    allow = _resolve(args, config, "allow_nonconverged", False, bool)
+    allow = _resolve(args, config, "allow_nonconverged", False, _bool)
     model = _resolve(args, config, "model", "both", str)
     rho_opt = _resolve(args, config, "rho", None, float)
     sizes = _resolve(args, config, "filter_sizes", None, _int_list)
@@ -287,7 +294,7 @@ def _cmd_scan_filter(args, config) -> int:
 def _cmd_scan_rho(args, config) -> int:
     sampler = _sampler_config(args, config)
     out = _out_dir(args, config)
-    allow = _resolve(args, config, "allow_nonconverged", False, bool)
+    allow = _resolve(args, config, "allow_nonconverged", False, _bool)
     model = _resolve(args, config, "model", "both", str)
     f = _resolve(args, config, "filter_size", DEFAULT_FILTER_SIZE, int)
     scales = _resolve(args, config, "rho_scales", None, _float_list)
@@ -302,7 +309,7 @@ def _cmd_scan_rho(args, config) -> int:
 def _cmd_scan_window(args, config) -> int:
     sampler = _sampler_config(args, config)
     out = _out_dir(args, config)
-    allow = _resolve(args, config, "allow_nonconverged", False, bool)
+    allow = _resolve(args, config, "allow_nonconverged", False, _bool)
     model = _resolve(args, config, "model", "both", str)
     f = _resolve(args, config, "filter_size", DEFAULT_WINDOW_FILTER, int)
     rho = _resolve(args, config, "rho", DEFAULT_WINDOW_RHO, float)

@@ -61,7 +61,7 @@ class DomainError(GainLossError):
 
 
 class NonFiniteError(GainLossError):
-    """A log-density evaluation produced NaN from finite-looking inputs."""
+    """NaN or inf where a finite number is needed: a log density, or a series value."""
 
 
 class AdaptationFailedError(GainLossError):

@@ -3,8 +3,15 @@
 import numpy as np
 import pytest
 
-from gainloss.errors import EmptySeriesError, EmptySideError, NonPositiveRhoError
+from gainloss.detrend import detrend, threshold_from_std
+from gainloss.errors import (
+    EmptySeriesError,
+    EmptySideError,
+    NonFiniteError,
+    NonPositiveRhoError,
+)
 from gainloss.hitting import hitting_times, log_sample
+from gainloss.pipeline import synthetic_gbm_series
 
 
 def brute_force(values, rho):
@@ -24,6 +31,37 @@ def brute_force(values, rho):
         plus.append(tau_p)
         minus.append(tau_m)
     return plus, minus
+
+
+def lag_loop(values, rho):
+    """Per-anchor (tau_plus, tau_minus) by one vector pass per lag; 0 means censored.
+
+    The quadratic algorithm ``hitting_times`` used before its first-passage
+    search: the same floating-point differences, evaluated lag by lag.
+    """
+    x = np.asarray(values, dtype=np.float64)
+    n = x.size
+    tau_p = np.zeros(n - 1, dtype=np.int64)
+    tau_m = np.zeros(n - 1, dtype=np.int64)
+    for delta in range(1, n):
+        diff = x[delta:] - x[:-delta]
+        head_p = tau_p[: n - delta]
+        head_m = tau_m[: n - delta]
+        head_p[(diff >= rho) & (head_p == 0)] = delta
+        head_m[(diff <= -rho) & (head_m == 0)] = delta
+        if tau_p.all() and tau_m.all():
+            break
+    return tau_p, tau_m
+
+
+def assert_matches_lag_loop(values, rho):
+    s = hitting_times(values, rho)
+    tau_p, tau_m = lag_loop(values, rho)
+    assert np.array_equal(s.tau_plus, tau_p[tau_p > 0])
+    assert np.array_equal(s.tau_minus, tau_m[tau_m > 0])
+    assert s.censored_plus == np.count_nonzero(tau_p == 0)
+    assert s.censored_minus == np.count_nonzero(tau_m == 0)
+    assert s.n_anchors == len(values) - 1
 
 
 class TestHittingTimes:
@@ -90,6 +128,47 @@ class TestHittingTimes:
             assert taus.dtype == np.int64
             if taus.size:
                 assert taus.min() >= 1 and taus.max() <= 99
+
+    def test_single_anchor(self):
+        s = hitting_times(np.array([0.0, 1.0]), 0.5)
+        assert np.array_equal(s.tau_plus, [1])
+        assert s.tau_minus.size == 0
+        assert (s.n_anchors, s.censored_plus, s.censored_minus) == (1, 0, 1)
+        s = hitting_times(np.array([0.0, 0.2]), 0.5)
+        assert s.tau_plus.size == s.tau_minus.size == 0
+        assert (s.censored_plus, s.censored_minus) == (1, 1)
+
+    @pytest.mark.parametrize("values", [[0.4, 0.7], [0.7, 0.4]])
+    def test_barrier_test_rounds_like_the_definition(self, values):
+        # fl(0.7 - 0.4) < 0.3 although 0.4 + 0.3 == 0.7: the difference decides
+        s = hitting_times(np.array(values), 0.3)
+        assert s.tau_plus.size == s.tau_minus.size == 0
+        assert (s.censored_plus, s.censored_minus) == (1, 1)
+
+    @pytest.mark.parametrize("rho", [0.05, 0.3, 1.0, 4.0, 25.0])
+    def test_matches_the_lag_loop_on_long_random_walks(self, rho):
+        rng = np.random.default_rng(15)
+        assert_matches_lag_loop(np.cumsum(rng.standard_normal(5000)), rho)
+
+    @pytest.mark.parametrize("scale", [0.5, 2.0])
+    def test_matches_the_lag_loop_on_a_detrended_gbm_series(self, scale):
+        filtered = detrend(synthetic_gbm_series(3300, sigma=0.012, lam=3e-4, seed=1), 252)
+        assert_matches_lag_loop(filtered.values, scale * threshold_from_std(filtered))
+
+    @pytest.mark.parametrize("rho", [0.1, 0.2, 0.3, 0.7, 1.0, 1.5])
+    def test_matches_the_lag_loop_on_rounded_walks_with_ties(self, rho):
+        # one-decimal values make many differences fall exactly on (or one
+        # rounding step either side of) the barrier
+        rng = np.random.default_rng(16)
+        for _ in range(20):
+            x = np.round(np.cumsum(rng.standard_normal(int(rng.integers(2, 400))) * 0.3), 1)
+            assert_matches_lag_loop(x, rho)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_values_are_rejected(self, bad):
+        # a NaN inside a block maximum would hide a real hit in that block
+        with pytest.raises(NonFiniteError):
+            hitting_times(np.array([0.0, bad, 2.0]), 0.5)
 
     @pytest.mark.parametrize("rho", [0.0, -0.5, np.nan, np.inf])
     def test_invalid_barrier(self, rho):

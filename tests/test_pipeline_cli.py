@@ -480,6 +480,20 @@ class TestCliFit:
         assert code == EXIT_INPUT
         assert "draws" in err and "many" in err
 
+    @pytest.mark.parametrize("value", ["false", 0])
+    def test_non_boolean_override_in_config_is_an_input_error(self, price_file,
+                                                             tmp_path, capsys, value):
+        # bool("false") would switch the convergence override on
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"allow_nonconverged": value, "chains": 2,
+                                   "tune": 30, "draws": 30,
+                                   "out_dir": str(tmp_path / "out")}))
+        code, _, err = run_cli(
+            ["--config", str(cfg), "fit", str(price_file)], capsys
+        )
+        assert code == EXIT_INPUT
+        assert "allow_nonconverged" in err and repr(value) in err
+
     def test_bogus_model_in_config_is_an_input_error(self, price_file, tmp_path,
                                                      capsys):
         cfg = tmp_path / "cfg.json"
