@@ -32,7 +32,13 @@ from typing import Optional, Sequence
 
 from . import __version__
 from .detrend import DEFAULT_FILTER_SIZE, detrend, threshold_from_std
-from .diagnostics import REPORT_CSV_HEADER, FitReport
+from .diagnostics import (
+    MIN_CHAIN_DRAWS,
+    MIN_CHAINS,
+    MIN_HDI_SAMPLES,
+    REPORT_CSV_HEADER,
+    FitReport,
+)
 from .errors import AdaptationFailedError, GainLossError, InputError, MalformedReportError
 from .gbm import ks_validate, simulate_fht, simulate_fht_two_sided
 from .hitting import hitting_times
@@ -102,9 +108,19 @@ def _resolve(args, config: dict, key: str, default, cast):
 
 
 def _sampler_config(args, config: dict) -> SamplerConfig:
+    chains = _resolve(args, config, "chains", 4, int)
+    draws = _resolve(args, config, "draws", 4000, int)
+    # refuse, before sampling, draws that R^ or the HDI of the report rejects
+    if chains < MIN_CHAINS:
+        raise InputError(f"--chains must be >= {MIN_CHAINS} for R^, got {chains}")
+    if draws < MIN_CHAIN_DRAWS:
+        raise InputError(f"--draws must be >= {MIN_CHAIN_DRAWS}, got {draws}")
+    if chains * draws < MIN_HDI_SAMPLES:
+        raise InputError(f"--chains x --draws must be >= {MIN_HDI_SAMPLES} for the "
+                         f"HDI, got {chains} x {draws}")
     return SamplerConfig(
-        n_chains=_resolve(args, config, "chains", 4, int),
-        n_draw=_resolve(args, config, "draws", 4000, int),
+        n_chains=chains,
+        n_draw=draws,
         n_tune=_resolve(args, config, "tune", 2000, int),
         seed=_resolve(args, config, "seed", 0, int),
     )

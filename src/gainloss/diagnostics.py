@@ -48,7 +48,9 @@ __all__ = [
 ]
 
 HDI_MASS = 0.94
-_MIN_HDI_SAMPLES = 50
+MIN_CHAINS = 2            # R^ compares chains
+MIN_CHAIN_DRAWS = 4       # per chain, for R^ and ESS
+MIN_HDI_SAMPLES = 50      # pooled over chains
 _HIST_BINS = 60
 
 
@@ -99,8 +101,8 @@ def hdi(samples: np.ndarray, mass: float = HDI_MASS) -> tuple[float, float]:
         raise TooFewSamplesError(f"mass must lie in (0, 1), got {mass}")
     x = np.sort(np.asarray(samples, dtype=np.float64).reshape(-1))
     n = x.size
-    if n < _MIN_HDI_SAMPLES:
-        raise TooFewSamplesError(f"need >= {_MIN_HDI_SAMPLES} samples, got {n}")
+    if n < MIN_HDI_SAMPLES:
+        raise TooFewSamplesError(f"need >= {MIN_HDI_SAMPLES} samples, got {n}")
     n_keep = int(math.ceil(mass * n))
     widths = x[n_keep - 1:] - x[: n - n_keep + 1]
     best = int(np.argmin(widths))
@@ -119,8 +121,8 @@ def _check_chains(chains: np.ndarray) -> np.ndarray:
     arr = np.asarray(chains, dtype=np.float64)
     if arr.ndim != 2:
         raise DegenerateChainsError(f"expected [n_chains, n_draw], got shape {arr.shape}")
-    if arr.shape[1] < 4:
-        raise TooFewSamplesError("need at least 4 draws per chain")
+    if arr.shape[1] < MIN_CHAIN_DRAWS:
+        raise TooFewSamplesError(f"need at least {MIN_CHAIN_DRAWS} draws per chain")
     if np.any(np.var(arr, axis=1) == 0.0):
         raise DegenerateChainsError("a chain has zero variance")
     return arr
@@ -135,8 +137,9 @@ def gelman_rubin(chains: np.ndarray) -> float:
     """
     arr = _check_chains(chains)
     m, n = arr.shape
-    if m < 2:
-        raise DegenerateChainsError("potential scale reduction needs >= 2 chains")
+    if m < MIN_CHAINS:
+        raise DegenerateChainsError(
+            f"potential scale reduction needs >= {MIN_CHAINS} chains")
     means = arr.mean(axis=1)
     w = float(np.mean(np.var(arr, axis=1, ddof=1)))
     b = n / (m - 1.0) * float(np.sum((means - means.mean()) ** 2))
@@ -307,9 +310,16 @@ class FitReport:
             payload["d_hist_edges"] = tuple(payload.get("d_hist_edges", ()))
             payload["d_hist_counts"] = tuple(payload.get("d_hist_counts", ()))
             payload["rhat"] = dict(payload["rhat"])
-            return cls(**payload)
+            report = cls(**payload)
         except (KeyError, TypeError) as exc:
             raise MalformedReportError(f"missing or bad report field: {exc}") from exc
+        # max_rhat, the convergence gate, needs at least one number
+        if not report.rhat or not all(
+                isinstance(v, (int, float)) and not isinstance(v, bool)
+                for v in report.rhat.values()):
+            raise MalformedReportError(
+                f"rhat must map parameter names to numbers, got {report.rhat!r}")
+        return report
 
     def save(self, path: Union[str, Path]) -> None:
         Path(path).write_text(self.to_json(), encoding="utf-8")

@@ -36,6 +36,15 @@ Sampling happens in unconstrained coordinates. The support (low, high) of
 each parameter picks its map: identity when unbounded, a scaled logit on an
 interval, a shifted log above a lower bound; the log Jacobian of the map is
 added to the density. All gradients are analytic.
+
+A posterior has at most six coordinates, so the map runs on Python floats,
+one coordinate at a time, from (index, low, width) specs that
+``Posterior.__init__`` lists once; the one transform serves
+``value_and_grad``, ``constrain`` and ``log_jacobian``. It rounds exactly as
+elementwise numpy does: the logistic function is 1 / (1 + exp(-z)) with
+``math.exp``, as scipy's ``expit`` computes it, while the shifted log's exp
+and the log Jacobian's sum of logs stay numpy calls, whose vectorized
+results can differ from ``math.exp`` and ``math.log`` in the last bit.
 """
 
 from __future__ import annotations
@@ -46,7 +55,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import digamma, expit, gammaln
+from scipy.special import digamma, gammaln
 
 from .errors import DomainError, EmptySideError, NonFiniteError, ZeroVarianceError
 
@@ -240,9 +249,11 @@ def _ig_value_grad(theta, stats, p: SidePrior):
         return -math.inf, [0.0, 0.0]
     alpha = 2.0 + (m * m) / (s * s)
     beta = m * (alpha - 1.0)
-    value = n * (alpha * math.log(beta) - gammaln(alpha)) \
+    # Python floats from here on: numpy scalar arithmetic rounds the same
+    # but costs several times more per operation
+    value = n * (alpha * math.log(beta) - float(gammaln(alpha))) \
         - (alpha + 1.0) * sum_ln - beta * sum_inv
-    d_alpha = n * (math.log(beta) - digamma(alpha)) - sum_ln
+    d_alpha = n * (math.log(beta) - float(digamma(alpha))) - sum_ln
     d_beta = n * alpha / beta - sum_inv
     da_dm = 2.0 * m / (s * s)
     da_ds = -2.0 * m * m / (s * s * s)
@@ -323,6 +334,14 @@ FAMILIES: dict[ModelKind, Family] = {
 # posterior
 
 
+def _expit(x: float) -> float:
+    """Logistic function of one float, equal to scipy's ``expit`` bit for bit."""
+    try:
+        return 1.0 / (1.0 + math.exp(-x))
+    except OverflowError:  # x < -709.78, where expit(x) rounds to 0
+        return 0.0
+
+
 class Posterior:
     """Joint unconstrained log posterior of one family on one data set.
 
@@ -360,15 +379,13 @@ class Posterior:
         )
 
         (low_p, high_p), (low_m, high_m) = (family.support(p) for p in priors)
-        self._low = np.array(low_p + low_m)
-        self._high = np.array(high_p + high_m)
-        bounded_low, bounded_high = np.isfinite(self._low), np.isfinite(self._high)
-        self._interval = np.flatnonzero(bounded_low & bounded_high)
-        self._lower = np.flatnonzero(bounded_low & ~bounded_high)
-        self._width = self._high[self._interval] - self._low[self._interval]
-        # d log|d theta / dz| / dz is 1 above a lower bound, 0 when unbounded
-        self._dlog_jac = np.zeros(self.dim)
-        self._dlog_jac[self._lower] = 1.0
+        self._low, self._high = low_p + low_m, high_p + high_m
+        # (index, low, width) of each bounded coordinate; an infinite width
+        # marks a lower bound only
+        self._bounded = tuple((k, low, high - low) for k, (low, high)
+                              in enumerate(zip(self._low, self._high))
+                              if math.isfinite(low))
+        self._value_grad = family.value_grad
 
     @property
     def family(self) -> Family:
@@ -376,46 +393,45 @@ class Posterior:
 
     # -- coordinate maps ----------------------------------------------------
 
-    def _forward(self, z: np.ndarray):
-        """theta(z), d theta / dz, log |d theta / dz| and its gradient in z."""
-        iv, lw = self._interval, self._lower
-        theta, dtheta, dlog_jac = z.copy(), np.ones(self.dim), self._dlog_jac.copy()
-        z_iv = z[iv]
-        sig = expit(z_iv)
-        width_sig = self._width * sig
-        theta[iv] = self._low[iv] + width_sig
-        dtheta[iv] = width_sig * expit(-z_iv)
-        dlog_jac[iv] = 1.0 - 2.0 * sig
-        gap = np.exp(np.minimum(z[lw], 700.0))
-        theta[lw] = self._low[lw] + gap
-        dtheta[lw] = gap
-        # the Jacobian is diagonal: its log determinant sums the log slopes
-        return theta, dtheta, float(np.log(dtheta).sum()), dlog_jac
+    def _transform(self, z: list[float]):
+        """theta(z), d theta / dz and d log|d theta / dz| / dz, as float lists."""
+        theta, dtheta, dlog_jac = list(z), [1.0] * self.dim, [0.0] * self.dim
+        for k, low, width in self._bounded:
+            zk = z[k]
+            if width == math.inf:  # shifted log above the bound
+                gap = float(np.exp(min(zk, 700.0)))
+                theta[k], dtheta[k], dlog_jac[k] = low + gap, gap, 1.0
+            else:  # scaled logit on the interval
+                sig = _expit(zk)
+                width_sig = width * sig
+                theta[k] = low + width_sig
+                dtheta[k] = width_sig * _expit(-zk)
+                dlog_jac[k] = 1.0 - 2.0 * sig
+        return theta, dtheta, dlog_jac
 
     def constrain(self, z: np.ndarray) -> np.ndarray:
         """Map an unconstrained vector to model parameters."""
-        return self._forward(np.asarray(z, dtype=np.float64))[0]
+        return np.array(self._transform(np.asarray(z, dtype=np.float64).tolist())[0])
 
     def unconstrain(self, theta: np.ndarray) -> np.ndarray:
         """Inverse of :meth:`constrain`; raises DomainError off the support."""
-        theta = np.asarray(theta, dtype=np.float64)
-        off = np.flatnonzero(~((self._low < theta) & (theta < self._high)))
-        if off.size:
-            k = off[0]
-            raise DomainError(
-                f"{self.param_names[k]}={theta[k]} outside "
-                f"({self._low[k]}, {self._high[k]})"
-            )
-        iv, lw = self._interval, self._lower
-        z = theta.copy()
-        frac = (theta[iv] - self._low[iv]) / self._width
-        z[iv] = np.log(frac) - np.log1p(-frac)
-        z[lw] = np.log(theta[lw] - self._low[lw])
-        return z
+        z = np.asarray(theta, dtype=np.float64).tolist()
+        for name, value, low, high in zip(self.param_names, z, self._low, self._high):
+            if not low < value < high:
+                raise DomainError(f"{name}={value} outside ({low}, {high})")
+        for k, low, width in self._bounded:
+            if width == math.inf:
+                z[k] = float(np.log(z[k] - low))
+            else:
+                frac = (z[k] - low) / width
+                z[k] = float(np.log(frac) - np.log1p(-frac))
+        return np.array(z)
 
     def log_jacobian(self, z: np.ndarray) -> float:
         """Log |d theta / d z| of the constraining map."""
-        return self._forward(np.asarray(z, dtype=np.float64))[2]
+        dtheta = self._transform(np.asarray(z, dtype=np.float64).tolist())[1]
+        # the Jacobian is diagonal: its log determinant sums the log slopes
+        return float(np.log(dtheta).sum())
 
     # -- densities ----------------------------------------------------------
 
@@ -425,21 +441,21 @@ class Posterior:
         Off-support or overflowing points return (-inf, zeros); NaN input is
         a caller bug and raises :class:`NonFiniteError`.
         """
-        z = np.asarray(z, dtype=np.float64)
-        if np.isnan(z).any():
+        z = np.asarray(z, dtype=np.float64).tolist()
+        if any(map(math.isnan, z)):
             raise NonFiniteError("unconstrained vector contains NaN")
+        theta, dtheta, dlog_jac = self._transform(z)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            theta, dtheta, value, dlog_jac = self._forward(z)
-            params, grad_theta = theta.tolist(), []
+            value, grad_theta = float(np.log(dtheta).sum()), []
             for sl, stats, prior in self._sides:
-                side_value, side_grad = self.family.value_grad(params[sl], stats, prior)
+                side_value, side_grad = self._value_grad(theta[sl], stats, prior)
                 value += side_value
                 grad_theta += side_grad
             # chain rule through the transform, plus the Jacobian term
-            grad = np.array(grad_theta) * dtheta + dlog_jac
-        if not (math.isfinite(value) and np.isfinite(grad).all()):
+            grad = [g * d + j for g, d, j in zip(grad_theta, dtheta, dlog_jac)]
+        if not (math.isfinite(value) and all(map(math.isfinite, grad))):
             return -math.inf, np.zeros(self.dim)
-        return float(value), grad
+        return float(value), np.array(grad)
 
     # -- per-value likelihood -------------------------------------------------
 

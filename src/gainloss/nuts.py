@@ -20,10 +20,18 @@ execution order. The trace holds draws and sampler statistics only; what is
 derived from the draws, such as WAIC, is computed afterwards.
 
 The target is any object with a ``dim`` attribute and a
-``value_and_grad(z) -> (logp, grad)`` method in unconstrained coordinates
-(off-support points must return ``-inf``, not raise). Optional methods
-``constrain``, ``param_names`` and ``initial_unconstrained`` refine what the
-trace records.
+``value_and_grad(z) -> (logp, grad)`` method in unconstrained coordinates,
+taking a float ndarray and returning a float and a float ndarray
+(off-support points must return ``-inf``, not raise). The sampler calls it
+once per leapfrog step and a few times at each chain's start, so counting
+its calls counts gradients. Optional methods ``constrain``, ``param_names`` and
+``initial_unconstrained`` refine what the trace records.
+
+An exploding trajectory overflows; its leaves come out divergent. The
+leapfrog step itself runs on Python floats, which overflow without a
+warning, and numpy's floating-point errors are silenced once per transition
+(and once per step-size search), not once per step; that covers the
+target's own arithmetic too.
 """
 
 from __future__ import annotations
@@ -78,6 +86,9 @@ class SamplerConfig:
             raise DomainError("need n_chains >= 1, n_draw >= 1, n_tune >= 0")
         if not (0.0 < self.target_accept < 1.0):
             raise DomainError("target_accept must lie in (0, 1)")
+        if self.max_tree_depth < 0:
+            # no doubling at all: every transition would return its start
+            raise DomainError("need max_tree_depth >= 0")
 
 
 @dataclass
@@ -127,24 +138,28 @@ def leapfrog(
     inv_mass: np.ndarray,
     value_and_grad: Callable[[np.ndarray], tuple[float, np.ndarray]],
 ) -> tuple[np.ndarray, np.ndarray, float, np.ndarray]:
-    """One half-kick / drift / half-kick step; grad is d(logp)/dz at z."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        p_half = p + 0.5 * eps * grad
-        z_new = z + eps * (inv_mass * p_half)
-    if not np.all(np.isfinite(z_new)):
+    """One half-kick / drift / half-kick step; grad is d(logp)/dz at z.
+
+    The step runs on Python floats, which overflow to inf without a warning
+    and round like numpy's elementwise operations.
+    """
+    half = 0.5 * eps
+    p_half = [pk + half * gk for pk, gk in zip(p.tolist(), grad.tolist())]
+    z_new = [zk + eps * (mk * pk)
+             for zk, mk, pk in zip(z.tolist(), inv_mass.tolist(), p_half)]
+    if not all(map(math.isfinite, z_new)):
         # Exploding trajectory: surface as a divergent leaf, never as NaN math.
         return z, p, -math.inf, np.zeros_like(z)
+    z_new = np.array(z_new)
     value_new, grad_new = value_and_grad(z_new)
-    with np.errstate(over="ignore", invalid="ignore"):
-        p_new = p_half + 0.5 * eps * grad_new
-    return z_new, p_new, value_new, grad_new
+    p_new = [pk + half * gk for pk, gk in zip(p_half, grad_new.tolist())]
+    return z_new, np.array(p_new), value_new, grad_new
 
 
 def _kinetic(p: np.ndarray, inv_mass: np.ndarray) -> float:
     # Momenta can blow up on unstable trajectories; report inf so the caller
-    # treats the leaf as divergent instead of spraying overflow warnings.
-    with np.errstate(over="ignore", invalid="ignore"):
-        k = 0.5 * float(np.dot(p * p, inv_mass))
+    # treats the leaf as divergent. The caller silences the overflow.
+    k = 0.5 * float(np.dot(p * p, inv_mass))
     return k if math.isfinite(k) else math.inf
 
 
@@ -246,41 +261,43 @@ def nuts_draw(z, value, grad, eps, inv_mass, rng, value_and_grad,
     (mean Metropolis statistic over evaluated leaves, in (0, 1]),
     ``divergent``, and ``depth`` (number of doublings performed).
     """
-    std = np.sqrt(1.0 / inv_mass)
-    p0 = rng.standard_normal(z.shape[0]) * std
-    h0 = -value + _kinetic(p0, inv_mass)
+    # silence overflow on exploding trajectories once for the transition
+    with np.errstate(over="ignore", invalid="ignore"):
+        std = np.sqrt(1.0 / inv_mass)
+        p0 = rng.standard_normal(z.shape[0]) * std
+        h0 = -value + _kinetic(p0, inv_mass)
 
-    z_left = z_right = z
-    p_left = p_right = p0
-    g_left = g_right = grad
-    z_prop, v_prop, g_prop = z, value, grad
-    log_weight = 0.0  # the start state enters with weight exp(0)
-    sum_alpha = 0.0
-    n_alpha = 0
-    divergent = False
-    depth = 0
+        z_left = z_right = z
+        p_left = p_right = p0
+        g_left = g_right = grad
+        z_prop, v_prop, g_prop = z, value, grad
+        log_weight = 0.0  # the start state enters with weight exp(0)
+        sum_alpha = 0.0
+        n_alpha = 0
+        divergent = False
+        depth = 0
 
-    for depth in range(max_tree_depth + 1):
-        direction = 1 if rng.random() < 0.5 else -1
-        edge = ((z_right, p_right, g_right) if direction > 0
-                else (z_left, p_left, g_left))
-        sub = _build_subtree(edge, direction, depth, eps, inv_mass, h0,
-                             value_and_grad, rng)
-        sum_alpha += sub.sum_alpha
-        n_alpha += sub.n_alpha
-        if sub.divergent or sub.turned:
-            divergent = divergent or sub.divergent
-            break
-        # biased progressive sampling: favor the fresh subtree
-        if math.log(rng.random()) < sub.log_weight - log_weight:
-            z_prop, v_prop, g_prop = sub.z_prop, sub.v_prop, sub.g_prop
-        log_weight = _logaddexp(log_weight, sub.log_weight)
-        if direction > 0:
-            z_right, p_right, g_right = sub.z_right, sub.p_right, sub.g_right
-        else:
-            z_left, p_left, g_left = sub.z_left, sub.p_left, sub.g_left
-        if _turned(z_left, p_left, z_right, p_right, inv_mass):
-            break
+        for depth in range(max_tree_depth + 1):
+            direction = 1 if rng.random() < 0.5 else -1
+            edge = ((z_right, p_right, g_right) if direction > 0
+                    else (z_left, p_left, g_left))
+            sub = _build_subtree(edge, direction, depth, eps, inv_mass, h0,
+                                 value_and_grad, rng)
+            sum_alpha += sub.sum_alpha
+            n_alpha += sub.n_alpha
+            if sub.divergent or sub.turned:
+                divergent = divergent or sub.divergent
+                break
+            # biased progressive sampling: favor the fresh subtree
+            if math.log(rng.random()) < sub.log_weight - log_weight:
+                z_prop, v_prop, g_prop = sub.z_prop, sub.v_prop, sub.g_prop
+            log_weight = _logaddexp(log_weight, sub.log_weight)
+            if direction > 0:
+                z_right, p_right, g_right = sub.z_right, sub.p_right, sub.g_right
+            else:
+                z_left, p_left, g_left = sub.z_left, sub.p_left, sub.g_left
+            if _turned(z_left, p_left, z_right, p_right, inv_mass):
+                break
 
     accept_stat = sum_alpha / n_alpha if n_alpha else 0.0
     info = {"accept_stat": accept_stat, "divergent": divergent, "depth": depth}
@@ -314,24 +331,25 @@ class _DualAveraging:
 
 def _find_reasonable_eps(z, value, grad, inv_mass, rng, value_and_grad) -> float:
     """Double/halve eps until one leapfrog step has acceptance near 1/2."""
-    eps = 1.0
-    std = np.sqrt(1.0 / inv_mass)
-    p = rng.standard_normal(z.shape[0]) * std
-    h0 = -value + _kinetic(p, inv_mass)
-    _, p1, v1, _ = leapfrog(z, p, grad, eps, inv_mass, value_and_grad)
-    h1 = -v1 + _kinetic(p1, inv_mass) if math.isfinite(v1) else math.inf
-    log_ratio = h0 - h1 if math.isfinite(h1) else -math.inf
-    direction = 1.0 if log_ratio > math.log(0.5) else -1.0
-    for _ in range(60):
-        if direction * log_ratio <= direction * math.log(0.5):
-            break
-        eps *= 2.0 ** direction
-        if not (1e-10 < eps < 1e7):
-            eps = min(max(eps, 1e-10), 1e7)
-            break
+    with np.errstate(over="ignore", invalid="ignore"):
+        eps = 1.0
+        std = np.sqrt(1.0 / inv_mass)
+        p = rng.standard_normal(z.shape[0]) * std
+        h0 = -value + _kinetic(p, inv_mass)
         _, p1, v1, _ = leapfrog(z, p, grad, eps, inv_mass, value_and_grad)
         h1 = -v1 + _kinetic(p1, inv_mass) if math.isfinite(v1) else math.inf
         log_ratio = h0 - h1 if math.isfinite(h1) else -math.inf
+        direction = 1.0 if log_ratio > math.log(0.5) else -1.0
+        for _ in range(60):
+            if direction * log_ratio <= direction * math.log(0.5):
+                break
+            eps *= 2.0 ** direction
+            if not (1e-10 < eps < 1e7):
+                eps = min(max(eps, 1e-10), 1e7)
+                break
+            _, p1, v1, _ = leapfrog(z, p, grad, eps, inv_mass, value_and_grad)
+            h1 = -v1 + _kinetic(p1, inv_mass) if math.isfinite(v1) else math.inf
+            log_ratio = h0 - h1 if math.isfinite(h1) else -math.inf
     return eps
 
 

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from scipy import integrate, optimize, stats
+from scipy.special import expit
 
 from gainloss.errors import DomainError, EmptySideError, NonFiniteError
 from gainloss.models import (
@@ -18,6 +19,7 @@ from gainloss.models import (
     invgamma_logpdf,
     student_logpdf,
 )
+from gainloss.pipeline import prepare_sample, synthetic_gbm_series
 
 NU_RATE = 1.0 / 29.0
 STUDENT = FAMILIES[ModelKind.STUDENT_T]
@@ -433,3 +435,137 @@ class TestPosterior:
         spec = student_spec()
         with pytest.raises(EmptySideError):
             Posterior(spec, np.array([]), x)
+
+
+# ---------------------------------------------------------------------------
+# the vectorized transform that the scalar one replaced, kept as an oracle
+
+
+def oracle_forward(post, z):
+    """theta(z), d theta / dz, log |d theta / dz| and its gradient, on arrays."""
+    (low_p, high_p), (low_m, high_m) = (post.family.support(p)
+                                        for p in post.spec.prior.sides())
+    low, high = np.array(low_p + low_m), np.array(high_p + high_m)
+    bounded_low, bounded_high = np.isfinite(low), np.isfinite(high)
+    iv = np.flatnonzero(bounded_low & bounded_high)
+    lw = np.flatnonzero(bounded_low & ~bounded_high)
+    theta, dtheta, dlog_jac = z.copy(), np.ones(post.dim), np.zeros(post.dim)
+    dlog_jac[lw] = 1.0
+    z_iv = z[iv]
+    sig = expit(z_iv)
+    width_sig = (high[iv] - low[iv]) * sig
+    theta[iv] = low[iv] + width_sig
+    dtheta[iv] = width_sig * expit(-z_iv)
+    dlog_jac[iv] = 1.0 - 2.0 * sig
+    gap = np.exp(np.minimum(z[lw], 700.0))
+    theta[lw] = low[lw] + gap
+    dtheta[lw] = gap
+    return theta, dtheta, float(np.log(dtheta).sum()), dlog_jac
+
+
+def oracle_value_and_grad(post, z):
+    """Log posterior and gradient through :func:`oracle_forward`."""
+    k = post.dim // 2
+    sides = []
+    for x, sl, prior in zip((post.x_plus, post.x_minus), (slice(0, k), slice(k, None)),
+                            post.spec.prior.sides()):
+        values, counts = np.unique(x, return_counts=True)
+        sides.append((sl, post.family.prepare(values, counts.astype(np.float64)), prior))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        theta, dtheta, value, dlog_jac = oracle_forward(post, z)
+        params, grad_theta = theta.tolist(), []
+        for sl, stats_, prior in sides:
+            side_value, side_grad = post.family.value_grad(params[sl], stats_, prior)
+            value += side_value
+            grad_theta += side_grad
+        grad = np.array(grad_theta) * dtheta + dlog_jac
+    if not (math.isfinite(value) and np.isfinite(grad).all()):
+        return -math.inf, np.zeros(post.dim)
+    return float(value), grad
+
+
+def hitting_posteriors():
+    """Both families on the hitting times of one GBM series at two barrier levels."""
+    series = synthetic_gbm_series(1500, 0.012, lam=3e-4, seed=8)
+    base = prepare_sample(series, 100)[1]
+    posts = []
+    for scale in (0.5, 2.0):
+        logs = prepare_sample(series, 100, scale * base)[3]
+        for kind in ModelKind:
+            family = FAMILIES[kind]
+            xp = logs.x_plus[logs.x_plus > family.data_low]
+            xm = logs.x_minus[logs.x_minus > family.data_low]
+            posts.append(Posterior(ModelSpec(kind, PriorSpec.from_data(xp, xm)), xp, xm))
+    return posts
+
+
+def guard_points(post):
+    """Unconstrained points where the transform or a family overflows or rounds
+    to a bound: every coordinate at +-800 and +-40, and a 1e308 location."""
+    points = [np.full(post.dim, v) for v in (800.0, -800.0, 40.0, -40.0)]
+    for k in range(post.dim):
+        for v in (800.0, -800.0, 40.0, -40.0, 710.0, -710.0):
+            z = np.full(post.dim, 0.3)
+            z[k] = v
+            points.append(z)
+    z = np.zeros(post.dim)
+    z[post.family.loc] = 1e308
+    points.append(z)
+    return points
+
+
+class TestScalarTransformMatchesVectorOracle:
+    """The scalar transform rounds exactly as the vectorized one did."""
+
+    def assert_identical(self, post, z):
+        theta, _, log_jac, _ = oracle_forward(post, z)
+        value, grad = post.value_and_grad(z)
+        want_value, want_grad = oracle_value_and_grad(post, z)
+        assert value == want_value
+        assert type(value) is float and isinstance(grad, np.ndarray)
+        assert grad.tolist() == want_grad.tolist()
+        assert post.constrain(z).tolist() == theta.tolist()
+        assert post.log_jacobian(z) == log_jac
+
+    def test_random_points(self):
+        rng = np.random.default_rng(40)
+        for post in hitting_posteriors():
+            for _ in range(120):
+                self.assert_identical(post, rng.normal(0.0, 2.0, post.dim))
+            for _ in range(80):
+                self.assert_identical(post, rng.uniform(-40.0, 40.0, post.dim))
+
+    def test_guard_points(self):
+        for post in hitting_posteriors():
+            with np.errstate(divide="ignore"):  # log Jacobian of a point on a bound
+                for z in guard_points(post):
+                    self.assert_identical(post, z)
+
+    def test_guard_points_hit_the_guards(self):
+        st, ig = hitting_posteriors()[:2]
+        assert st.value_and_grad(guard_points(st)[-1])[0] == -math.inf  # 1e308 location
+        z = np.full(ig.dim, 0.3)
+        z[0] = -800.0  # exp underflows: the IG location lands on its bound 0
+        assert ig.constrain(z)[0] == 0.0
+        assert ig.value_and_grad(z)[0] == -math.inf
+        z = np.full(st.dim, 0.3)
+        z[1] = 40.0  # the logit rounds the scale onto its upper bound
+        assert st.constrain(z)[1] == 100.0
+
+    def test_unconstrain_matches_vector_inverse(self):
+        rng = np.random.default_rng(41)
+        for post in hitting_posteriors():
+            (low_p, high_p), (low_m, high_m) = (post.family.support(p)
+                                                for p in post.spec.prior.sides())
+            low, high = np.array(low_p + low_m), np.array(high_p + high_m)
+            for _ in range(50):
+                theta = post.constrain(rng.normal(0.0, 2.0, post.dim))
+                theta = np.where((low < theta) & (theta < high), theta,
+                                 post.constrain(np.zeros(post.dim)))
+                iv = np.flatnonzero(np.isfinite(low) & np.isfinite(high))
+                lw = np.flatnonzero(np.isfinite(low) & ~np.isfinite(high))
+                want = theta.copy()
+                frac = (theta[iv] - low[iv]) / (high[iv] - low[iv])
+                want[iv] = np.log(frac) - np.log1p(-frac)
+                want[lw] = np.log(theta[lw] - low[lw])
+                assert post.unconstrain(theta).tolist() == want.tolist()

@@ -494,6 +494,22 @@ class TestCliFit:
         assert code == EXIT_INPUT
         assert "allow_nonconverged" in err and repr(value) in err
 
+    @pytest.mark.parametrize("chains, draws, option", [
+        ("1", "300", "--chains"), ("2", "3", "--draws"), ("2", "20", "--chains x --draws"),
+    ])
+    def test_unreportable_sampler_settings_are_refused_before_sampling(
+            self, price_file, tmp_path, capsys, monkeypatch, chains, draws, option):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("the sampler ran")
+
+        monkeypatch.setattr("gainloss.pipeline.run_chains", no_sampling)
+        code, _, err = run_cli(
+            ["fit", str(price_file), "--chains", chains, "--draws", draws,
+             "--tune", "10", "--out-dir", str(tmp_path)], capsys,
+        )
+        assert code == EXIT_INPUT
+        assert f"error: {option} must be" in err
+
     def test_bogus_model_in_config_is_an_input_error(self, price_file, tmp_path,
                                                      capsys):
         cfg = tmp_path / "cfg.json"
@@ -525,6 +541,15 @@ class TestCliScan:
         )
         assert len(json_points) == 2
         assert "rho=400" in out
+
+    def test_scan_with_one_chain_is_refused(self, price_file, tmp_path, capsys):
+        code, _, err = run_cli(
+            ["scan-rho", str(price_file), "--chains", "1", "--draws", "100",
+             "--tune", "10", "--out-dir", str(tmp_path)], capsys,
+        )
+        assert code == EXIT_INPUT
+        assert "--chains must be >= 2" in err
+        assert not list(tmp_path.iterdir())
 
     def test_scan_window_with_no_windows_is_a_clean_no_op(self, price_file,
                                                           tmp_path, capsys):
@@ -595,7 +620,7 @@ class TestCliPlot:
         assert (tmp_path / "scan.svg").exists()
         assert (tmp_path / "scanj.svg").exists()
 
-    def test_malformed_plot_input(self, tmp_path, capsys):
+    def test_malformed_plot_input(self, fit_out, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("hello\nworld\n")
         code, _, err = run_cli(["plot", str(bad), "--out-dir", str(tmp_path)],
@@ -608,6 +633,14 @@ class TestCliPlot:
                                capsys)
         assert code == EXIT_INPUT
         assert "not valid JSON" in err
+        report = json.loads((fit_out[1] / "synth_student-t_report.json").read_text())
+        for rhat in ({}, {"d": "1.01"}):
+            bad_report = tmp_path / "bad_report.json"
+            bad_report.write_text(json.dumps({**report, "rhat": rhat}))
+            code, _, err = run_cli(["plot", str(bad_report), "--out-dir", str(tmp_path)],
+                                   capsys)
+            assert code == EXIT_INPUT
+            assert "rhat must map parameter names to numbers" in err
 
     def test_scan_with_only_failures_cannot_be_plotted(self, tmp_path, capsys):
         p = ScanPoint(scan="rho", label="1", index_id="x", model="student-t",

@@ -1,12 +1,17 @@
 """Leapfrog integrator, tree sampler, warmup adaptation, and chain driver."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from conftest import CorrelatedGaussianTarget, GaussianTarget, StallingTarget
+from gainloss import nuts
 from gainloss.diagnostics import ess, gelman_rubin
 from gainloss.errors import AdaptationFailedError, DomainError
+from gainloss.models import FAMILIES, ModelKind, ModelSpec, Posterior, PriorSpec
 from gainloss.nuts import SamplerConfig, leapfrog, nuts_draw, run_chains
+from gainloss.pipeline import prepare_sample, synthetic_gbm_series
 
 UNIT_1D = GaussianTarget([1.0])
 
@@ -207,3 +212,38 @@ class TestRunChains:
             SamplerConfig(n_tune=-1)
         with pytest.raises(DomainError):
             SamplerConfig(target_accept=1.0)
+        with pytest.raises(DomainError):
+            SamplerConfig(max_tree_depth=-1)
+        assert SamplerConfig(max_tree_depth=0).max_tree_depth == 0
+
+
+class TestFloatingPointErrors:
+    """Overflow on an exploding trajectory is silenced once per transition
+    inside the sampler; none of it may escape as a RuntimeWarning."""
+
+    def test_exploding_leapfrog_step_warns_nothing(self):
+        z, p = np.array([1.0]), np.array([1.0])
+        grad = UNIT_1D.value_and_grad(z)[1]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, _, value, _ = leapfrog(z, p, grad, 1e200, np.ones(1), UNIT_1D.value_and_grad)
+        assert value == -np.inf
+
+    @pytest.mark.parametrize("eps", [1e2, 1e5, 1e200])
+    def test_run_chains_at_a_huge_step_size_warns_nothing(self, eps, monkeypatch):
+        series = synthetic_gbm_series(800, 0.012, lam=3e-4, seed=9)
+        logs = prepare_sample(series, 60)[3]
+        targets = [GaussianTarget([1e-300, 1.0])]  # gradients overflow in numpy
+        for kind in ModelKind:
+            low = FAMILIES[kind].data_low
+            xp, xm = logs.x_plus[logs.x_plus > low], logs.x_minus[logs.x_minus > low]
+            targets.append(Posterior(ModelSpec(kind, PriorSpec.from_data(xp, xm)), xp, xm))
+        # without tuning, the chain runs at half the searched step size
+        monkeypatch.setattr(nuts, "_find_reasonable_eps", lambda *args: 2.0 * eps)
+        cfg = SamplerConfig(n_chains=1, n_draw=30, n_tune=0, seed=18)
+        for target in targets:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                trace = run_chains(target, cfg)
+            assert trace.step_size[0] == eps
+            assert trace.divergent.any()
