@@ -45,8 +45,6 @@ from .hitting import hitting_times
 from .models import ModelKind
 from .nuts import SamplerConfig, save_trace
 from .pipeline import (
-    DEFAULT_WINDOW_FILTER,
-    DEFAULT_WINDOW_RHO,
     DEFAULT_WINDOW_YEARS,
     RHAT_FAIL,
     ScanPoint,
@@ -230,6 +228,9 @@ def _cmd_fit(args, config) -> int:
     model = _resolve(args, config, "model", "both", str)
     allow = _resolve(args, config, "allow_nonconverged", False, _bool)
     hdi_mass = _resolve(args, config, "hdi_mass", 0.94, float)
+    save = _resolve(args, config, "save_trace", False, _bool)
+    if not 0.0 < hdi_mass < 1.0:
+        raise InputError(f"--hdi-mass must lie in (0, 1), got {hdi_mass}")
     sampler = _sampler_config(args, config)
     out = _out_dir(args, config)
 
@@ -249,7 +250,7 @@ def _cmd_fit(args, config) -> int:
         )
         reports.append(report)
         report.save(out / f"{series.name}_{report.model}_report.json")
-        if args.save_trace:
+        if save:
             save_trace(trace, out, prefix=f"{series.name}_{report.model}")
         print(_report_line(report))
     csv_path = out / "reports.csv"
@@ -290,63 +291,58 @@ def _finish_scan(points: list[ScanPoint], out: Path, stem: str, allow: bool) -> 
     return EXIT_PARTIAL if n_bad else EXIT_OK
 
 
-def _cmd_scan_filter(args, config) -> int:
+# Per scan: each config key, in resolution order, with the library keyword it
+# feeds and its cast. Unset keys are left out, so the library defaults apply.
+_SCAN_KEYS = {
+    "filter": {"rho": ("rho", float), "filter_sizes": ("filter_sizes", _int_list)},
+    "rho": {"filter_size": ("filter_size", int), "rho_scales": ("scales", _float_list)},
+    "window": {"filter_size": ("filter_size", int), "rho": ("rho", float),
+               "window_years": ("window_years", int)},
+}
+
+
+def _cmd_scan(args, config) -> int:
     sampler = _sampler_config(args, config)
-    out = _out_dir(args, config)
-    allow = _resolve(args, config, "allow_nonconverged", False, _bool)
-    model = _resolve(args, config, "model", "both", str)
-    rho_opt = _resolve(args, config, "rho", None, float)
-    sizes = _resolve(args, config, "filter_sizes", None, _int_list)
-    series = _read_series(args.input)
     kwargs = {}
-    if sizes is not None:
-        kwargs["filter_sizes"] = sizes
-    if rho_opt is not None:
-        kwargs["rho"] = rho_opt
-    points = scan_filter(series, parse_model_choice(model), sampler, **kwargs)
-    return _finish_scan(points, out, f"scan_filter_{series.name}", allow)
-
-
-def _cmd_scan_rho(args, config) -> int:
-    sampler = _sampler_config(args, config)
+    for key, (kwarg, cast) in _SCAN_KEYS[args.scan].items():
+        value = _resolve(args, config, key, None, cast)
+        if value == ():
+            raise InputError(f"--{key.replace('_', '-')} names no grid point")
+        if value is not None:
+            kwargs[kwarg] = value
     out = _out_dir(args, config)
     allow = _resolve(args, config, "allow_nonconverged", False, _bool)
     model = _resolve(args, config, "model", "both", str)
-    f = _resolve(args, config, "filter_size", DEFAULT_FILTER_SIZE, int)
-    scales = _resolve(args, config, "rho_scales", None, _float_list)
     series = _read_series(args.input)
-    kwargs = {"filter_size": f}
-    if scales is not None:
-        kwargs["scales"] = scales
-    points = scan_rho(series, parse_model_choice(model), sampler, **kwargs)
-    return _finish_scan(points, out, f"scan_rho_{series.name}", allow)
-
-
-def _cmd_scan_window(args, config) -> int:
-    sampler = _sampler_config(args, config)
-    out = _out_dir(args, config)
-    allow = _resolve(args, config, "allow_nonconverged", False, _bool)
-    model = _resolve(args, config, "model", "both", str)
-    f = _resolve(args, config, "filter_size", DEFAULT_WINDOW_FILTER, int)
-    rho = _resolve(args, config, "rho", DEFAULT_WINDOW_RHO, float)
-    years = _resolve(args, config, "window_years", DEFAULT_WINDOW_YEARS, int)
-    series = _read_series(args.input)
-    points = scan_window(series, parse_model_choice(model), sampler,
-                         window_years=years, filter_size=f, rho=rho)
-    if not points:
+    points = args.scan_fn(series, parse_model_choice(model), sampler, **kwargs)
+    if not points:  # only a window grid can be empty; the others are checked above
+        years = kwargs.get("window_years", DEFAULT_WINDOW_YEARS)
         print(f"notice: no complete {years}-year window fits inside "
               f"[{series.dates[0]}, {series.dates[-1]}]; nothing to fit",
               file=sys.stderr)
-    return _finish_scan(points, out, f"scan_window_{series.name}", allow)
+    return _finish_scan(points, out, f"scan_{args.scan}_{series.name}", allow)
+
+
+def _write_taus(out: str, name: str, sample) -> None:
+    out_path = Path(out)
+    out_path.mkdir(parents=True, exist_ok=True)
+    lines = ["tau"] + [f"{t:.10g}" for t in sample.taus]
+    (out_path / name).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def _cmd_gbm_validate(args, config) -> int:
     seed = _resolve(args, config, "seed", 0, int)
     out = _resolve(args, config, "out_dir", None, str)
-    if args.two_sided:
+    lam = _resolve(args, config, "drift", 0.05, float)
+    sigma = _resolve(args, config, "sigma", 0.3, float)
+    rho = _resolve(args, config, "rho", 0.3, float)
+    dt = _resolve(args, config, "dt", 1.0 / 200.0, float)
+    paths = _resolve(args, config, "paths", 100_000, int)
+    horizon = _resolve(args, config, "horizon", 500.0, float)
+    if _resolve(args, config, "two_sided", False, _bool):
         up, down = simulate_fht_two_sided(
-            sigma=args.sigma, rho=args.rho, dt=args.dt,
-            n_paths=args.paths, horizon=args.horizon, seed=seed, lam=args.drift,
+            sigma=sigma, rho=rho, dt=dt,
+            n_paths=paths, horizon=horizon, seed=seed, lam=lam,
         )
         from scipy.stats import ks_2samp
 
@@ -355,27 +351,19 @@ def _cmd_gbm_validate(args, config) -> int:
               f"censored_up={up.n_censored} censored_down={down.n_censored}")
         print(f"ks2={result.statistic:.6g} pvalue={result.pvalue:.6g}")
         if out:
-            out_path = Path(out)
-            out_path.mkdir(parents=True, exist_ok=True)
-            for tag, s in (("up", up), ("down", down)):
-                lines = ["tau"] + [f"{t:.10g}" for t in s.taus]
-                (out_path / f"gbm_taus_{tag}.csv").write_text(
-                    "\n".join(lines) + "\n", encoding="utf-8")
+            _write_taus(out, "gbm_taus_up.csv", up)
+            _write_taus(out, "gbm_taus_down.csv", down)
         return EXIT_OK
     sample = simulate_fht(
-        lam=args.drift, sigma=args.sigma, rho=args.rho, dt=args.dt,
-        n_paths=args.paths, horizon=args.horizon, seed=seed,
+        lam=lam, sigma=sigma, rho=rho, dt=dt,
+        n_paths=paths, horizon=horizon, seed=seed,
     )
     ks = ks_validate(sample)
     print(f"paths={sample.n_paths} censored={sample.n_censored} "
           f"censoring_rate={sample.censoring_rate:.6g}")
     print(f"ks={ks:.6g}")
     if out:
-        out_path = Path(out)
-        out_path.mkdir(parents=True, exist_ok=True)
-        lines = ["tau"] + [f"{t:.10g}" for t in sample.taus]
-        (out_path / "gbm_taus.csv").write_text("\n".join(lines) + "\n",
-                                               encoding="utf-8")
+        _write_taus(out, "gbm_taus.csv", sample)
     return EXIT_OK
 
 
@@ -462,7 +450,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--filter-size", dest="filter_size", type=int, default=None)
     p.add_argument("--rho", type=float, default=None)
     p.add_argument("--hdi-mass", dest="hdi_mass", type=float, default=None)
-    p.add_argument("--save-trace", dest="save_trace", action="store_true")
+    p.add_argument("--save-trace", dest="save_trace", action="store_const",
+                   const=True, default=None)
     _add_sampler_flags(p)
     p.set_defaults(func=_cmd_fit)
 
@@ -473,7 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rho", type=float, default=None,
                    help="fixed barrier level (default: std at the reference window)")
     _add_sampler_flags(p)
-    p.set_defaults(func=_cmd_scan_filter)
+    p.set_defaults(func=_cmd_scan, scan="filter", scan_fn=scan_filter)
 
     p = sub.add_parser("scan-rho", help="scan the barrier level")
     p.add_argument("input")
@@ -481,7 +470,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated multiples of the sample std")
     p.add_argument("--filter-size", dest="filter_size", type=int, default=None)
     _add_sampler_flags(p)
-    p.set_defaults(func=_cmd_scan_rho)
+    p.set_defaults(func=_cmd_scan, scan="rho", scan_fn=scan_rho)
 
     p = sub.add_parser("scan-window", help="rolling calendar-window refits")
     p.add_argument("input")
@@ -489,19 +478,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--filter-size", dest="filter_size", type=int, default=None)
     p.add_argument("--rho", type=float, default=None)
     _add_sampler_flags(p)
-    p.set_defaults(func=_cmd_scan_window)
+    p.set_defaults(func=_cmd_scan, scan="window", scan_fn=scan_window)
 
     p = sub.add_parser("gbm-validate",
                        help="check simulated first passages against the density")
-    p.add_argument("--drift", type=float, default=0.05)
-    p.add_argument("--sigma", type=float, default=0.3)
-    p.add_argument("--rho", type=float, default=0.3)
-    p.add_argument("--dt", type=float, default=1.0 / 200.0)
-    p.add_argument("--paths", type=int, default=100_000)
-    p.add_argument("--horizon", type=float, default=500.0)
+    p.add_argument("--drift", type=float, default=None)
+    p.add_argument("--sigma", type=float, default=None)
+    p.add_argument("--rho", type=float, default=None)
+    p.add_argument("--dt", type=float, default=None)
+    p.add_argument("--paths", type=int, default=None)
+    p.add_argument("--horizon", type=float, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out-dir", dest="out_dir", default=None)
-    p.add_argument("--two-sided", dest="two_sided", action="store_true",
+    p.add_argument("--two-sided", dest="two_sided", action="store_const",
+                   const=True, default=None,
                    help="record up and down passages on the same driftless paths")
     p.set_defaults(func=_cmd_gbm_validate)
 

@@ -17,9 +17,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 from pathlib import Path
-from typing import Optional, Union
+from typing import Optional, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -248,6 +248,22 @@ REPORT_CSV_HEADER = "index,rho,d_mean,d_std,ess,waic,waic_se"
 _REPORT_SCHEMA = "gainloss-fit-report/1"
 
 
+def _conforms(value, hint) -> bool:
+    """Whether a value loaded from JSON has the annotated type.
+
+    Integers pass as floats, but booleans pass as neither.
+    """
+    args = get_args(hint)
+    if get_origin(hint) is dict:
+        return isinstance(value, dict) and all(
+            _conforms(k, args[0]) and _conforms(v, args[1]) for k, v in value.items())
+    if get_origin(hint) is tuple:
+        return isinstance(value, tuple) and all(_conforms(v, args[0]) for v in value)
+    if isinstance(value, bool):
+        return False
+    return isinstance(value, (int, float) if hint is float else hint)
+
+
 @dataclass(frozen=True)
 class FitReport:
     """Everything a fit produces, ready for serialization and plotting."""
@@ -309,16 +325,20 @@ class FitReport:
         try:
             payload["d_hist_edges"] = tuple(payload.get("d_hist_edges", ()))
             payload["d_hist_counts"] = tuple(payload.get("d_hist_counts", ()))
-            payload["rhat"] = dict(payload["rhat"])
             report = cls(**payload)
-        except (KeyError, TypeError) as exc:
+        except TypeError as exc:
             raise MalformedReportError(f"missing or bad report field: {exc}") from exc
+        hints = get_type_hints(cls)
         # max_rhat, the convergence gate, needs at least one number
-        if not report.rhat or not all(
-                isinstance(v, (int, float)) and not isinstance(v, bool)
-                for v in report.rhat.values()):
+        if not (_conforms(report.rhat, hints["rhat"]) and report.rhat):
             raise MalformedReportError(
                 f"rhat must map parameter names to numbers, got {report.rhat!r}")
+        for f in fields(cls):
+            value, hint = getattr(report, f.name), hints[f.name]
+            if not _conforms(value, hint):
+                want = hint.__name__ if get_origin(hint) is None else hint
+                raise MalformedReportError(
+                    f"report field {f.name} must be {want}, got {value!r}")
         return report
 
     def save(self, path: Union[str, Path]) -> None:

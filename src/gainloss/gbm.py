@@ -9,7 +9,9 @@ drift; its first-passage time through a level ``rho`` (starting gap
 with mean rho / lam when lam > 0. The module simulates Euler paths of the
 log price, evaluates the density, and checks the two against each other with
 a Kolmogorov-Smirnov distance; it is the validation harness for the
-hitting-time pipeline, not part of the data path.
+hitting-time pipeline, not part of the data path. The one-sided and the
+two-sided simulators are thin wrappers over one Euler loop that follows each
+path until it has hit every barrier it is given.
 
 Crossings are detected per step by sampling the exact bridge crossing
 probability exp(-2 a b / (Sigma^2 dt)) between consecutive grid values
@@ -97,6 +99,54 @@ def _crossing_matrix(x0: np.ndarray, path: np.ndarray, barrier: float,
     return uniforms < np.exp(np.minimum(expo, 0.0))
 
 
+def _first_passages(barriers: tuple[float, ...], lam: float, sigma: float,
+                    dt: float, n_paths: int, horizon: float,
+                    seed: int) -> np.ndarray:
+    """Euler first passages of paths from 0 through each barrier.
+
+    Returns a [barrier x path] array of passage times, nan where censored.
+    Per block of steps the chunk's generator draws the normals, then one
+    uniform array per barrier in the given order; a path retires once every
+    barrier is hit. With one barrier this is the one-sided simulation.
+    """
+    if n_paths < 1:
+        raise DomainError("need at least one path")
+    n_steps = int(round(horizon / dt))
+    taus = np.full((len(barriers), n_paths), np.nan)
+    scale = sigma * math.sqrt(dt)
+    drift = lam * dt
+    sig2dt = sigma * sigma * dt
+    for chunk_idx, start in enumerate(range(0, n_paths, _PATH_CHUNK)):
+        size = min(_PATH_CHUNK, n_paths - start)
+        rng = _chunk_rng(seed, chunk_idx)
+        x = np.zeros(size)
+        alive = np.arange(size)
+        k = 0
+        while alive.size and k < n_steps:
+            b = min(_STEP_BLOCK, n_steps - k)
+            inc = rng.standard_normal((alive.size, b)) * scale + drift
+            np.cumsum(inc, axis=1, out=inc)
+            inc += x[alive, None]
+            rows = start + alive
+            for tau, barrier in zip(taus, barriers):
+                crossed = _crossing_matrix(x[alive], inc, barrier, sig2dt,
+                                           rng.random((alive.size, b)))
+                new = crossed.any(axis=1) & np.isnan(tau[rows])
+                tau[rows[new]] = (k + crossed.argmax(axis=1)[new] + 1) * dt
+            survive = np.isnan(taus[:, rows]).any(axis=0)
+            x[alive[survive]] = inc[survive, -1]
+            alive = alive[survive]
+            k += b
+    return taus
+
+
+def _sample(taus: np.ndarray, lam: float, sigma: float, rho: float, dt: float,
+            horizon: float, seed: int) -> FHTSample:
+    kept = taus[~np.isnan(taus)]
+    return FHTSample(kept, taus.size, int(taus.size - kept.size), lam, sigma,
+                     rho, dt, horizon, seed)
+
+
 def simulate_fht(
     lam: float,
     sigma: float,
@@ -117,46 +167,8 @@ def simulate_fht(
     of how the chunks are processed.
     """
     _check_params(sigma, rho, dt, horizon)
-    if n_paths < 1:
-        raise DomainError("need at least one path")
-    n_steps = int(round(horizon / dt))
-    taus = np.full(n_paths, np.nan)
-    scale = sigma * math.sqrt(dt)
-    drift = lam * dt
-    sig2dt = sigma * sigma * dt
-    for chunk_idx, start in enumerate(range(0, n_paths, _PATH_CHUNK)):
-        stop = min(start + _PATH_CHUNK, n_paths)
-        size = stop - start
-        rng = _chunk_rng(seed, chunk_idx)
-        x = np.zeros(size)
-        alive = np.arange(size)
-        k = 0
-        while alive.size and k < n_steps:
-            b = min(_STEP_BLOCK, n_steps - k)
-            inc = rng.standard_normal((alive.size, b)) * scale + drift
-            np.cumsum(inc, axis=1, out=inc)
-            inc += x[alive, None]
-            uni = rng.random((alive.size, b))
-            crossed = _crossing_matrix(x[alive], inc, rho, sig2dt, uni)
-            hit = crossed.any(axis=1)
-            first = crossed.argmax(axis=1)
-            taus[start + alive[hit]] = (k + first[hit] + 1) * dt
-            survive = ~hit
-            x[alive[survive]] = inc[survive, -1]
-            alive = alive[survive]
-            k += b
-    kept = taus[~np.isnan(taus)]
-    return FHTSample(
-        taus=kept,
-        n_paths=n_paths,
-        n_censored=int(n_paths - kept.size),
-        lam=lam,
-        sigma=sigma,
-        rho=rho,
-        dt=dt,
-        horizon=horizon,
-        seed=seed,
-    )
+    taus = _first_passages((rho,), lam, sigma, dt, n_paths, horizon, seed)
+    return _sample(taus[0], lam, sigma, rho, dt, horizon, seed)
 
 
 def simulate_fht_two_sided(
@@ -172,48 +184,12 @@ def simulate_fht_two_sided(
 
     Returns (up, down) samples; for lam = 0 the two are identically
     distributed, which is the symmetry check the asymmetry pipeline is
-    validated against.
+    validated against. A path is followed until it has hit both barriers.
     """
     _check_params(sigma, rho, dt, horizon)
-    if n_paths < 1:
-        raise DomainError("need at least one path")
-    n_steps = int(round(horizon / dt))
-    tau_up = np.full(n_paths, np.nan)
-    tau_dn = np.full(n_paths, np.nan)
-    scale = sigma * math.sqrt(dt)
-    drift = lam * dt
-    sig2dt = sigma * sigma * dt
-    for chunk_idx, start in enumerate(range(0, n_paths, _PATH_CHUNK)):
-        stop = min(start + _PATH_CHUNK, n_paths)
-        size = stop - start
-        rng = _chunk_rng(seed, chunk_idx)
-        x = np.zeros(size)
-        alive = np.arange(size)
-        k = 0
-        while alive.size and k < n_steps:
-            b = min(_STEP_BLOCK, n_steps - k)
-            inc = rng.standard_normal((alive.size, b)) * scale + drift
-            np.cumsum(inc, axis=1, out=inc)
-            inc += x[alive, None]
-            up = _crossing_matrix(x[alive], inc, rho, sig2dt, rng.random((alive.size, b)))
-            dn = _crossing_matrix(x[alive], inc, -rho, sig2dt, rng.random((alive.size, b)))
-            hit_up = up.any(axis=1)
-            hit_dn = dn.any(axis=1)
-            rows = start + alive
-            need_up = hit_up & np.isnan(tau_up[rows])
-            need_dn = hit_dn & np.isnan(tau_dn[rows])
-            tau_up[rows[need_up]] = (k + up.argmax(axis=1)[need_up] + 1) * dt
-            tau_dn[rows[need_dn]] = (k + dn.argmax(axis=1)[need_dn] + 1) * dt
-            done = ~np.isnan(tau_up[rows]) & ~np.isnan(tau_dn[rows])
-            survive = ~done
-            x[alive[survive]] = inc[survive, -1]
-            alive = alive[survive]
-            k += b
-    def _pack(taus):
-        kept = taus[~np.isnan(taus)]
-        return FHTSample(kept, n_paths, int(n_paths - kept.size), lam, sigma,
-                         rho, dt, horizon, seed)
-    return _pack(tau_up), _pack(tau_dn)
+    up, down = _first_passages((rho, -rho), lam, sigma, dt, n_paths, horizon, seed)
+    return (_sample(up, lam, sigma, rho, dt, horizon, seed),
+            _sample(down, lam, sigma, rho, dt, horizon, seed))
 
 
 def fht_density(t, lam: float, sigma: float, rho: float):

@@ -2,7 +2,9 @@
 
 Also hosts the three sensitivity scans (filter size, barrier scale, rolling
 window) and a synthetic geometric-Brownian price generator used by the
-validation suite and the demos. A failed grid point never aborts a scan; the
+validation suite and the demos. The scans share one loop: each builds a grid
+of ``(label, filter_size, rho, sample)`` entries, and :func:`_run_grid` fits
+every model to each entry's sample. A failed grid point never aborts a scan; the
 failure is recorded on its row.
 """
 
@@ -11,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional, Sequence
 
 import numpy as np
@@ -268,19 +271,64 @@ def scan_points_from_json(text: str) -> list[ScanPoint]:
     return [_point_from_fields(row) for row in payload]
 
 
-def _fit_point(scan, label, logs, kind, sampler, index_id, rho, filter_size):
+def _rows(scan, label, index_id, kinds, filter_size, rho, make) -> list[ScanPoint]:
+    """The rows ``make()`` builds, or one error row per kind when it fails.
+
+    The only place a scan turns a :class:`GainLossError` into rows:
+    :func:`_run_grid` wraps each grid entry in it, and :func:`_fit_point`
+    each fit.
+    """
     try:
+        return make()
+    except GainLossError as exc:
+        return [ScanPoint(
+            scan=scan, label=label, index_id=index_id, model=str(kind),
+            filter_size=filter_size, rho=rho if rho is not None else math.nan,
+            error=f"{type(exc).__name__}: {exc}",
+        ) for kind in kinds]
+
+
+def _fit_point(scan, label, logs, kind, sampler, index_id, rho, filter_size):
+    def make():
         report, _ = fit_log_sample(
             logs, kind, sampler,
             index_id=index_id, rho=rho, filter_size=filter_size,
         )
-        return ScanPoint.from_report(scan, label, report)
-    except GainLossError as exc:
-        return ScanPoint(
-            scan=scan, label=label, index_id=index_id, model=str(kind),
-            filter_size=filter_size, rho=rho if rho is not None else math.nan,
-            error=f"{type(exc).__name__}: {exc}",
-        )
+        return [ScanPoint.from_report(scan, label, report)]
+    return _rows(scan, label, index_id, (kind,), filter_size, rho, make)[0]
+
+
+def _run_grid(scan, index_id, grid, kinds, sampler) -> list[ScanPoint]:
+    """Run a scan grid: one row per model for each entry, in grid order.
+
+    Each entry is ``(label, filter_size, rho, sample)``; ``sample()`` returns
+    the entry's :class:`LogHittingSample` or raises :class:`GainLossError`,
+    and ``rho`` is the barrier a failed entry's rows record.
+    """
+    def fits(label, filter_size, sample):
+        logs = sample()
+        return [_fit_point(scan, label, logs, kind, sampler, index_id,
+                           logs.rho, filter_size) for kind in kinds]
+
+    points = []
+    for label, filter_size, rho, sample in grid:
+        points += _rows(scan, label, index_id, kinds, filter_size, rho,
+                        partial(fits, label, filter_size, sample))
+    return points
+
+
+def _prepared_logs(series: PriceSeries, filter_size: int,
+                   rho: Optional[float]) -> LogHittingSample:
+    return prepare_sample(series, filter_size, rho)[3]
+
+
+def _window_logs(series: PriceSeries, start: np.datetime64, end: np.datetime64,
+                 filter_size: int, rho: Optional[float]) -> LogHittingSample:
+    return _prepared_logs(slice_window(series, start, end), filter_size, rho)
+
+
+def _barrier_logs(values: np.ndarray, rho: float) -> LogHittingSample:
+    return log_sample(hitting_times(values, rho))
 
 
 def scan_filter(
@@ -298,23 +346,9 @@ def scan_filter(
     """
     if rho is None:
         rho = threshold_from_std(detrend(series, reference_filter))
-    points = []
-    for f in filter_sizes:
-        label = str(f)
-        try:
-            _, rho_used, _, logs = prepare_sample(series, f, rho)
-        except GainLossError as exc:
-            for kind in kinds:
-                points.append(ScanPoint(
-                    scan="filter", label=label, index_id=series.name,
-                    model=str(kind), filter_size=f, rho=rho,
-                    error=f"{type(exc).__name__}: {exc}",
-                ))
-            continue
-        for kind in kinds:
-            points.append(_fit_point("filter", label, logs, kind, sampler,
-                                     series.name, rho_used, f))
-    return points
+    grid = [(str(f), f, rho, partial(_prepared_logs, series, f, rho))
+            for f in filter_sizes]
+    return _run_grid("filter", series.name, grid, kinds, sampler)
 
 
 def scan_rho(
@@ -324,31 +358,19 @@ def scan_rho(
     scales: Sequence[float] = DEFAULT_RHO_SCALES,
     filter_size: int = DEFAULT_FILTER_SIZE,
 ) -> list[ScanPoint]:
-    """Refit across barrier levels, expressed as multiples of the sample std."""
+    """Refit across barrier levels, expressed as multiples of the sample std.
+
+    The series is detrended once; each level reuses it.
+    """
     bad = [s for s in scales if not (s > 0.0)]
     if bad:
         raise NonPositiveRhoError(f"barrier scales must be positive, got {bad}")
     filtered = detrend(series, filter_size)
     base = threshold_from_std(filtered)
-    points = []
-    for scale in scales:
-        label = f"{scale:g}"
-        rho = scale * base
-        try:
-            sample = hitting_times(filtered.values, rho)
-            logs = log_sample(sample)
-        except GainLossError as exc:
-            for kind in kinds:
-                points.append(ScanPoint(
-                    scan="rho", label=label, index_id=series.name,
-                    model=str(kind), filter_size=filter_size, rho=rho,
-                    error=f"{type(exc).__name__}: {exc}",
-                ))
-            continue
-        for kind in kinds:
-            points.append(_fit_point("rho", label, logs, kind, sampler,
-                                     series.name, rho, filter_size))
-    return points
+    grid = [(f"{scale:g}", filter_size, scale * base,
+             partial(_barrier_logs, filtered.values, scale * base))
+            for scale in scales]
+    return _run_grid("rho", series.name, grid, kinds, sampler)
 
 
 def _year(date: np.datetime64) -> int:
@@ -371,26 +393,12 @@ def scan_window(
     """
     first = _year(series.dates[0])
     last = _year(series.dates[-1])
-    points = []
-    for end_label in range(first + window_years, last + 1):
-        label = str(end_label)
-        start = np.datetime64(f"{end_label - window_years}-01-01", "D")
-        end = np.datetime64(f"{end_label - 1}-12-31", "D")
-        try:
-            window = slice_window(series, start, end)
-            _, rho_used, _, logs = prepare_sample(window, filter_size, rho)
-        except GainLossError as exc:
-            for kind in kinds:
-                points.append(ScanPoint(
-                    scan="window", label=label, index_id=series.name,
-                    model=str(kind), filter_size=filter_size, rho=rho,
-                    error=f"{type(exc).__name__}: {exc}",
-                ))
-            continue
-        for kind in kinds:
-            points.append(_fit_point("window", label, logs, kind, sampler,
-                                     series.name, rho_used, filter_size))
-    return points
+    grid = [(str(y), filter_size, rho, partial(
+                _window_logs, series,
+                np.datetime64(f"{y - window_years}-01-01", "D"),
+                np.datetime64(f"{y - 1}-12-31", "D"), filter_size, rho))
+            for y in range(first + window_years, last + 1)]
+    return _run_grid("window", series.name, grid, kinds, sampler)
 
 
 # ---------------------------------------------------------------------------

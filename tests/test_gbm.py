@@ -1,5 +1,7 @@
 """First-passage simulation oracle and its closed-form counterparts."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy import integrate, stats
@@ -11,7 +13,11 @@ from gainloss.errors import (
     TooFewSamplesError,
 )
 from gainloss.gbm import (
+    _PATH_CHUNK,
+    _STEP_BLOCK,
     FHTSample,
+    _chunk_rng,
+    _crossing_matrix,
     fht_cdf,
     fht_density,
     fht_mean,
@@ -174,6 +180,105 @@ class TestTwoSided:
         b = simulate_fht_two_sided(sigma=0.3, rho=0.3, dt=0.1, n_paths=300, horizon=60.0, seed=9)
         assert np.array_equal(a[0].taus, b[0].taus)
         assert np.array_equal(a[1].taus, b[1].taus)
+
+
+def oracle_one_sided(lam, sigma, rho, dt, n_paths, horizon, seed):
+    """The one-sided Euler loop as it stood before the simulators shared one."""
+    n_steps = int(round(horizon / dt))
+    taus = np.full(n_paths, np.nan)
+    scale = sigma * math.sqrt(dt)
+    drift = lam * dt
+    sig2dt = sigma * sigma * dt
+    for chunk_idx, start in enumerate(range(0, n_paths, _PATH_CHUNK)):
+        stop = min(start + _PATH_CHUNK, n_paths)
+        size = stop - start
+        rng = _chunk_rng(seed, chunk_idx)
+        x = np.zeros(size)
+        alive = np.arange(size)
+        k = 0
+        while alive.size and k < n_steps:
+            b = min(_STEP_BLOCK, n_steps - k)
+            inc = rng.standard_normal((alive.size, b)) * scale + drift
+            np.cumsum(inc, axis=1, out=inc)
+            inc += x[alive, None]
+            uni = rng.random((alive.size, b))
+            crossed = _crossing_matrix(x[alive], inc, rho, sig2dt, uni)
+            hit = crossed.any(axis=1)
+            first = crossed.argmax(axis=1)
+            taus[start + alive[hit]] = (k + first[hit] + 1) * dt
+            survive = ~hit
+            x[alive[survive]] = inc[survive, -1]
+            alive = alive[survive]
+            k += b
+    return taus[~np.isnan(taus)]
+
+
+def oracle_two_sided(sigma, rho, dt, n_paths, horizon, seed, lam):
+    """The two-sided Euler loop as it stood before the simulators shared one."""
+    n_steps = int(round(horizon / dt))
+    tau_up = np.full(n_paths, np.nan)
+    tau_dn = np.full(n_paths, np.nan)
+    scale = sigma * math.sqrt(dt)
+    drift = lam * dt
+    sig2dt = sigma * sigma * dt
+    for chunk_idx, start in enumerate(range(0, n_paths, _PATH_CHUNK)):
+        stop = min(start + _PATH_CHUNK, n_paths)
+        size = stop - start
+        rng = _chunk_rng(seed, chunk_idx)
+        x = np.zeros(size)
+        alive = np.arange(size)
+        k = 0
+        while alive.size and k < n_steps:
+            b = min(_STEP_BLOCK, n_steps - k)
+            inc = rng.standard_normal((alive.size, b)) * scale + drift
+            np.cumsum(inc, axis=1, out=inc)
+            inc += x[alive, None]
+            up = _crossing_matrix(x[alive], inc, rho, sig2dt, rng.random((alive.size, b)))
+            dn = _crossing_matrix(x[alive], inc, -rho, sig2dt, rng.random((alive.size, b)))
+            hit_up = up.any(axis=1)
+            hit_dn = dn.any(axis=1)
+            rows = start + alive
+            need_up = hit_up & np.isnan(tau_up[rows])
+            need_dn = hit_dn & np.isnan(tau_dn[rows])
+            tau_up[rows[need_up]] = (k + up.argmax(axis=1)[need_up] + 1) * dt
+            tau_dn[rows[need_dn]] = (k + dn.argmax(axis=1)[need_dn] + 1) * dt
+            done = ~np.isnan(tau_up[rows]) & ~np.isnan(tau_dn[rows])
+            survive = ~done
+            x[alive[survive]] = inc[survive, -1]
+            alive = alive[survive]
+            k += b
+    return tau_up[~np.isnan(tau_up)], tau_dn[~np.isnan(tau_dn)]
+
+
+ORACLE_CASES = [
+    # censoring, several step blocks, and a second chunk stream
+    dict(lam=0.05, sigma=0.3, rho=0.3, dt=0.05, n_paths=500, horizon=40.0, seed=0),
+    dict(lam=0.0, sigma=0.4, rho=0.25, dt=0.02, n_paths=300, horizon=9.0, seed=12),
+    dict(lam=0.1, sigma=0.3, rho=0.2, dt=0.1, n_paths=_PATH_CHUNK + 50, horizon=3.0,
+         seed=4),
+]
+
+
+class TestSharedLoopMatchesTheOracle:
+    @pytest.mark.parametrize("case", ORACLE_CASES)
+    def test_one_sided_taus_are_bit_identical(self, case):
+        s = simulate_fht(**case)
+        want = oracle_one_sided(**case)
+        assert np.array_equal(s.taus, want)
+        assert s.n_censored == case["n_paths"] - want.size
+
+    @pytest.mark.parametrize("case", ORACLE_CASES)
+    def test_two_sided_taus_are_bit_identical(self, case):
+        up, down = simulate_fht_two_sided(**case)
+        want_up, want_down = oracle_two_sided(**case)
+        assert np.array_equal(up.taus, want_up)
+        assert np.array_equal(down.taus, want_down)
+        assert up.n_censored == case["n_paths"] - want_up.size
+        assert down.n_censored == case["n_paths"] - want_down.size
+        assert (up.rho, down.rho) == (case["rho"], case["rho"])
+
+    def test_the_big_case_uses_a_second_chunk(self):
+        assert ORACLE_CASES[-1]["n_paths"] > _PATH_CHUNK
 
 
 class TestKolmogorovSmirnov:

@@ -510,6 +510,31 @@ class TestCliFit:
         assert code == EXIT_INPUT
         assert f"error: {option} must be" in err
 
+    @pytest.mark.parametrize("mass", ["1.5", "0", "nan"])
+    def test_hdi_mass_outside_the_unit_interval_is_refused_before_sampling(
+            self, price_file, tmp_path, capsys, monkeypatch, mass):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("the sampler ran")
+
+        monkeypatch.setattr("gainloss.pipeline.run_chains", no_sampling)
+        code, _, err = run_cli(
+            ["fit", str(price_file), "--hdi-mass", mass, "--chains", "2",
+             "--draws", "100", "--tune", "10", "--out-dir", str(tmp_path)], capsys,
+        )
+        assert code == EXIT_INPUT
+        assert "error: --hdi-mass must lie in (0, 1)" in err
+
+    def test_config_file_turns_on_save_trace(self, price_file, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "save_trace": True, "chains": 2, "draws": 100, "tune": 100,
+            "model": "student-t", "filter_size": 100, "allow_nonconverged": True,
+            "out_dir": str(tmp_path / "out"),
+        }))
+        code, _, _ = run_cli(["--config", str(cfg), "fit", str(price_file)], capsys)
+        assert code == EXIT_OK
+        assert (tmp_path / "out" / "synth_student-t_chain0.csv").exists()
+
     def test_bogus_model_in_config_is_an_input_error(self, price_file, tmp_path,
                                                      capsys):
         cfg = tmp_path / "cfg.json"
@@ -563,6 +588,67 @@ class TestCliScan:
         assert body == SCAN_CSV_HEADER
 
 
+class TestCliScanOptions:
+    """How each scan subcommand turns flags and config keys into library calls."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        seen = []
+
+        def fake_scan(name):
+            def scan(series, kinds, sampler, **kwargs):
+                seen.append((name, kwargs))
+                return []
+            return scan
+
+        for name in ("scan_filter", "scan_rho", "scan_window"):
+            monkeypatch.setattr(cli, name, fake_scan(name))
+        return seen
+
+    @pytest.mark.parametrize("command, config, want", [
+        ("scan-filter", {"filter_sizes": [80, 90], "rho": 0.03},
+         ("scan_filter", {"filter_sizes": (80, 90), "rho": 0.03})),
+        ("scan-rho", {"rho_scales": [0.5, 1], "filter_size": 100},
+         ("scan_rho", {"scales": (0.5, 1.0), "filter_size": 100})),
+        ("scan-window", {"window_years": 3, "filter_size": 60, "rho": 0.02},
+         ("scan_window", {"window_years": 3, "filter_size": 60, "rho": 0.02})),
+    ])
+    def test_config_keys_map_onto_library_keywords(self, price_file, tmp_path,
+                                                   capsys, calls, command,
+                                                   config, want):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**config, "out_dir": str(tmp_path / "out")}))
+        code, _, _ = run_cli(["--config", str(cfg), command, str(price_file)],
+                             capsys)
+        assert code == EXIT_OK
+        assert calls == [want]
+
+    @pytest.mark.parametrize("command", ["scan-filter", "scan-rho", "scan-window"])
+    def test_unset_keys_leave_the_library_defaults(self, price_file, tmp_path,
+                                                   capsys, calls, command):
+        code, _, _ = run_cli([command, str(price_file), "--out-dir", str(tmp_path)],
+                             capsys)
+        assert code == EXIT_OK
+        assert calls == [(command.replace("-", "_"), {})]
+
+    @pytest.mark.parametrize("argv, config, option", [
+        (["scan-rho", "--rho-scales", ""], {}, "--rho-scales"),
+        (["scan-filter", "--filter-sizes", ""], {}, "--filter-sizes"),
+        (["scan-rho"], {"rho_scales": []}, "--rho-scales"),
+        (["scan-filter"], {"filter_sizes": []}, "--filter-sizes"),
+    ])
+    def test_an_empty_grid_is_an_input_error(self, price_file, tmp_path, capsys,
+                                             calls, argv, config, option):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**config, "out_dir": str(tmp_path / "out")}))
+        code, _, err = run_cli(
+            ["--config", str(cfg), argv[0], str(price_file)] + argv[1:], capsys)
+        assert code == EXIT_INPUT
+        assert f"error: {option} names no grid point" in err
+        assert calls == []
+        assert not (tmp_path / "out").exists()
+
+
 class TestCliGbmValidate:
     def test_one_sided_run(self, tmp_path, capsys):
         code, out, _ = run_cli(
@@ -588,6 +674,38 @@ class TestCliGbmValidate:
         assert "ks2=" in out and "pvalue=" in out
         assert (tmp_path / "gbm_taus_up.csv").exists()
         assert (tmp_path / "gbm_taus_down.csv").exists()
+
+    @pytest.mark.parametrize("two_sided", [False, True])
+    def test_config_file_drives_the_simulation(self, tmp_path, capsys, two_sided):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "paths": 1500, "horizon": 50.0, "dt": 0.01, "sigma": 0.3, "rho": 0.2,
+            "drift": 0.1, "seed": 2, "two_sided": two_sided,
+            "out_dir": str(tmp_path),
+        }))
+        code, out, _ = run_cli(["--config", str(cfg), "gbm-validate"], capsys)
+        assert code == EXIT_OK
+        assert out.startswith("paths=1500 ")
+        assert ("ks2=" in out) == two_sided
+        name = "gbm_taus_up.csv" if two_sided else "gbm_taus.csv"
+        assert (tmp_path / name).exists()
+
+    def test_flags_win_over_the_config_file(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"paths": 100, "horizon": 40.0, "dt": 0.02,
+                                   "two_sided": True}))
+        code, out, _ = run_cli(
+            ["--config", str(cfg), "gbm-validate", "--paths", "200"], capsys)
+        assert code == EXIT_OK
+        assert out.startswith("paths=200 n_up=")
+
+    def test_non_boolean_two_sided_in_config_is_an_input_error(self, tmp_path,
+                                                              capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"two_sided": "yes", "paths": 10}))
+        code, _, err = run_cli(["--config", str(cfg), "gbm-validate"], capsys)
+        assert code == EXIT_INPUT
+        assert "two_sided" in err
 
 
 class TestCliPlot:
@@ -641,6 +759,16 @@ class TestCliPlot:
                                    capsys)
             assert code == EXIT_INPUT
             assert "rhat must map parameter names to numbers" in err
+        for field, value, message in (
+                ("rhat", ["abc"], "rhat must map parameter names to numbers"),
+                ("d_mean", "x", "report field d_mean must be float"),
+                ("n_plus", True, "report field n_plus must be int")):
+            bad_report = tmp_path / "bad_report.json"
+            bad_report.write_text(json.dumps({**report, field: value}))
+            code, _, err = run_cli(["plot", str(bad_report), "--out-dir", str(tmp_path)],
+                                   capsys)
+            assert code == EXIT_INPUT
+            assert message in err
 
     def test_scan_with_only_failures_cannot_be_plotted(self, tmp_path, capsys):
         p = ScanPoint(scan="rho", label="1", index_id="x", model="student-t",
