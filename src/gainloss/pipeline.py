@@ -331,6 +331,10 @@ def _barrier_logs(values: np.ndarray, rho: float) -> LogHittingSample:
     return log_sample(hitting_times(values, rho))
 
 
+def _raise(exc: GainLossError, *_) -> LogHittingSample:
+    raise exc
+
+
 def scan_filter(
     series: PriceSeries,
     kinds: Sequence[ModelKind],
@@ -342,12 +346,17 @@ def scan_filter(
     """Refit across detrending window sizes with the barrier held fixed.
 
     The barrier defaults to the sample std of the series detrended at the
-    reference window, so the grid varies only the filter.
+    reference window, so the grid varies only the filter. When that reference
+    fails, for instance on a series shorter than the window, every grid point
+    fails with it.
     """
+    sample = partial(_prepared_logs, series)
     if rho is None:
-        rho = threshold_from_std(detrend(series, reference_filter))
-    grid = [(str(f), f, rho, partial(_prepared_logs, series, f, rho))
-            for f in filter_sizes]
+        try:
+            rho = threshold_from_std(detrend(series, reference_filter))
+        except GainLossError as exc:
+            sample = partial(_raise, exc)
+    grid = [(str(f), f, rho, partial(sample, f, rho)) for f in filter_sizes]
     return _run_grid("filter", series.name, grid, kinds, sampler)
 
 

@@ -1,10 +1,12 @@
 """Model densities, priors, coordinate maps, and analytic gradients."""
 
+import dataclasses
 import math
+import threading
 
 import numpy as np
 import pytest
-from scipy import integrate, optimize, stats
+from scipy import integrate, optimize, special, stats
 from scipy.special import expit
 
 from gainloss.errors import DomainError, EmptySideError, NonFiniteError
@@ -14,6 +16,9 @@ from gainloss.models import (
     ModelSpec,
     Posterior,
     PriorSpec,
+    _digamma,
+    _lgamma,
+    _loc_scale_prior,
     ig_moments,
     ig_shape_rate,
     invgamma_logpdf,
@@ -569,3 +574,169 @@ class TestScalarTransformMatchesVectorOracle:
                 want[iv] = np.log(frac) - np.log1p(-frac)
                 want[lw] = np.log(theta[lw] - low[lw])
                 assert post.unconstrain(theta).tolist() == want.tolist()
+
+
+# ---------------------------------------------------------------------------
+# the math-module special functions against scipy's
+
+
+def special_points():
+    """Log-gamma and digamma arguments over [0.5, 1e6]: uniform below 12,
+    log-uniform across the range, around the digamma root 1.4616 and the
+    log-gamma roots 1 and 2, and on the recurrence's switch points."""
+    rng = np.random.default_rng(50)
+    return np.concatenate([
+        rng.uniform(0.5, 12.0, 4000),
+        np.exp(rng.uniform(math.log(0.5), math.log(1e6), 4000)),
+        1.4616321449683622 + np.linspace(-1e-3, 1e-3, 201),
+        1.0 + np.linspace(-1e-3, 1e-3, 201),
+        2.0 + np.linspace(-1e-3, 1e-3, 201),
+        [0.5, 1.0, 2.0, 8.999999999999998, 9.0, 9.5, 10.0, 10.000000000000002, 1e6],
+    ]).tolist()
+
+
+def returns_promptly(f, x, seconds=5.0):
+    """f(x) in a worker thread; fails if it has not returned within the time."""
+    out = []
+    worker = threading.Thread(target=lambda: out.append(f(x)), daemon=True)
+    worker.start()
+    worker.join(seconds)
+    assert out, f"{f.__name__}({x}) did not return"
+    return out[0]
+
+
+class TestSpecialFunctions:
+    def test_digamma_matches_scipy(self):
+        xs = special_points()
+        got = np.array([_digamma(x) for x in xs])
+        assert np.max(np.abs(got - special.digamma(xs))) <= 4e-15
+
+    def test_digamma_root(self):
+        assert abs(_digamma(1.4616321449683622)) < 4e-15
+
+    def test_lgamma_matches_scipy(self):
+        # below x = 3 math.lgamma is off by up to 8 ulps of 1, which near its
+        # roots at 1 and 2 is a large relative error, so the bound is relative
+        # to the larger of 1 and the value
+        xs = special_points()
+        got = np.array([_lgamma(x) for x in xs])
+        want = special.gammaln(xs)
+        assert np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))) <= 4e-15
+
+    @pytest.mark.parametrize("x", [0.0, -1.0, -math.inf, math.nan])
+    def test_off_domain_inputs_return_at_once(self, x):
+        assert math.isnan(returns_promptly(_digamma, x))
+        value = returns_promptly(_lgamma, x)
+        assert math.isnan(value) if math.isnan(x) else value == math.inf
+
+    def test_infinite_and_overflowing_arguments(self):
+        assert _digamma(math.inf) == math.inf
+        assert _lgamma(math.inf) == math.inf
+        assert _lgamma(1e306) == math.inf  # math.lgamma raises OverflowError here
+        assert _lgamma(1e305) == pytest.approx(special.gammaln(1e305), rel=1e-15)
+
+    def test_scalar_in_scalar_out(self):
+        assert type(_digamma(3.0)) is float and type(_lgamma(3.0)) is float
+
+    def test_overflowing_log_gamma_rejects_the_point(self):
+        _, ig = make_posteriors()
+        z = np.array([353.0, -5.0, 0.3, 0.3])  # m = 1.8e153, s = 1.7: alpha = 1.2e306
+        alpha = ig_shape_rate(*ig.constrain(z)[:2].tolist())[0]
+        assert 1e306 < alpha < math.inf
+        value, grad = ig.value_and_grad(z)
+        assert value == -math.inf
+        assert np.array_equal(grad, np.zeros(ig.dim))
+
+
+# ---------------------------------------------------------------------------
+# the scipy-based per-side likelihoods that the math-module ones replaced,
+# kept as an oracle
+
+
+def scipy_student_value_grad(theta, stats, p):
+    x, c, n = stats
+    mu, sigma, nu = theta
+    t = (x - mu) / sigma
+    t2 = t * t
+    lu = np.log1p(t2 / nu)
+    cw = c * (nu + 1.0) / (nu + t2)
+    sum_lu, sum_wt, sum_wt2 = (c * lu).sum(), (cw * t).sum(), (cw * t2).sum()
+    value = n * (
+        special.gammaln((nu + 1.0) / 2.0) - special.gammaln(nu / 2.0)
+        - 0.5 * math.log(math.pi * nu) - math.log(sigma)
+    ) - 0.5 * (nu + 1.0) * sum_lu
+    d_nu = (
+        0.5 * n * (special.digamma((nu + 1.0) / 2.0) - special.digamma(nu / 2.0))
+        - 0.5 * n / nu - 0.5 * sum_lu + sum_wt2 / (2.0 * nu)
+    )
+    prior, d_loc = _loc_scale_prior(mu, p)
+    value += prior + math.log(p.nu_rate) - p.nu_rate * (nu - p.nu_shift)
+    return value, [sum_wt / sigma + d_loc, (sum_wt2 - n) / sigma, d_nu - p.nu_rate]
+
+
+def scipy_ig_value_grad(theta, stats, p):
+    n, sum_ln, sum_inv = stats
+    m, s = theta
+    if m <= 0.0:
+        return -math.inf, [0.0, 0.0]
+    alpha = 2.0 + (m * m) / (s * s)
+    beta = m * (alpha - 1.0)
+    value = n * (alpha * math.log(beta) - float(special.gammaln(alpha))) \
+        - (alpha + 1.0) * sum_ln - beta * sum_inv
+    d_alpha = n * (math.log(beta) - float(special.digamma(alpha))) - sum_ln
+    d_beta = n * alpha / beta - sum_inv
+    da_dm = 2.0 * m / (s * s)
+    da_ds = -2.0 * m * m / (s * s * s)
+    db_dm = 1.0 + 3.0 * m * m / (s * s)
+    db_ds = -2.0 * m * m * m / (s * s * s)
+    prior, d_loc = _loc_scale_prior(m, p)
+    return value + prior, [d_alpha * da_dm + d_beta * db_dm + d_loc,
+                           d_alpha * da_ds + d_beta * db_ds]
+
+
+SCIPY_VALUE_GRAD = {ModelKind.STUDENT_T: scipy_student_value_grad,
+                    ModelKind.INV_GAMMA: scipy_ig_value_grad}
+
+
+@pytest.fixture(scope="module")
+def posterior_pairs():
+    """(posterior, scipy-based twin) per family on a 3.3k-day and a 25k-day
+    GBM series: filter 252, barrier at the filtered std."""
+    pairs = []
+    for days in (3300, 25_000):
+        series = synthetic_gbm_series(days, 0.012, lam=3e-4, seed=days)
+        logs = prepare_sample(series, 252)[3]
+        for kind, family in FAMILIES.items():
+            xp = logs.x_plus[logs.x_plus > family.data_low]
+            xm = logs.x_minus[logs.x_minus > family.data_low]
+            spec = ModelSpec(kind, PriorSpec.from_data(xp, xm))
+            post = Posterior(spec, xp, xm)
+            oracle = dataclasses.replace(family, value_grad=SCIPY_VALUE_GRAD[kind])
+            FAMILIES[kind] = oracle
+            try:
+                twin = Posterior(spec, xp, xm)
+            finally:
+                FAMILIES[kind] = family
+            pairs.append((days, post, twin))
+    return pairs
+
+
+class TestPosteriorMatchesScipyOracle:
+    """Within rounding of the posterior built on scipy's special functions."""
+
+    def test_value_and_gradient_at_random_points(self, posterior_pairs):
+        rng = np.random.default_rng(51)
+        for days, post, twin in posterior_pairs:
+            z0 = post.initial_unconstrained()
+            for _ in range(200):
+                z = z0 + rng.normal(0.0, 1.0, post.dim)
+                value, grad = post.value_and_grad(z)
+                want_value, want_grad = twin.value_and_grad(z)
+                assert math.isfinite(want_value), (days, post.spec.kind, z)
+                assert abs(value - want_value) <= 1e-12 * abs(want_value)
+                assert np.max(np.abs(grad - want_grad)) <= 1e-9 * np.max(np.abs(want_grad))
+
+    def test_the_twin_reads_scipy(self, posterior_pairs):
+        for _, post, twin in posterior_pairs:
+            assert twin._value_grad in SCIPY_VALUE_GRAD.values()
+            assert post._value_grad is post.family.value_grad

@@ -3,11 +3,16 @@
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gainloss
 from gainloss import cli
 from gainloss.cli import EXIT_CONVERGENCE, EXIT_INPUT, EXIT_OK, EXIT_PARTIAL, main
 from gainloss.detrend import detrend, threshold_from_std
@@ -567,6 +572,28 @@ class TestCliScan:
         assert len(json_points) == 2
         assert "rho=400" in out
 
+    def test_scan_filter_on_a_series_shorter_than_the_reference_window(
+            self, price_csv_factory, tmp_path, capsys):
+        # the default barrier needs the series detrended at 252 days; its
+        # failure lands on every grid row instead of aborting the scan
+        short = price_csv_factory(n_days=200, sigma=0.012, seed=9, name="short")
+        code, out, err = run_cli(
+            ["scan-filter", str(short), "--filter-sizes", "50,100",
+             "--chains", "2", "--draws", "100", "--tune", "100",
+             "--out-dir", str(tmp_path)], capsys,
+        )
+        assert code == EXIT_PARTIAL
+        assert err == ""
+        want = "WindowTooLargeError: window 252 exceeds series length 200"
+        for name, parse in (("scan_filter_short.csv", scan_points_from_csv),
+                            ("scan_filter_short.json", scan_points_from_json)):
+            points = parse((tmp_path / name).read_text())
+            assert [(p.label, p.model) for p in points] == [
+                (label, model) for label in ("50", "100")
+                for model in ("student-t", "inv-gamma")]
+            assert all(p.error == want and math.isnan(p.rho) for p in points)
+        assert "(4 rows, 4 failed)" in out
+
     def test_scan_with_one_chain_is_refused(self, price_file, tmp_path, capsys):
         code, _, err = run_cli(
             ["scan-rho", str(price_file), "--chains", "1", "--draws", "100",
@@ -817,3 +844,38 @@ class TestCliMisc:
         )
         assert code == EXIT_INPUT
         assert "JSON object" in err
+
+
+# In a fresh interpreter: the scipy modules loaded after importing the CLI and
+# after each of a fit and a scan, with the two exit codes.
+FOOTPRINT_SCRIPT = """
+import json, sys
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+from gainloss.cli import main
+seen = {"import": [0, scipy_modules()]}
+csv, out = sys.argv[1:]
+quick = ["--chains", "2", "--draws", "60", "--tune", "60", "--seed", "3",
+         "--filter-size", "100", "--allow-nonconverged", "--out-dir", out]
+seen["fit"] = [main(["fit", csv, *quick]), scipy_modules()]
+seen["scan-rho"] = [main(["scan-rho", csv, "--rho-scales", "0.5,2", *quick]),
+                    scipy_modules()]
+print(json.dumps(seen))
+"""
+
+
+class TestCliImportFootprint:
+    def test_fits_and_scans_load_no_scipy(self, price_csv_factory, tmp_path):
+        csv = price_csv_factory(n_days=600, sigma=0.012, seed=4)
+        env = dict(os.environ)
+        src = str(Path(gainloss.__file__).resolve().parent.parent)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        proc = subprocess.run(
+            [sys.executable, "-c", FOOTPRINT_SCRIPT, str(csv), str(tmp_path / "out")],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        seen = json.loads(proc.stdout.splitlines()[-1])
+        assert seen == {"import": [EXIT_OK, []], "fit": [EXIT_OK, []],
+                        "scan-rho": [EXIT_OK, []]}
