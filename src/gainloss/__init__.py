@@ -31,7 +31,6 @@ from .detrend import (
     threshold_from_std,
 )
 from .diagnostics import (
-    EffectSizeDraws,
     FitReport,
     WaicResult,
     build_report,
@@ -59,7 +58,7 @@ from .models import (
     ModelKind,
     ModelSpec,
     Posterior,
-    PriorSpec,
+    SidePrior,
     ig_moments,
     ig_shape_rate,
     invgamma_logpdf,

@@ -33,6 +33,7 @@ from typing import Optional, Sequence
 from . import __version__
 from .detrend import DEFAULT_FILTER_SIZE, detrend, threshold_from_std
 from .diagnostics import (
+    HDI_MASS,
     MIN_CHAIN_DRAWS,
     MIN_CHAINS,
     MIN_HDI_SAMPLES,
@@ -42,7 +43,6 @@ from .diagnostics import (
 from .errors import AdaptationFailedError, GainLossError, InputError, MalformedReportError
 from .gbm import ks_validate, simulate_fht, simulate_fht_two_sided
 from .hitting import hitting_times
-from .models import ModelKind
 from .nuts import SamplerConfig, save_trace
 from .pipeline import (
     DEFAULT_WINDOW_YEARS,
@@ -55,6 +55,7 @@ from .pipeline import (
     scan_points_csv,
     scan_points_from_csv,
     scan_points_from_json,
+    scan_points_json,
     scan_rho,
     scan_window,
     summarize_series,
@@ -106,8 +107,9 @@ def _resolve(args, config: dict, key: str, default, cast):
 
 
 def _sampler_config(args, config: dict) -> SamplerConfig:
-    chains = _resolve(args, config, "chains", 4, int)
-    draws = _resolve(args, config, "draws", 4000, int)
+    defaults = SamplerConfig()
+    chains = _resolve(args, config, "chains", defaults.n_chains, _int)
+    draws = _resolve(args, config, "draws", defaults.n_draw, _int)
     # refuse, before sampling, draws that R^ or the HDI of the report rejects
     if chains < MIN_CHAINS:
         raise InputError(f"--chains must be >= {MIN_CHAINS} for R^, got {chains}")
@@ -119,8 +121,8 @@ def _sampler_config(args, config: dict) -> SamplerConfig:
     return SamplerConfig(
         n_chains=chains,
         n_draw=draws,
-        n_tune=_resolve(args, config, "tune", 2000, int),
-        seed=_resolve(args, config, "seed", 0, int),
+        n_tune=_resolve(args, config, "tune", defaults.n_tune, _int),
+        seed=_resolve(args, config, "seed", defaults.seed, _int),
     )
 
 
@@ -130,15 +132,29 @@ def _out_dir(args, config: dict) -> Path:
     return out
 
 
+def _int(value) -> int:
+    # int(True) is 1 and int(252.9) is 252: a JSON bool or fraction is refused
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise TypeError("expected an integer")
+    return int(value)
+
+
+def _float(value) -> float:
+    # float(True) is 1.0
+    if isinstance(value, bool):
+        raise TypeError("expected a number")
+    return float(value)
+
+
 def _int_list(text) -> tuple[int, ...]:
     if isinstance(text, (list, tuple)):
-        return tuple(int(v) for v in text)
+        return tuple(_int(v) for v in text)
     return tuple(int(v) for v in str(text).split(",") if v.strip())
 
 
 def _float_list(text) -> tuple[float, ...]:
     if isinstance(text, (list, tuple)):
-        return tuple(float(v) for v in text)
+        return tuple(_float(v) for v in text)
     return tuple(float(v) for v in str(text).split(",") if v.strip())
 
 
@@ -154,7 +170,7 @@ def _bool(value) -> bool:
 
 
 def _cmd_stats(args, config) -> int:
-    f = _resolve(args, config, "filter_size", DEFAULT_FILTER_SIZE, int)
+    f = _resolve(args, config, "filter_size", DEFAULT_FILTER_SIZE, _int)
     print("index,raw_count,raw_mean,raw_std,filtered_count,filtered_mean,filtered_std")
     series_list = []
     for path in args.inputs:
@@ -176,7 +192,7 @@ def _cmd_stats(args, config) -> int:
 
 
 def _cmd_detrend(args, config) -> int:
-    f = _resolve(args, config, "filter_size", DEFAULT_FILTER_SIZE, int)
+    f = _resolve(args, config, "filter_size", DEFAULT_FILTER_SIZE, _int)
     series = _read_series(args.input)
     filtered = detrend(series, f)
     if args.out:
@@ -189,8 +205,8 @@ def _cmd_detrend(args, config) -> int:
 
 
 def _cmd_hittimes(args, config) -> int:
-    f = _resolve(args, config, "filter_size", DEFAULT_FILTER_SIZE, int)
-    rho = _resolve(args, config, "rho", None, float)
+    f = _resolve(args, config, "filter_size", DEFAULT_FILTER_SIZE, _int)
+    rho = _resolve(args, config, "rho", None, _float)
     series = _read_series(args.input)
     filtered = detrend(series, f)
     rho = rho if rho is not None else threshold_from_std(filtered)
@@ -223,11 +239,11 @@ def _report_line(r: FitReport) -> str:
 
 
 def _cmd_fit(args, config) -> int:
-    f = _resolve(args, config, "filter_size", DEFAULT_FILTER_SIZE, int)
-    rho_opt = _resolve(args, config, "rho", None, float)
+    f = _resolve(args, config, "filter_size", DEFAULT_FILTER_SIZE, _int)
+    rho_opt = _resolve(args, config, "rho", None, _float)
     model = _resolve(args, config, "model", "both", str)
     allow = _resolve(args, config, "allow_nonconverged", False, _bool)
-    hdi_mass = _resolve(args, config, "hdi_mass", 0.94, float)
+    hdi_mass = _resolve(args, config, "hdi_mass", HDI_MASS, _float)
     save = _resolve(args, config, "save_trace", False, _bool)
     if not 0.0 < hdi_mass < 1.0:
         raise InputError(f"--hdi-mass must lie in (0, 1), got {hdi_mass}")
@@ -245,8 +261,7 @@ def _cmd_fit(args, config) -> int:
     reports = []
     for kind in kinds:
         report, trace = fit_log_sample(
-            logs, kind, sampler,
-            index_id=series.name, rho=rho_used, filter_size=f, hdi_mass=hdi_mass,
+            logs, kind, sampler, index_id=series.name, filter_size=f, hdi_mass=hdi_mass,
         )
         reports.append(report)
         report.save(out / f"{series.name}_{report.model}_report.json")
@@ -277,10 +292,7 @@ def _finish_scan(points: list[ScanPoint], out: Path, stem: str, allow: bool) -> 
         else:
             flagged.append(p)
     (out / f"{stem}.csv").write_text(scan_points_csv(flagged), encoding="utf-8")
-    payload = [asdict(p) for p in flagged]
-    (out / f"{stem}.json").write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    (out / f"{stem}.json").write_text(scan_points_json(flagged), encoding="utf-8")
     n_bad = sum(1 for p in flagged if p.error)
     for p in flagged:
         status = p.error if p.error else (
@@ -294,10 +306,10 @@ def _finish_scan(points: list[ScanPoint], out: Path, stem: str, allow: bool) -> 
 # Per scan: each config key, in resolution order, with the library keyword it
 # feeds and its cast. Unset keys are left out, so the library defaults apply.
 _SCAN_KEYS = {
-    "filter": {"rho": ("rho", float), "filter_sizes": ("filter_sizes", _int_list)},
-    "rho": {"filter_size": ("filter_size", int), "rho_scales": ("scales", _float_list)},
-    "window": {"filter_size": ("filter_size", int), "rho": ("rho", float),
-               "window_years": ("window_years", int)},
+    "filter": {"rho": ("rho", _float), "filter_sizes": ("filter_sizes", _int_list)},
+    "rho": {"filter_size": ("filter_size", _int), "rho_scales": ("scales", _float_list)},
+    "window": {"filter_size": ("filter_size", _int), "rho": ("rho", _float),
+               "window_years": ("window_years", _int)},
 }
 
 
@@ -331,14 +343,14 @@ def _write_taus(out: str, name: str, sample) -> None:
 
 
 def _cmd_gbm_validate(args, config) -> int:
-    seed = _resolve(args, config, "seed", 0, int)
+    seed = _resolve(args, config, "seed", 0, _int)
     out = _resolve(args, config, "out_dir", None, str)
-    lam = _resolve(args, config, "drift", 0.05, float)
-    sigma = _resolve(args, config, "sigma", 0.3, float)
-    rho = _resolve(args, config, "rho", 0.3, float)
-    dt = _resolve(args, config, "dt", 1.0 / 200.0, float)
-    paths = _resolve(args, config, "paths", 100_000, int)
-    horizon = _resolve(args, config, "horizon", 500.0, float)
+    lam = _resolve(args, config, "drift", 0.05, _float)
+    sigma = _resolve(args, config, "sigma", 0.3, _float)
+    rho = _resolve(args, config, "rho", 0.3, _float)
+    dt = _resolve(args, config, "dt", 1.0 / 200.0, _float)
+    paths = _resolve(args, config, "paths", 100_000, _int)
+    horizon = _resolve(args, config, "horizon", 500.0, _float)
     if _resolve(args, config, "two_sided", False, _bool):
         up, down = simulate_fht_two_sided(
             sigma=sigma, rho=rho, dt=dt,

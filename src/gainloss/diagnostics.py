@@ -6,7 +6,9 @@ size") between the gain and loss sides,
     d = (loc_plus - loc_minus) / s_pooled,
     s_pooled^2 = (scale_plus^2 (N+ - 1) + scale_minus^2 (N- - 1)) / (N+ + N- - 2),
 
-evaluated per posterior draw, so d itself has a posterior. Convergence is
+evaluated per posterior draw, so d itself has a posterior. N+ and N- are the
+sizes of the two sides of the posterior a trace was drawn from; a report reads
+them, and the model, from that posterior. Convergence is
 judged with the between/within-chain variance ratio (potential scale
 reduction) and a multi-chain autocorrelation effective sample size; model fit
 is compared with the widely applicable information criterion, computed after
@@ -29,11 +31,10 @@ from .errors import (
     MalformedReportError,
     TooFewSamplesError,
 )
-from .models import FAMILIES, ModelKind, Posterior
+from .models import Posterior
 from .nuts import Trace
 
 __all__ = [
-    "EffectSizeDraws",
     "effect_size_draws",
     "pooled_effect_size",
     "hdi",
@@ -54,19 +55,6 @@ MIN_HDI_SAMPLES = 50      # pooled over chains
 _HIST_BINS = 60
 
 
-@dataclass(frozen=True)
-class EffectSizeDraws:
-    """Per-draw effect sizes, keeping the chain layout for diagnostics."""
-
-    d: np.ndarray  # [n_chains, n_draw]
-    n_plus: int
-    n_minus: int
-
-    @property
-    def flat(self) -> np.ndarray:
-        return self.d.reshape(-1)
-
-
 def pooled_effect_size(loc_plus, loc_minus, scale_plus, scale_minus,
                        n_plus: int, n_minus: int):
     """Standardized difference with a pooled scale; vectorized over draws."""
@@ -80,19 +68,19 @@ def pooled_effect_size(loc_plus, loc_minus, scale_plus, scale_minus,
     return (np.asarray(loc_plus) - np.asarray(loc_minus)) / pooled
 
 
-def effect_size_draws(trace: Trace, kind: ModelKind, n_plus: int,
-                      n_minus: int) -> EffectSizeDraws:
-    """Effect-size posterior from a trace of one model family.
+def effect_size_draws(trace: Trace, posterior: Posterior) -> np.ndarray:
+    """Effect-size posterior, [n_chains, n_draw], from a trace of ``posterior``.
 
-    The family of ``kind`` names the location and scale parameters.
+    The posterior's family names the location and scale parameters, and its
+    two sides give the sizes the scale is pooled over.
     """
-    family = FAMILIES[kind]
+    family = posterior.family
     (loc_p, loc_m), (sc_p, sc_m) = (
         [trace.chains_for(name) for name in family.side_names(index)]
         for index in (family.loc, family.scale)
     )
-    d = pooled_effect_size(loc_p, loc_m, sc_p, sc_m, n_plus, n_minus)
-    return EffectSizeDraws(d=d, n_plus=n_plus, n_minus=n_minus)
+    return pooled_effect_size(loc_p, loc_m, sc_p, sc_m,
+                              posterior.x_plus.size, posterior.x_minus.size)
 
 
 def hdi(samples: np.ndarray, mass: float = HDI_MASS) -> tuple[float, float]:
@@ -351,11 +339,9 @@ class FitReport:
 
 def build_report(
     trace: Trace,
-    effect: EffectSizeDraws,
     posterior: Posterior,
     *,
     index_id: str,
-    kind: ModelKind,
     rho: float,
     filter_size: int,
     hdi_mass: float = HDI_MASS,
@@ -363,11 +349,13 @@ def build_report(
     n_dropped_plus: int = 0,
     n_dropped_minus: int = 0,
 ) -> FitReport:
-    """Summarize one trace of ``posterior`` into a :class:`FitReport`."""
-    flat = effect.flat
+    """Summarize one trace of ``posterior``, which gives the model and the
+    side sizes, into a :class:`FitReport`."""
+    d = effect_size_draws(trace, posterior)
+    flat = d.reshape(-1)
     lo, hi = hdi(flat, hdi_mass)
     rhat = {name: gelman_rubin(trace.chains_for(name)) for name in trace.param_names}
-    rhat["d"] = gelman_rubin(effect.d)
+    rhat["d"] = gelman_rubin(d)
     draws = trace.draws.reshape(-1, trace.draws.shape[2])
     ll = np.empty((draws.shape[0], posterior.counts.size), dtype=np.float32)
     for row, theta in zip(ll, draws):
@@ -376,11 +364,11 @@ def build_report(
     counts, edges = np.histogram(flat, bins=_HIST_BINS)
     return FitReport(
         index_id=index_id,
-        model=str(kind),
+        model=str(posterior.spec.kind),
         rho=float(rho),
         filter_size=int(filter_size),
-        n_plus=effect.n_plus,
-        n_minus=effect.n_minus,
+        n_plus=posterior.x_plus.size,
+        n_minus=posterior.x_minus.size,
         d_mean=float(np.mean(flat)),
         d_std=float(np.std(flat, ddof=1)),
         hdi_low=lo,
@@ -388,7 +376,7 @@ def build_report(
         hdi_mass=float(hdi_mass),
         prob_below_ref=prob_below(flat, ref),
         ref=float(ref),
-        ess_d=ess(effect.d),
+        ess_d=ess(d),
         rhat=rhat,
         waic=w.waic,
         waic_se=w.se,

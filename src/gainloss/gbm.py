@@ -70,13 +70,15 @@ class FHTSample:
         return self.n_censored / self.n_paths if self.n_paths else 0.0
 
 
-def _check_params(sigma: float, rho: float, dt: float, horizon: float):
+def _check_params(sigma: float, rho: float, dt: float, horizon: float, seed: int):
     if sigma <= 0.0:
         raise DomainError(f"sigma must be positive, got {sigma}")
     if rho <= 0.0:
         raise NonPositiveRhoError(f"rho must be positive, got {rho}")
     if dt <= 0.0 or horizon <= dt:
         raise DomainError(f"need 0 < dt < horizon, got dt={dt}, horizon={horizon}")
+    if seed < 0:  # numpy's SeedSequence refuses a negative entropy
+        raise DomainError(f"seed must be >= 0, got {seed}")
 
 
 def _chunk_rng(seed: int, chunk: int) -> np.random.Generator:
@@ -166,7 +168,7 @@ def simulate_fht(
     generator keyed on (seed, chunk), so results are reproducible regardless
     of how the chunks are processed.
     """
-    _check_params(sigma, rho, dt, horizon)
+    _check_params(sigma, rho, dt, horizon, seed)
     taus = _first_passages((rho,), lam, sigma, dt, n_paths, horizon, seed)
     return _sample(taus[0], lam, sigma, rho, dt, horizon, seed)
 
@@ -186,7 +188,7 @@ def simulate_fht_two_sided(
     distributed, which is the symmetry check the asymmetry pipeline is
     validated against. A path is followed until it has hit both barriers.
     """
-    _check_params(sigma, rho, dt, horizon)
+    _check_params(sigma, rho, dt, horizon, seed)
     up, down = _first_passages((rho, -rho), lam, sigma, dt, n_paths, horizon, seed)
     return (_sample(up, lam, sigma, rho, dt, horizon, seed),
             _sample(down, lam, sigma, rho, dt, horizon, seed))

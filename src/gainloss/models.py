@@ -23,7 +23,10 @@ and s_emp the empirical mean and std of that side:
     nu       ~ 1 + Exponential(rate 1/29) mean 30, support nu > 1
 
 The truncation constant of the inv-gamma location prior is dropped, which
-only shifts the log posterior by a constant.
+only shifts the log posterior by a constant. Only the location prior depends
+on the data, so a :class:`ModelSpec` holds the family and one
+:class:`SidePrior` (m_emp, s_emp) per side; the scale bounds and the nu prior
+are the constants ``SIGMA_LOW``, ``SIGMA_HIGH``, ``NU_RATE`` and ``NU_SHIFT``.
 
 Hitting times are integers, so each side holds few distinct values. A side is
 stored once as (distinct value, count) pairs, and a family's ``prepare``
@@ -68,7 +71,6 @@ from .errors import DomainError, EmptySideError, NonFiniteError, ZeroVarianceErr
 
 __all__ = [
     "ModelKind",
-    "PriorSpec",
     "SidePrior",
     "ModelSpec",
     "Family",
@@ -97,32 +99,23 @@ class ModelKind(str, enum.Enum):
 
 @dataclass(frozen=True)
 class SidePrior:
-    """Prior of one side's block: location center/width and fixed hyperparameters."""
+    """Center ``m`` and width ``s`` of one side's Normal location prior."""
 
     m: float
     s: float
-    sigma_low: float
-    sigma_high: float
-    nu_rate: float
-    nu_shift: float
 
 
 @dataclass(frozen=True)
-class PriorSpec:
-    """Empirical prior centers/widths plus the fixed hyperparameters."""
+class ModelSpec:
+    """A model family and its two side priors, gain side first."""
 
-    m_plus: float
-    s_plus: float
-    m_minus: float
-    s_minus: float
-    sigma_low: float = SIGMA_LOW
-    sigma_high: float = SIGMA_HIGH
-    nu_rate: float = NU_RATE
-    nu_shift: float = NU_SHIFT
+    kind: ModelKind
+    priors: tuple[SidePrior, SidePrior]
 
     @classmethod
-    def from_data(cls, x_plus: np.ndarray, x_minus: np.ndarray) -> "PriorSpec":
-        """Center the location priors on the empirical moments of each side."""
+    def from_data(cls, kind: ModelKind, x_plus: np.ndarray,
+                  x_minus: np.ndarray) -> "ModelSpec":
+        """Center each side's location prior on that side's empirical moments."""
         if x_plus.size < 2 or x_minus.size < 2:
             raise EmptySideError(
                 "priors need at least two observations per side, got "
@@ -136,20 +129,8 @@ class PriorSpec:
                     f"{side}-side log hitting times have std {s}; the location "
                     "prior needs a positive, finite spread"
                 )
-        return cls(m_plus=float(np.mean(x_plus)), s_plus=s_plus,
-                   m_minus=float(np.mean(x_minus)), s_minus=s_minus)
-
-    def sides(self) -> tuple[SidePrior, SidePrior]:
-        """The gain-side and loss-side priors."""
-        fixed = (self.sigma_low, self.sigma_high, self.nu_rate, self.nu_shift)
-        return (SidePrior(self.m_plus, self.s_plus, *fixed),
-                SidePrior(self.m_minus, self.s_minus, *fixed))
-
-
-@dataclass(frozen=True)
-class ModelSpec:
-    kind: ModelKind
-    prior: PriorSpec
+        return cls(kind, (SidePrior(float(np.mean(x_plus)), s_plus),
+                          SidePrior(float(np.mean(x_minus)), s_minus)))
 
 
 # ---------------------------------------------------------------------------
@@ -245,12 +226,12 @@ def _loc_scale_prior(loc: float, p: SidePrior):
     dev = loc - p.m
     value = (-0.5 * math.log(2.0 * math.pi * p.s * p.s)
              - dev * dev / (2.0 * p.s * p.s)
-             - math.log(p.sigma_high - p.sigma_low))
+             - math.log(SIGMA_HIGH - SIGMA_LOW))
     return value, -dev / (p.s * p.s)
 
 
 def _initial_scale(p: SidePrior) -> float:
-    return float(np.clip(p.s, p.sigma_low * 1.05, p.sigma_high * 0.95))
+    return float(np.clip(p.s, SIGMA_LOW * 1.05, SIGMA_HIGH * 0.95))
 
 
 def _student_prepare(values: np.ndarray, counts: np.ndarray):
@@ -275,8 +256,8 @@ def _student_value_grad(theta, stats, p: SidePrior):
         - 0.5 * n / nu - 0.5 * sum_lu + sum_wt2 / (2.0 * nu)
     )
     prior, d_loc = _loc_scale_prior(mu, p)
-    value += prior + math.log(p.nu_rate) - p.nu_rate * (nu - p.nu_shift)
-    return value, [sum_wt / sigma + d_loc, (sum_wt2 - n) / sigma, d_nu - p.nu_rate]
+    value += prior + math.log(NU_RATE) - NU_RATE * (nu - NU_SHIFT)
+    return value, [sum_wt / sigma + d_loc, (sum_wt2 - n) / sigma, d_nu - NU_RATE]
 
 
 def _ig_prepare(values: np.ndarray, counts: np.ndarray):
@@ -312,18 +293,18 @@ def _ig_value_grad(theta, stats, p: SidePrior):
 class Family:
     """One per-side model family; :data:`FAMILIES` holds the two instances.
 
-    ``support(prior)`` gives the (low, high) bounds of each per-side
-    parameter; ``value_grad(theta, stats, prior)`` takes one side's
-    parameters as a list of floats and returns the log likelihood of the
-    prepared data plus the side's log prior, and its gradient as a list;
-    ``logpdf(x, theta)`` is the density at each value of ``x``.
+    ``support`` holds the (low, high) bounds of each per-side parameter,
+    the same for every data set; ``value_grad(theta, stats, prior)`` takes
+    one side's parameters as a list of floats and returns the log likelihood
+    of the prepared data plus the side's log prior, and its gradient as a
+    list; ``logpdf(x, theta)`` is the density at each value of ``x``.
     """
 
     names: tuple[str, ...]
     loc: int
     scale: int
     data_low: float  # observations must exceed this
-    support: Callable[[SidePrior], tuple[tuple[float, ...], tuple[float, ...]]]
+    support: tuple[tuple[float, ...], tuple[float, ...]]
     prepare: Callable[[np.ndarray, np.ndarray], tuple]
     value_grad: Callable[[list[float], tuple, SidePrior], tuple[float, list[float]]]
     logpdf: Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -346,7 +327,7 @@ class Family:
         theta = np.asarray(theta, dtype=np.float64)
         if np.any(np.isnan(theta)):
             raise NonFiniteError("parameter vector contains NaN")
-        low, high = self.support(prior)
+        low, high = self.support
         if not np.all((np.asarray(low) < theta) & (theta < np.asarray(high))):
             return -math.inf
         stats = self.prepare(np.empty(0), np.empty(0))
@@ -356,8 +337,7 @@ class Family:
 FAMILIES: dict[ModelKind, Family] = {
     ModelKind.STUDENT_T: Family(
         names=("mu", "sigma", "nu"), loc=0, scale=1, data_low=-math.inf,
-        support=lambda p: ((-math.inf, p.sigma_low, p.nu_shift),
-                           (math.inf, p.sigma_high, math.inf)),
+        support=((-math.inf, SIGMA_LOW, NU_SHIFT), (math.inf, SIGMA_HIGH, math.inf)),
         prepare=_student_prepare,
         value_grad=_student_value_grad,
         logpdf=lambda x, theta: student_logpdf(x, *theta),
@@ -365,7 +345,7 @@ FAMILIES: dict[ModelKind, Family] = {
     ),
     ModelKind.INV_GAMMA: Family(
         names=("m", "s"), loc=0, scale=1, data_low=0.0,
-        support=lambda p: ((0.0, p.sigma_low), (math.inf, p.sigma_high)),
+        support=((0.0, SIGMA_LOW), (math.inf, SIGMA_HIGH)),
         prepare=_ig_prepare,
         value_grad=_ig_value_grad,
         logpdf=lambda x, theta: invgamma_logpdf(x, *ig_shape_rate(*theta)),
@@ -389,8 +369,10 @@ def _expit(x: float) -> float:
 class Posterior:
     """Joint unconstrained log posterior of one family on one data set.
 
-    The object bundles the per-side prepared data, the coordinate transform
-    and analytic gradients; it is the target handed to the sampler.
+    The object bundles its ``spec`` (family and side priors), the per-side
+    data, the coordinate transform and analytic gradients; it is the target
+    handed to the sampler, and a fit report reads the model and the side
+    sizes from it.
     Log likelihoods of each distinct value (gain side first, then loss side)
     and their counts are exposed for information-criterion computations.
     """
@@ -410,7 +392,6 @@ class Posterior:
             )
         self.param_names = family.param_names
         self.dim = len(self.param_names)
-        priors = spec.prior.sides()
         # each side as (distinct value, count)
         unique = [np.unique(x, return_counts=True) for x in (self.x_plus, self.x_minus)]
         self._values = tuple(values for values, _ in unique)
@@ -419,11 +400,11 @@ class Posterior:
         self._sides = tuple(
             (sl, family.prepare(values, counts.astype(np.float64)), prior)
             for (values, counts), sl, prior
-            in zip(unique, (slice(0, k), slice(k, None)), priors)
+            in zip(unique, (slice(0, k), slice(k, None)), spec.priors)
         )
 
-        (low_p, high_p), (low_m, high_m) = (family.support(p) for p in priors)
-        self._low, self._high = low_p + low_m, high_p + high_m
+        low, high = family.support
+        self._low, self._high = low + low, high + high
         # (index, low, width) of each bounded coordinate; an infinite width
         # marks a lower bound only
         self._bounded = tuple((k, low, high - low) for k, (low, high)
@@ -518,5 +499,5 @@ class Posterior:
 
     def initial_unconstrained(self) -> np.ndarray:
         """Empirical-moment starting point, mapped to unconstrained space."""
-        theta = [v for p in self.spec.prior.sides() for v in self.family.initial(p)]
+        theta = [v for p in self.spec.priors for v in self.family.initial(p)]
         return self.unconstrain(np.array(theta))

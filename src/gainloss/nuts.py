@@ -89,6 +89,8 @@ class SamplerConfig:
         if self.max_tree_depth < 0:
             # no doubling at all: every transition would return its start
             raise DomainError("need max_tree_depth >= 0")
+        if self.seed < 0:  # numpy's SeedSequence refuses a negative entropy
+            raise DomainError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass

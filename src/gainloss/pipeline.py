@@ -1,32 +1,36 @@
 """End-to-end orchestration: series -> detrend -> hitting times -> fits.
 
+Every fit runs :func:`fit_log_sample`: one posterior per model, whose spec
+holds the model and its side priors, and one report read off it.
+
 Also hosts the three sensitivity scans (filter size, barrier scale, rolling
 window) and a synthetic geometric-Brownian price generator used by the
 validation suite and the demos. The scans share one loop: each builds a grid
 of ``(label, filter_size, rho, sample)`` entries, and :func:`_run_grid` fits
 every model to each entry's sample. A failed grid point never aborts a scan; the
-failure is recorded on its row.
+failure is recorded on its row, whose numbers are NaN: ``nan`` in the scan
+CSV and ``null`` in its JSON twin.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import partial
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .detrend import DEFAULT_FILTER_SIZE, FilteredSeries, detrend, threshold_from_std
-from .diagnostics import FitReport, build_report, effect_size_draws
+from .diagnostics import HDI_MASS, FitReport, build_report
 from .errors import (
     GainLossError,
     MalformedReportError,
     NonPositiveRhoError,
 )
 from .hitting import HittingSample, LogHittingSample, hitting_times, log_sample
-from .models import FAMILIES, ModelKind, ModelSpec, Posterior, PriorSpec
+from .models import FAMILIES, ModelKind, ModelSpec, Posterior
 from .nuts import SamplerConfig, Trace, run_chains
 from .series import PriceSeries, SeriesStats, log_prices, slice_window, summary_stats
 
@@ -43,6 +47,7 @@ __all__ = [
     "ScanPoint",
     "SCAN_CSV_HEADER",
     "scan_points_csv",
+    "scan_points_json",
     "scan_filter",
     "scan_rho",
     "scan_window",
@@ -103,37 +108,30 @@ def fit_log_sample(
     sampler: SamplerConfig,
     *,
     index_id: str = "",
-    rho: Optional[float] = None,
     filter_size: int = 0,
-    hdi_mass: float = 0.94,
+    hdi_mass: float = HDI_MASS,
 ) -> tuple[FitReport, Trace]:
     """Fit one model to a log hitting-time sample and summarize it.
 
     Observations outside the family's data support are excluded from the
     fit and counted on the report: the Inverse-Gamma likelihood lives on
     x > 0, so it drops single-step hits (tau = 1, x = 0); the Student-t fit
-    uses the full sample.
+    uses the full sample. The report records the sample's own barrier.
     """
     x_low = FAMILIES[kind].data_low
     keep_p, keep_m = logs.x_plus > x_low, logs.x_minus > x_low
     x_plus, x_minus = logs.x_plus[keep_p], logs.x_minus[keep_m]
-    dropped_plus = int(np.count_nonzero(~keep_p))
-    dropped_minus = int(np.count_nonzero(~keep_m))
-    spec = ModelSpec(kind=kind, prior=PriorSpec.from_data(x_plus, x_minus))
-    posterior = Posterior(spec, x_plus, x_minus)
+    posterior = Posterior(ModelSpec.from_data(kind, x_plus, x_minus), x_plus, x_minus)
     trace = run_chains(posterior, sampler)
-    effect = effect_size_draws(trace, kind, n_plus=x_plus.size, n_minus=x_minus.size)
     report = build_report(
         trace,
-        effect,
         posterior,
         index_id=index_id,
-        kind=kind,
-        rho=float(rho) if rho is not None else float(logs.rho),
+        rho=logs.rho,
         filter_size=filter_size,
         hdi_mass=hdi_mass,
-        n_dropped_plus=dropped_plus,
-        n_dropped_minus=dropped_minus,
+        n_dropped_plus=int(np.count_nonzero(~keep_p)),
+        n_dropped_minus=int(np.count_nonzero(~keep_m)),
     )
     return report, trace
 
@@ -145,22 +143,16 @@ def fit_series(
     *,
     filter_size: int = DEFAULT_FILTER_SIZE,
     rho: Optional[float] = None,
-    hdi_mass: float = 0.94,
-    keep_traces: bool = False,
+    hdi_mass: float = HDI_MASS,
 ) -> tuple[list[FitReport], list[Trace]]:
-    """Full pipeline for one price series; both models share the same sample."""
-    _, rho_used, _, logs = prepare_sample(series, filter_size, rho)
-    reports, traces = [], []
-    for kind in kinds:
-        report, trace = fit_log_sample(
-            logs, kind, sampler,
-            index_id=series.name, rho=rho_used, filter_size=filter_size,
-            hdi_mass=hdi_mass,
-        )
-        reports.append(report)
-        if keep_traces:
-            traces.append(trace)
-    return reports, traces
+    """Full pipeline for one price series; both models share the same sample.
+
+    Returns one report and one trace per kind, in the order of ``kinds``.
+    """
+    logs = prepare_sample(series, filter_size, rho)[3]
+    fits = [fit_log_sample(logs, kind, sampler, index_id=series.name,
+                           filter_size=filter_size, hdi_mass=hdi_mass) for kind in kinds]
+    return [report for report, _ in fits], [trace for _, trace in fits]
 
 
 # ---------------------------------------------------------------------------
@@ -226,19 +218,35 @@ def scan_points_csv(points: Sequence[ScanPoint]) -> str:
     return "\n".join([SCAN_CSV_HEADER] + [p.csv_row() for p in points]) + "\n"
 
 
+def scan_points_json(points: Sequence[ScanPoint]) -> str:
+    """The JSON twin of the scan CSV: a list of row objects.
+
+    A number that is not finite, such as the NaN fields of a failed row, is
+    written as ``null``; strict JSON parsers refuse the bare ``NaN`` token.
+    """
+    rows = [{k: None if isinstance(v, float) and not math.isfinite(v) else v
+             for k, v in asdict(p).items()} for p in points]
+    return json.dumps(rows, indent=2, sort_keys=True) + "\n"
+
+
+def _num(value) -> float:
+    """A float field of a scan row; JSON ``null`` reads back as NaN."""
+    return math.nan if value is None else float(value)
+
+
 def _point_from_fields(fields: dict) -> ScanPoint:
     try:
         return ScanPoint(
             scan=str(fields["scan"]), label=str(fields["label"]),
             index_id=str(fields.get("index", fields.get("index_id", ""))),
             model=str(fields["model"]), filter_size=int(fields["filter_size"]),
-            rho=float(fields["rho"]), n_plus=int(fields["n_plus"]),
-            n_minus=int(fields["n_minus"]), d_mean=float(fields["d_mean"]),
-            d_std=float(fields["d_std"]), hdi_low=float(fields["hdi_low"]),
-            hdi_high=float(fields["hdi_high"]), ess=float(fields["ess"]),
-            max_rhat=float(fields["max_rhat"]), waic=float(fields["waic"]),
-            waic_se=float(fields["waic_se"]),
-            divergence_rate=float(fields["divergence_rate"]),
+            rho=_num(fields["rho"]), n_plus=int(fields["n_plus"]),
+            n_minus=int(fields["n_minus"]), d_mean=_num(fields["d_mean"]),
+            d_std=_num(fields["d_std"]), hdi_low=_num(fields["hdi_low"]),
+            hdi_high=_num(fields["hdi_high"]), ess=_num(fields["ess"]),
+            max_rhat=_num(fields["max_rhat"]), waic=_num(fields["waic"]),
+            waic_se=_num(fields["waic_se"]),
+            divergence_rate=_num(fields["divergence_rate"]),
             error=str(fields.get("error", "") or ""),
         )
     except (KeyError, ValueError, TypeError) as exc:
@@ -261,7 +269,7 @@ def scan_points_from_csv(text: str) -> list[ScanPoint]:
 
 
 def scan_points_from_json(text: str) -> list[ScanPoint]:
-    """Parse the JSON twin of the scan CSV (a list of row objects)."""
+    """Parse rows written by :func:`scan_points_json`; ``null`` reads as NaN."""
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -288,14 +296,13 @@ def _rows(scan, label, index_id, kinds, filter_size, rho, make) -> list[ScanPoin
         ) for kind in kinds]
 
 
-def _fit_point(scan, label, logs, kind, sampler, index_id, rho, filter_size):
+def _fit_point(scan, label, logs, kind, sampler, index_id, filter_size):
     def make():
         report, _ = fit_log_sample(
-            logs, kind, sampler,
-            index_id=index_id, rho=rho, filter_size=filter_size,
+            logs, kind, sampler, index_id=index_id, filter_size=filter_size,
         )
         return [ScanPoint.from_report(scan, label, report)]
-    return _rows(scan, label, index_id, (kind,), filter_size, rho, make)[0]
+    return _rows(scan, label, index_id, (kind,), filter_size, logs.rho, make)[0]
 
 
 def _run_grid(scan, index_id, grid, kinds, sampler) -> list[ScanPoint]:
@@ -307,8 +314,8 @@ def _run_grid(scan, index_id, grid, kinds, sampler) -> list[ScanPoint]:
     """
     def fits(label, filter_size, sample):
         logs = sample()
-        return [_fit_point(scan, label, logs, kind, sampler, index_id,
-                           logs.rho, filter_size) for kind in kinds]
+        return [_fit_point(scan, label, logs, kind, sampler, index_id, filter_size)
+                for kind in kinds]
 
     points = []
     for label, filter_size, rho, sample in grid:

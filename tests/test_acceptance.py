@@ -18,7 +18,7 @@ from gainloss.detrend import detrend, rolling_median
 from gainloss.diagnostics import ess, gelman_rubin, pooled_effect_size
 from gainloss.gbm import ks_validate, simulate_fht, simulate_fht_two_sided
 from gainloss.hitting import LogHittingSample
-from gainloss.models import ModelKind, ModelSpec, Posterior, PriorSpec
+from gainloss.models import ModelKind, ModelSpec, Posterior
 from gainloss.nuts import SamplerConfig, run_chains
 from gainloss.pipeline import fit_log_sample, fit_series, synthetic_gbm_series
 from gainloss.series import parse_csv
@@ -137,7 +137,7 @@ def test_criterion_04_gradients_match_finite_differences():
                                     ).rvs(size=n_p, random_state=rng)
                 xm = stats.invgamma(a=rng.uniform(3, 12), scale=rng.uniform(5, 40)
                                     ).rvs(size=n_m, random_state=rng)
-            post = Posterior(ModelSpec(kind, PriorSpec.from_data(xp, xm)), xp, xm)
+            post = Posterior(ModelSpec.from_data(kind, xp, xm), xp, xm)
             z = np.clip(rng.normal(0.0, 1.5, post.dim), -3.0, 3.0)
             _, grad = post.value_and_grad(z)
             fd = np.empty_like(grad)

@@ -25,7 +25,7 @@ from gainloss.errors import (
     MalformedReportError,
     TooFewSamplesError,
 )
-from gainloss.models import FAMILIES, ModelKind, ModelSpec, Posterior, PriorSpec
+from gainloss.models import FAMILIES, ModelKind, ModelSpec, Posterior
 from gainloss.nuts import SamplerConfig, Trace, run_chains
 
 
@@ -92,14 +92,15 @@ class TestEffectSizeDraws:
     def test_parameter_roles(self, kind, loc, scale):
         names = FAMILIES[kind].param_names
         values = dict(zip(names, 1.0 + np.arange(len(names))))
-        eff = effect_size_draws(fake_trace(values), kind, n_plus=10, n_minus=14)
+        rng = np.random.default_rng(70)
+        xp, xm = rng.lognormal(1.0, 0.4, size=10), rng.lognormal(1.1, 0.4, size=14)
+        post = Posterior(ModelSpec.from_data(kind, xp, xm), xp, xm)
+        d = effect_size_draws(fake_trace(values), post)
         want = pooled_effect_size(values[f"{loc}_plus"], values[f"{loc}_minus"],
                                   values[f"{scale}_plus"], values[f"{scale}_minus"],
                                   10, 14)
-        assert eff.d.shape == (2, 60)
-        assert np.allclose(eff.d, want)
-        assert eff.flat.shape == (120,)
-        assert (eff.n_plus, eff.n_minus) == (10, 14)
+        assert d.shape == (2, 60)
+        assert np.allclose(d, want)
 
 
 class TestHdi:
@@ -292,21 +293,16 @@ def tiny_student_fit(seed=72):
     rng = np.random.default_rng(seed)
     xp = rng.normal(3.0, 1.0, size=120)
     xm = rng.normal(3.4, 1.0, size=140)
-    post = Posterior(ModelSpec(ModelKind.STUDENT_T, PriorSpec.from_data(xp, xm)), xp, xm)
+    post = Posterior(ModelSpec.from_data(ModelKind.STUDENT_T, xp, xm), xp, xm)
     cfg = SamplerConfig(n_chains=2, n_draw=150, n_tune=150, seed=seed)
-    trace = run_chains(post, cfg)
-    effect = effect_size_draws(trace, ModelKind.STUDENT_T, xp.size, xm.size)
-    return trace, effect, post
+    return run_chains(post, cfg), post
 
 
 class TestBuildReport:
     def test_report_fields_are_consistent(self, tmp_path):
-        trace, effect, post = tiny_student_fit()
-        report = build_report(
-            trace, effect, post, index_id="toy", kind=ModelKind.STUDENT_T,
-            rho=0.025, filter_size=100,
-        )
-        flat = effect.flat
+        trace, post = tiny_student_fit()
+        report = build_report(trace, post, index_id="toy", rho=0.025, filter_size=100)
+        flat = effect_size_draws(trace, post).reshape(-1)
         assert report.index_id == "toy"
         assert report.model == "student-t"
         assert report.rho == 0.025
@@ -328,20 +324,15 @@ class TestBuildReport:
         assert report.waic_se > 0.0
 
     def test_json_round_trip_is_exact(self):
-        trace, effect, post = tiny_student_fit()
-        report = build_report(
-            trace, effect, post, index_id="rt", kind=ModelKind.STUDENT_T,
-            rho=0.028, filter_size=252,
-        )
+        trace, post = tiny_student_fit()
+        report = build_report(trace, post, index_id="rt", rho=0.028, filter_size=252)
         again = FitReport.from_json(report.to_json())
         assert again == report
 
     def test_save_and_load(self, tmp_path):
-        trace, effect, post = tiny_student_fit()
-        report = build_report(
-            trace, effect, post, index_id="disk", kind=ModelKind.STUDENT_T,
-            rho=0.02, filter_size=50, n_dropped_plus=3,
-        )
+        trace, post = tiny_student_fit()
+        report = build_report(trace, post, index_id="disk", rho=0.02, filter_size=50,
+                              n_dropped_plus=3)
         path = tmp_path / "report.json"
         report.save(path)
         assert FitReport.load(path) == report
@@ -349,11 +340,8 @@ class TestBuildReport:
         assert report.n_dropped_plus == 3
 
     def test_csv_row_matches_header(self):
-        trace, effect, post = tiny_student_fit()
-        report = build_report(
-            trace, effect, post, index_id="csv", kind=ModelKind.STUDENT_T,
-            rho=0.02, filter_size=50,
-        )
+        trace, post = tiny_student_fit()
+        report = build_report(trace, post, index_id="csv", rho=0.02, filter_size=50)
         cells = report.csv_row().split(",")
         assert len(cells) == len(REPORT_CSV_HEADER.split(","))
         assert cells[0] == "csv"

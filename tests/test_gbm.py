@@ -157,6 +157,7 @@ class TestSimulateFht:
             (dict(lam=0.05, sigma=0.3, rho=0.3, dt=0.0, n_paths=10), DomainError),
             (dict(lam=0.05, sigma=0.3, rho=0.3, dt=0.1, n_paths=10, horizon=0.05), DomainError),
             (dict(lam=0.05, sigma=0.3, rho=0.3, dt=0.1, n_paths=0), DomainError),
+            (dict(lam=0.05, sigma=0.3, rho=0.3, dt=0.1, n_paths=10, seed=-1), DomainError),
         ],
     )
     def test_invalid_parameters(self, kwargs, err):

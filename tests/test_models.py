@@ -15,7 +15,7 @@ from gainloss.models import (
     ModelKind,
     ModelSpec,
     Posterior,
-    PriorSpec,
+    SidePrior,
     _digamma,
     _lgamma,
     _loc_scale_prior,
@@ -27,24 +27,25 @@ from gainloss.models import (
 from gainloss.pipeline import prepare_sample, synthetic_gbm_series
 
 NU_RATE = 1.0 / 29.0
+NU_SHIFT = 1.0
 STUDENT = FAMILIES[ModelKind.STUDENT_T]
 IG = FAMILIES[ModelKind.INV_GAMMA]
 
 
 def student_spec(m_plus=1.0, s_plus=1.3, m_minus=1.4, s_minus=1.2):
-    prior = PriorSpec(m_plus=m_plus, s_plus=s_plus, m_minus=m_minus, s_minus=s_minus)
-    return ModelSpec(kind=ModelKind.STUDENT_T, prior=prior)
+    return ModelSpec(ModelKind.STUDENT_T, (SidePrior(m_plus, s_plus),
+                                           SidePrior(m_minus, s_minus)))
 
 
 def side_prior(m=1.0, s=1.3):
-    """The gain-side prior of a spec centered on (m, s)."""
-    return PriorSpec(m_plus=m, s_plus=s, m_minus=m, s_minus=s).sides()[0]
+    """One side's prior, centered on (m, s)."""
+    return SidePrior(m, s)
 
 
 def joint_log_prior(post, theta):
     """Sum of the two sides' family priors at a constrained vector."""
     k = post.dim // 2
-    prior_p, prior_m = post.spec.prior.sides()
+    prior_p, prior_m = post.spec.priors
     return post.family.log_prior(theta[:k], prior_p) + post.family.log_prior(theta[k:], prior_m)
 
 
@@ -55,8 +56,8 @@ def make_posteriors(seed=0, n_plus=30, n_minus=25):
     xm = rng.normal(1.5, 0.9, size=n_minus)
     pos = rng.lognormal(1.0, 0.4, size=n_plus)
     neg = rng.lognormal(1.1, 0.4, size=n_minus)
-    st = Posterior(ModelSpec(ModelKind.STUDENT_T, PriorSpec.from_data(xs, xm)), xs, xm)
-    ig = Posterior(ModelSpec(ModelKind.INV_GAMMA, PriorSpec.from_data(pos, neg)), pos, neg)
+    st = Posterior(ModelSpec.from_data(ModelKind.STUDENT_T, xs, xm), xs, xm)
+    ig = Posterior(ModelSpec.from_data(ModelKind.INV_GAMMA, pos, neg), pos, neg)
     return st, ig
 
 
@@ -66,8 +67,8 @@ def repeated_posteriors(seed=31):
     xp = np.log(rng.integers(1, 60, 300).astype(np.float64))
     xm = np.log(rng.integers(1, 60, 300).astype(np.float64))
     pos, neg = xp[xp > 0.0], xm[xm > 0.0]
-    st = Posterior(ModelSpec(ModelKind.STUDENT_T, PriorSpec.from_data(xp, xm)), xp, xm)
-    ig = Posterior(ModelSpec(ModelKind.INV_GAMMA, PriorSpec.from_data(pos, neg)), pos, neg)
+    st = Posterior(ModelSpec.from_data(ModelKind.STUDENT_T, xp, xm), xp, xm)
+    ig = Posterior(ModelSpec.from_data(ModelKind.INV_GAMMA, pos, neg), pos, neg)
     return st, ig
 
 
@@ -367,8 +368,8 @@ class TestPosterior:
         rng = np.random.default_rng(28)
         xp = rng.normal(1.2, 0.8, size=40)
         xm = rng.normal(1.6, 0.7, size=35)
-        spec = ModelSpec(ModelKind.STUDENT_T, PriorSpec.from_data(xp, xm))
-        spec_sw = ModelSpec(ModelKind.STUDENT_T, PriorSpec.from_data(xm, xp))
+        spec = ModelSpec.from_data(ModelKind.STUDENT_T, xp, xm)
+        spec_sw = ModelSpec.from_data(ModelKind.STUDENT_T, xm, xp)
         post = Posterior(spec, xp, xm)
         swapped = Posterior(spec_sw, xm, xp)
         z = np.array([0.3, -0.4, 0.5, -0.2, 0.6, -0.1])
@@ -430,7 +431,7 @@ class TestPosterior:
         good = rng.lognormal(1.0, 0.3, size=20)
         bad = good.copy()
         bad[3] = 0.0
-        spec = ModelSpec(ModelKind.INV_GAMMA, PriorSpec.from_data(good, good))
+        spec = ModelSpec.from_data(ModelKind.INV_GAMMA, good, good)
         with pytest.raises(DomainError):
             Posterior(spec, bad, good)
 
@@ -448,9 +449,8 @@ class TestPosterior:
 
 def oracle_forward(post, z):
     """theta(z), d theta / dz, log |d theta / dz| and its gradient, on arrays."""
-    (low_p, high_p), (low_m, high_m) = (post.family.support(p)
-                                        for p in post.spec.prior.sides())
-    low, high = np.array(low_p + low_m), np.array(high_p + high_m)
+    low, high = post.family.support
+    low, high = np.array(low + low), np.array(high + high)
     bounded_low, bounded_high = np.isfinite(low), np.isfinite(high)
     iv = np.flatnonzero(bounded_low & bounded_high)
     lw = np.flatnonzero(bounded_low & ~bounded_high)
@@ -473,7 +473,7 @@ def oracle_value_and_grad(post, z):
     k = post.dim // 2
     sides = []
     for x, sl, prior in zip((post.x_plus, post.x_minus), (slice(0, k), slice(k, None)),
-                            post.spec.prior.sides()):
+                            post.spec.priors):
         values, counts = np.unique(x, return_counts=True)
         sides.append((sl, post.family.prepare(values, counts.astype(np.float64)), prior))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -500,7 +500,7 @@ def hitting_posteriors():
             family = FAMILIES[kind]
             xp = logs.x_plus[logs.x_plus > family.data_low]
             xm = logs.x_minus[logs.x_minus > family.data_low]
-            posts.append(Posterior(ModelSpec(kind, PriorSpec.from_data(xp, xm)), xp, xm))
+            posts.append(Posterior(ModelSpec.from_data(kind, xp, xm), xp, xm))
     return posts
 
 
@@ -560,9 +560,8 @@ class TestScalarTransformMatchesVectorOracle:
     def test_unconstrain_matches_vector_inverse(self):
         rng = np.random.default_rng(41)
         for post in hitting_posteriors():
-            (low_p, high_p), (low_m, high_m) = (post.family.support(p)
-                                                for p in post.spec.prior.sides())
-            low, high = np.array(low_p + low_m), np.array(high_p + high_m)
+            low, high = post.family.support
+            low, high = np.array(low + low), np.array(high + high)
             for _ in range(50):
                 theta = post.constrain(rng.normal(0.0, 2.0, post.dim))
                 theta = np.where((low < theta) & (theta < high), theta,
@@ -670,8 +669,8 @@ def scipy_student_value_grad(theta, stats, p):
         - 0.5 * n / nu - 0.5 * sum_lu + sum_wt2 / (2.0 * nu)
     )
     prior, d_loc = _loc_scale_prior(mu, p)
-    value += prior + math.log(p.nu_rate) - p.nu_rate * (nu - p.nu_shift)
-    return value, [sum_wt / sigma + d_loc, (sum_wt2 - n) / sigma, d_nu - p.nu_rate]
+    value += prior + math.log(NU_RATE) - NU_RATE * (nu - NU_SHIFT)
+    return value, [sum_wt / sigma + d_loc, (sum_wt2 - n) / sigma, d_nu - NU_RATE]
 
 
 def scipy_ig_value_grad(theta, stats, p):
@@ -709,7 +708,7 @@ def posterior_pairs():
         for kind, family in FAMILIES.items():
             xp = logs.x_plus[logs.x_plus > family.data_low]
             xm = logs.x_minus[logs.x_minus > family.data_low]
-            spec = ModelSpec(kind, PriorSpec.from_data(xp, xm))
+            spec = ModelSpec.from_data(kind, xp, xm)
             post = Posterior(spec, xp, xm)
             oracle = dataclasses.replace(family, value_grad=SCIPY_VALUE_GRAD[kind])
             FAMILIES[kind] = oracle

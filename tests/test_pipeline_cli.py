@@ -39,6 +39,7 @@ from gainloss.pipeline import (
     scan_points_csv,
     scan_points_from_csv,
     scan_points_from_json,
+    scan_points_json,
     scan_rho,
     scan_window,
     summarize_series,
@@ -188,8 +189,9 @@ class TestFitLogSample:
         with pytest.raises(ZeroVarianceError):
             fit_log_sample(logs, ModelKind.STUDENT_T,
                            SamplerConfig(n_chains=2, n_draw=50, n_tune=50))
-        point = _fit_point("rho", "1", logs, ModelKind.STUDENT_T, QUICK, "flat", 0.1, 100)
+        point = _fit_point("rho", "1", logs, ModelKind.STUDENT_T, QUICK, "flat", 100)
         assert point.error.startswith("ZeroVarianceError")
+        assert point.rho == 0.1
         assert math.isnan(point.d_mean)
 
 
@@ -198,15 +200,12 @@ class TestFitSeries:
         kinds = (ModelKind.STUDENT_T, ModelKind.INV_GAMMA)
         reports, traces = fit_series(series, kinds, QUICK, filter_size=100)
         assert [r.model for r in reports] == ["student-t", "inv-gamma"]
-        assert traces == []
         assert all(r.index_id == "synth" for r in reports)
         assert reports[0].rho == reports[1].rho
 
-    def test_traces_are_kept_on_request(self, series):
-        reports, traces = fit_series(
-            series, (ModelKind.STUDENT_T,), QUICK, filter_size=100, keep_traces=True
-        )
-        assert len(traces) == 1
+    def test_one_trace_per_report(self, series):
+        reports, traces = fit_series(series, (ModelKind.STUDENT_T,), QUICK, filter_size=100)
+        assert len(traces) == len(reports) == 1
         assert traces[0].draws.shape == (2, 150, 6)
 
 
@@ -233,6 +232,22 @@ class TestScanPointSerialization:
         points = [full_point()]
         text = json.dumps([asdict(p) for p in points])
         assert scan_points_from_json(text) == points
+
+    def test_json_of_a_failed_row_is_strict_and_round_trips(self):
+        failed = ScanPoint(scan="rho", label="40", index_id="synth", model="inv-gamma",
+                           filter_size=100, rho=math.nan, error="EmptySideError: none")
+        text = scan_points_json([full_point(), failed])
+
+        def refuse(token):
+            raise ValueError(f"not strict JSON: {token}")
+
+        rows = json.loads(text, parse_constant=refuse)
+        assert rows[1]["rho"] is None and rows[1]["d_mean"] is None
+        back = scan_points_from_json(text)
+        assert back[0] == full_point()
+        assert math.isnan(back[1].rho) and math.isnan(back[1].d_mean)
+        assert back[1].error == failed.error
+        assert scan_points_json(back) == text
 
     def test_error_rows_survive_with_commas_softened(self):
         p = ScanPoint(
@@ -499,18 +514,20 @@ class TestCliFit:
         assert code == EXIT_INPUT
         assert "allow_nonconverged" in err and repr(value) in err
 
-    @pytest.mark.parametrize("chains, draws, option", [
-        ("1", "300", "--chains"), ("2", "3", "--draws"), ("2", "20", "--chains x --draws"),
+    @pytest.mark.parametrize("chains, draws, seed, option", [
+        ("1", "300", "0", "--chains"), ("2", "3", "0", "--draws"),
+        ("2", "20", "0", "--chains x --draws"), ("2", "300", "-1", "seed"),
     ])
     def test_unreportable_sampler_settings_are_refused_before_sampling(
-            self, price_file, tmp_path, capsys, monkeypatch, chains, draws, option):
+            self, price_file, tmp_path, capsys, monkeypatch, chains, draws, seed,
+            option):
         def no_sampling(*args, **kwargs):
             raise AssertionError("the sampler ran")
 
         monkeypatch.setattr("gainloss.pipeline.run_chains", no_sampling)
         code, _, err = run_cli(
             ["fit", str(price_file), "--chains", chains, "--draws", draws,
-             "--tune", "10", "--out-dir", str(tmp_path)], capsys,
+             "--tune", "10", "--seed", seed, "--out-dir", str(tmp_path)], capsys,
         )
         assert code == EXIT_INPUT
         assert f"error: {option} must be" in err
@@ -528,6 +545,25 @@ class TestCliFit:
         )
         assert code == EXIT_INPUT
         assert "error: --hdi-mass must lie in (0, 1)" in err
+
+    @pytest.mark.parametrize("command, key, value", [
+        ("hittimes", "rho", True),
+        ("hittimes", "filter_size", 252.9),
+        ("scan-filter", "filter_sizes", [150.7]),
+        ("fit", "seed", True),
+    ])
+    def test_config_bool_or_fraction_for_a_number_is_an_input_error(
+            self, price_file, tmp_path, capsys, monkeypatch, command, key, value):
+        # int() and float() would take true as 1 and cut 252.9 to 252
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("the sampler ran")
+
+        monkeypatch.setattr("gainloss.pipeline.run_chains", no_sampling)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value, "out_dir": str(tmp_path / "out")}))
+        code, _, err = run_cli(["--config", str(cfg), command, str(price_file)], capsys)
+        assert code == EXIT_INPUT
+        assert f"bad value for {key}" in err
 
     def test_config_file_turns_on_save_trace(self, price_file, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -566,9 +602,9 @@ class TestCliScan:
         assert len(points) == 2
         assert points[0].error == "" and math.isfinite(points[0].d_mean)
         assert points[1].error.startswith("EmptySideError")
-        json_points = scan_points_from_json(
-            (tmp_path / "scan_rho_synth.json").read_text()
-        )
+        json_text = (tmp_path / "scan_rho_synth.json").read_text()
+        assert "NaN" not in json_text
+        json_points = scan_points_from_json(json_text)
         assert len(json_points) == 2
         assert "rho=400" in out
 
@@ -725,6 +761,13 @@ class TestCliGbmValidate:
             ["--config", str(cfg), "gbm-validate", "--paths", "200"], capsys)
         assert code == EXIT_OK
         assert out.startswith("paths=200 n_up=")
+
+    @pytest.mark.parametrize("two_sided", [[], ["--two-sided"]], ids=["one", "two"])
+    def test_negative_seed_is_an_input_error(self, tmp_path, capsys, two_sided):
+        code, _, err = run_cli(["gbm-validate", "--seed", "-2", "--paths", "10"]
+                               + two_sided, capsys)
+        assert code == EXIT_INPUT
+        assert "seed must be >= 0, got -2" in err
 
     def test_non_boolean_two_sided_in_config_is_an_input_error(self, tmp_path,
                                                               capsys):

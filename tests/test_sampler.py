@@ -9,7 +9,7 @@ from conftest import CorrelatedGaussianTarget, GaussianTarget, StallingTarget
 from gainloss import nuts
 from gainloss.diagnostics import ess, gelman_rubin
 from gainloss.errors import AdaptationFailedError, DomainError
-from gainloss.models import FAMILIES, ModelKind, ModelSpec, Posterior, PriorSpec
+from gainloss.models import FAMILIES, ModelKind, ModelSpec, Posterior
 from gainloss.nuts import SamplerConfig, leapfrog, nuts_draw, run_chains
 from gainloss.pipeline import prepare_sample, synthetic_gbm_series
 
@@ -214,6 +214,8 @@ class TestRunChains:
             SamplerConfig(target_accept=1.0)
         with pytest.raises(DomainError):
             SamplerConfig(max_tree_depth=-1)
+        with pytest.raises(DomainError):
+            SamplerConfig(seed=-1)
         assert SamplerConfig(max_tree_depth=0).max_tree_depth == 0
 
 
@@ -237,7 +239,7 @@ class TestFloatingPointErrors:
         for kind in ModelKind:
             low = FAMILIES[kind].data_low
             xp, xm = logs.x_plus[logs.x_plus > low], logs.x_minus[logs.x_minus > low]
-            targets.append(Posterior(ModelSpec(kind, PriorSpec.from_data(xp, xm)), xp, xm))
+            targets.append(Posterior(ModelSpec.from_data(kind, xp, xm), xp, xm))
         # without tuning, the chain runs at half the searched step size
         monkeypatch.setattr(nuts, "_find_reasonable_eps", lambda *args: 2.0 * eps)
         cfg = SamplerConfig(n_chains=1, n_draw=30, n_tune=0, seed=18)
