@@ -22,6 +22,7 @@ explicit flags win over the file.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import math
 import os
@@ -342,16 +343,24 @@ def _write_taus(out: str, name: str, sample) -> None:
     (out_path / name).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _default(fn, name: str):
+    return inspect.signature(fn).parameters[name].default
+
+
 def _cmd_gbm_validate(args, config) -> int:
-    seed = _resolve(args, config, "seed", 0, _int)
+    two_sided = _resolve(args, config, "two_sided", False, _bool)
+    simulate = simulate_fht_two_sided if two_sided else simulate_fht
+    seed = _resolve(args, config, "seed", _default(simulate, "seed"), _int)
     out = _resolve(args, config, "out_dir", None, str)
-    lam = _resolve(args, config, "drift", 0.05, _float)
+    # simulate_fht takes no default drift; a positive one gives a finite mean
+    lam = _resolve(args, config, "drift",
+                   _default(simulate, "lam") if two_sided else 0.05, _float)
     sigma = _resolve(args, config, "sigma", 0.3, _float)
     rho = _resolve(args, config, "rho", 0.3, _float)
     dt = _resolve(args, config, "dt", 1.0 / 200.0, _float)
     paths = _resolve(args, config, "paths", 100_000, _int)
-    horizon = _resolve(args, config, "horizon", 500.0, _float)
-    if _resolve(args, config, "two_sided", False, _bool):
+    horizon = _resolve(args, config, "horizon", _default(simulate, "horizon"), _float)
+    if two_sided:
         up, down = simulate_fht_two_sided(
             sigma=sigma, rho=rho, dt=dt,
             n_paths=paths, horizon=horizon, seed=seed, lam=lam,

@@ -75,6 +75,11 @@ class AdaptationFailedError(GainLossError):
             "during warmup"
         )
 
+    def __reduce__(self):
+        # the default rebuilds from the message alone, which __init__ refuses;
+        # a chain run in a worker process sends its error back pickled
+        return type(self), (self.chain, self.accept_rate), self.__dict__
+
 
 class TooFewSamplesError(GainLossError):
     """A posterior summary needs more draws than were supplied."""

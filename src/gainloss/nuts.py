@@ -16,7 +16,14 @@ the last dual-averaging stretch.
 
 Chains are independent: chain ``c`` of a run seeded with ``seed`` draws from
 a counter-based generator keyed by ``(seed, c)``, so results do not depend on
-execution order. The trace holds draws and sampler statistics only; what is
+execution order. ``run_chains`` runs them in forked worker processes, one per
+usable CPU up to the chain count, and in its own process when that count is 1
+or the platform cannot fork. The trace is bit-identical either way. A worker
+inherits the target from the fork, so the target is never pickled; only the
+chain index and the config go out, and only the chain's arrays come back.
+The workers are shut down before ``run_chains`` returns or raises, and on
+Linux the kernel kills them if the calling process is killed. The trace
+holds draws, sampler statistics and each chain's gradient count only; what is
 derived from the draws, such as WAIC, is computed afterwards.
 
 The target is any object with a ``dim`` attribute and a
@@ -24,7 +31,8 @@ The target is any object with a ``dim`` attribute and a
 taking a float ndarray and returning a float and a float ndarray
 (off-support points must return ``-inf``, not raise). The sampler calls it
 once per leapfrog step and a few times at each chain's start, so counting
-its calls counts gradients. Optional methods ``constrain``, ``param_names`` and
+its calls counts gradients, which each chain does in its own process.
+Optional methods ``constrain``, ``param_names`` and
 ``initial_unconstrained`` refine what the trace records.
 
 An exploding trajectory overflows; its leaves come out divergent. The
@@ -38,9 +46,11 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Union
+from typing import Callable, NamedTuple, Union
 
 import numpy as np
 
@@ -49,9 +59,11 @@ from .errors import AdaptationFailedError, DomainError
 __all__ = [
     "SamplerConfig",
     "Trace",
+    "ChainDraws",
     "DIVERGENCE_THRESHOLD",
     "leapfrog",
     "nuts_draw",
+    "run_chain",
     "run_chains",
     "trace_to_csv",
     "trace_summary",
@@ -70,6 +82,8 @@ _TERM_BUFFER = 50   # floor; the actual terminal stretch grows with n_tune
 _BASE_WINDOW = 25
 
 _MIN_ACCEPT = 0.1  # below this after warmup the chain is declared failed
+
+_PR_SET_PDEATHSIG = 1  # from <linux/prctl.h>
 
 
 @dataclass(frozen=True)
@@ -104,6 +118,7 @@ class Trace:
     tree_depth: np.ndarray            # [n_chains, n_draw] int16
     step_size: np.ndarray             # [n_chains]
     mass_diag: np.ndarray             # [n_chains, dim]
+    n_grad: np.ndarray                # [n_chains, 2] gradient calls: warmup, sampling
     config: SamplerConfig
 
     @property
@@ -395,9 +410,9 @@ def _regularized_variance(draws: np.ndarray) -> np.ndarray:
     return np.maximum(shrunk, 1e-12)
 
 
-def _warmup_chain(target, z0, cfg: SamplerConfig, rng, chain: int):
+def _warmup_chain(value_and_grad, z0, cfg: SamplerConfig, rng, chain: int):
     """Adapt eps and the diagonal mass; returns (z, value, grad, eps, inv_mass)."""
-    value, grad = target.value_and_grad(z0)
+    value, grad = value_and_grad(z0)
     if not math.isfinite(value):
         raise DomainError(f"chain {chain}: initial point has zero posterior density")
     dim = z0.shape[0]
@@ -405,10 +420,10 @@ def _warmup_chain(target, z0, cfg: SamplerConfig, rng, chain: int):
     z = z0
     if cfg.n_tune == 0:
         eps = 0.5 * _find_reasonable_eps(z, value, grad, inv_mass, rng,
-                                         target.value_and_grad)
+                                         value_and_grad)
         return z, value, grad, eps, inv_mass
 
-    eps = _find_reasonable_eps(z, value, grad, inv_mass, rng, target.value_and_grad)
+    eps = _find_reasonable_eps(z, value, grad, inv_mass, rng, value_and_grad)
     da = _DualAveraging(eps, cfg.target_accept)
     windows = _mass_windows(cfg.n_tune)
     window_idx = 0
@@ -417,7 +432,7 @@ def _warmup_chain(target, z0, cfg: SamplerConfig, rng, chain: int):
     tail_len = min(100, cfg.n_tune)
     for it in range(cfg.n_tune):
         z, value, grad, info = nuts_draw(z, value, grad, eps, inv_mass, rng,
-                                         target.value_and_grad, cfg.max_tree_depth)
+                                         value_and_grad, cfg.max_tree_depth)
         eps = da.update(info["accept_stat"])
         if cfg.n_tune - it <= tail_len:
             tail_alphas.append(info["accept_stat"])
@@ -432,7 +447,7 @@ def _warmup_chain(target, z0, cfg: SamplerConfig, rng, chain: int):
                 buffer = []
                 window_idx += 1
                 eps = _find_reasonable_eps(z, value, grad, inv_mass, rng,
-                                           target.value_and_grad)
+                                           value_and_grad)
                 da = _DualAveraging(eps, cfg.target_accept)
     mean_tail = float(np.mean(tail_alphas)) if tail_alphas else 0.0
     if mean_tail < _MIN_ACCEPT:
@@ -440,61 +455,140 @@ def _warmup_chain(target, z0, cfg: SamplerConfig, rng, chain: int):
     return z, value, grad, da.adapted, inv_mass
 
 
+class ChainDraws(NamedTuple):
+    """What one chain returns: its retained draws, their statistics, and its cost."""
+
+    draws: np.ndarray        # [n_draw, dim], constrained
+    accept_stat: np.ndarray  # [n_draw]
+    divergent: np.ndarray    # [n_draw] bool
+    tree_depth: np.ndarray   # [n_draw] int16
+    step_size: float
+    mass_diag: np.ndarray    # [dim]
+    n_grad: tuple[int, int]  # gradient calls in warmup, in sampling
+
+
+def run_chain(target, cfg: SamplerConfig, z_center: np.ndarray, chain: int) -> ChainDraws:
+    """Warm up and sample chain ``chain`` of ``cfg`` on ``target``.
+
+    The chain starts at ``z_center`` plus uniform jitter on [-1, 1] per
+    unconstrained coordinate and is driven by its own counter-based generator
+    keyed on ``(cfg.seed, chain)``, so its draws do not depend on which
+    process runs it or on what ran before.
+    """
+    target_value_and_grad = target.value_and_grad
+    n_calls = 0
+
+    def value_and_grad(z):
+        nonlocal n_calls
+        n_calls += 1
+        return target_value_and_grad(z)
+
+    dim = z_center.shape[0]
+    constrain = getattr(target, "constrain", None)
+    seq = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(chain,))
+    rng = np.random.Generator(np.random.Philox(seq))
+    z0 = z_center + rng.uniform(-1.0, 1.0, dim)
+    # jittered start may fall off the support; pull it back toward center
+    for _ in range(30):
+        if math.isfinite(value_and_grad(z0)[0]):
+            break
+        z0 = z_center + 0.5 * (z0 - z_center)
+    z, value, grad, eps, inv_mass = _warmup_chain(value_and_grad, z0, cfg, rng, chain)
+    n_warmup = n_calls
+
+    draws = np.empty((cfg.n_draw, dim))
+    accept = np.empty(cfg.n_draw)
+    divergent = np.zeros(cfg.n_draw, dtype=bool)
+    depth = np.zeros(cfg.n_draw, dtype=np.int16)
+    for it in range(cfg.n_draw):
+        z, value, grad, info = nuts_draw(z, value, grad, eps, inv_mass, rng,
+                                         value_and_grad, cfg.max_tree_depth)
+        draws[it] = constrain(z) if constrain is not None else z
+        accept[it] = info["accept_stat"]
+        divergent[it] = info["divergent"]
+        depth[it] = info["depth"]
+    # inv_mass is the estimated marginal variances
+    return ChainDraws(draws, accept, divergent, depth, eps, inv_mass,
+                      (n_warmup, n_calls - n_warmup))
+
+
+# The target and start centre of the run a pool worker serves. The worker is
+# forked, so they arrive by inheritance and are never pickled.
+_worker_run = None
+
+
+def _adopt_run(target, z_center, parent: int):
+    global _worker_run
+    _worker_run = (target, z_center)
+    # A worker whose caller is killed would finish its chain and then wait on
+    # the pool's queue forever; on Linux the kernel kills it with the caller.
+    if sys.platform.startswith("linux"):
+        import ctypes
+        import signal
+
+        ctypes.CDLL(None).prctl(_PR_SET_PDEATHSIG, signal.SIGKILL)
+    if os.getppid() != parent:  # the caller died before the prctl
+        os._exit(1)
+
+
+def _run_adopted_chain(cfg: SamplerConfig, chain: int) -> ChainDraws:
+    target, z_center = _worker_run
+    return run_chain(target, cfg, z_center, chain)
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def run_chains(target, cfg: SamplerConfig) -> Trace:
     """Run ``cfg.n_chains`` independent NUTS chains on ``target``.
 
-    Each chain starts from the target's preferred initial point (or the
-    origin) plus uniform jitter on [-1, 1] per unconstrained coordinate, and
-    is driven by its own counter-based generator keyed on
-    ``(cfg.seed, chain)``. Raises :class:`AdaptationFailedError` if any
-    chain's warmup stalls.
+    Each chain is one :func:`run_chain` call, started from the target's
+    preferred initial point (or the origin). The chains run in forked worker
+    processes, one per usable CPU up to the chain count, or in this process
+    when that count is 1 or the platform cannot fork; the trace is the same
+    either way. Raises the error of the lowest failing chain, such as
+    :class:`AdaptationFailedError` if its warmup stalls.
     """
     dim = target.dim
     names = tuple(getattr(target, "param_names",
                           tuple(f"param_{k}" for k in range(dim))))
-    constrain = getattr(target, "constrain", None)
-
-    draws_c = np.empty((cfg.n_chains, cfg.n_draw, dim))
-    accept = np.empty((cfg.n_chains, cfg.n_draw))
-    divergent = np.zeros((cfg.n_chains, cfg.n_draw), dtype=bool)
-    depth = np.zeros((cfg.n_chains, cfg.n_draw), dtype=np.int16)
-    step_sizes = np.empty(cfg.n_chains)
-    masses = np.empty((cfg.n_chains, dim))
-
     if hasattr(target, "initial_unconstrained"):
         z_center = np.asarray(target.initial_unconstrained(), dtype=np.float64)
     else:
         z_center = np.zeros(dim)
 
-    for chain in range(cfg.n_chains):
-        seq = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(chain,))
-        rng = np.random.Generator(np.random.Philox(seq))
-        z0 = z_center + rng.uniform(-1.0, 1.0, dim)
-        # jittered start may fall off the support; pull it back toward center
-        for _ in range(30):
-            if math.isfinite(target.value_and_grad(z0)[0]):
-                break
-            z0 = z_center + 0.5 * (z0 - z_center)
-        z, value, grad, eps, inv_mass = _warmup_chain(target, z0, cfg, rng, chain)
-        step_sizes[chain] = eps
-        masses[chain] = inv_mass  # estimated marginal variances
-        for it in range(cfg.n_draw):
-            z, value, grad, info = nuts_draw(z, value, grad, eps, inv_mass, rng,
-                                             target.value_and_grad,
-                                             cfg.max_tree_depth)
-            draws_c[chain, it] = constrain(z) if constrain is not None else z
-            accept[chain, it] = info["accept_stat"]
-            divergent[chain, it] = info["divergent"]
-            depth[chain, it] = info["depth"]
+    workers = min(cfg.n_chains, _usable_cpus())
+    if workers == 1 or not hasattr(os, "fork"):
+        chains = [run_chain(target, cfg, z_center, c) for c in range(cfg.n_chains)]
+    else:
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        # On fork the executor forks every worker at the first submit, before
+        # it starts its own thread, so no Python thread is copied mid-step.
+        pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                                   initializer=_adopt_run,
+                                   initargs=(target, z_center, os.getpid()))
+        try:
+            futures = [pool.submit(_run_adopted_chain, cfg, c)
+                       for c in range(cfg.n_chains)]
+            # in chain order, so the first error raised is the lowest chain's
+            chains = [f.result() for f in futures]
+        finally:
+            pool.shutdown(cancel_futures=True)
 
     return Trace(
-        draws=draws_c,
+        draws=np.stack([c.draws for c in chains]),
         param_names=names,
-        accept_stat=accept,
-        divergent=divergent,
-        tree_depth=depth,
-        step_size=step_sizes,
-        mass_diag=masses,
+        accept_stat=np.stack([c.accept_stat for c in chains]),
+        divergent=np.stack([c.divergent for c in chains]),
+        tree_depth=np.stack([c.tree_depth for c in chains]),
+        step_size=np.array([c.step_size for c in chains]),
+        mass_diag=np.stack([c.mass_diag for c in chains]),
+        n_grad=np.array([c.n_grad for c in chains], dtype=np.int64),
         config=cfg,
     )
 
@@ -534,6 +628,7 @@ def trace_summary(trace: Trace) -> dict:
         "mean_accept": [float(a) for a in trace.accept_stat.mean(axis=1)],
         "divergences": [int(d) for d in trace.divergent.sum(axis=1)],
         "mean_tree_depth": [float(d) for d in trace.tree_depth.mean(axis=1)],
+        "n_grad": [[int(n) for n in row] for row in trace.n_grad],
     }
 
 

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import gainloss
 from gainloss.pipeline import synthetic_gbm_series
 from gainloss.series import write_price_csv
 
@@ -21,6 +25,15 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.write_sep("-", "acceptance criteria")
         for line in _criterion_lines:
             terminalreporter.write_line(line)
+
+
+def source_env() -> dict:
+    """The environment of a child interpreter that imports this package."""
+    env = dict(os.environ)
+    src = str(Path(gainloss.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return env
 
 
 class GaussianTarget:

@@ -44,6 +44,7 @@ def fake_trace(values_by_name, n_chains=2, n_draw=60):
         tree_depth=np.ones((n_chains, n_draw), dtype=np.int16),
         step_size=np.full(n_chains, 0.5),
         mass_diag=np.ones((n_chains, len(names))),
+        n_grad=np.zeros((n_chains, 2), dtype=np.int64),
         config=cfg,
     )
 

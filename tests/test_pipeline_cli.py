@@ -3,16 +3,14 @@
 import io
 import json
 import math
-import os
 import subprocess
 import sys
 from dataclasses import asdict
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import gainloss
+from conftest import source_env
 from gainloss import cli
 from gainloss.cli import EXIT_CONVERGENCE, EXIT_INPUT, EXIT_OK, EXIT_PARTIAL, main
 from gainloss.detrend import detrend, threshold_from_std
@@ -738,6 +736,15 @@ class TestCliGbmValidate:
         assert (tmp_path / "gbm_taus_up.csv").exists()
         assert (tmp_path / "gbm_taus_down.csv").exists()
 
+    def test_two_sided_run_is_driftless_by_default(self, capsys):
+        argv = ["gbm-validate", "--two-sided", "--paths", "400", "--dt", "0.02",
+                "--horizon", "40", "--sigma", "0.3", "--rho", "0.25"]
+        code, default_out, _ = run_cli(argv, capsys)
+        assert code == EXIT_OK
+        code, driftless_out, _ = run_cli(argv + ["--drift", "0"], capsys)
+        assert code == EXIT_OK
+        assert default_out == driftless_out
+
     @pytest.mark.parametrize("two_sided", [False, True])
     def test_config_file_drives_the_simulation(self, tmp_path, capsys, two_sided):
         cfg = tmp_path / "cfg.json"
@@ -890,13 +897,16 @@ class TestCliMisc:
 
 
 # In a fresh interpreter: the scipy modules loaded after importing the CLI and
-# after each of a fit and a scan, with the two exit codes.
+# after each of a fit and a scan, with the two exit codes, and the process
+# pool modules loaded by the import.
 FOOTPRINT_SCRIPT = """
 import json, sys
 def scipy_modules():
     return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 from gainloss.cli import main
-seen = {"import": [0, scipy_modules()]}
+seen = {"import": [0, scipy_modules()],
+        "pool": sorted(m for m in sys.modules
+                       if m.startswith(("multiprocessing", "concurrent")))}
 csv, out = sys.argv[1:]
 quick = ["--chains", "2", "--draws", "60", "--tune", "60", "--seed", "3",
          "--filter-size", "100", "--allow-nonconverged", "--out-dir", out]
@@ -910,15 +920,12 @@ print(json.dumps(seen))
 class TestCliImportFootprint:
     def test_fits_and_scans_load_no_scipy(self, price_csv_factory, tmp_path):
         csv = price_csv_factory(n_days=600, sigma=0.012, seed=4)
-        env = dict(os.environ)
-        src = str(Path(gainloss.__file__).resolve().parent.parent)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
         proc = subprocess.run(
             [sys.executable, "-c", FOOTPRINT_SCRIPT, str(csv), str(tmp_path / "out")],
-            env=env, capture_output=True, text=True, timeout=300,
+            env=source_env(), capture_output=True, text=True, timeout=300,
         )
         assert proc.returncode == 0, proc.stderr
         seen = json.loads(proc.stdout.splitlines()[-1])
-        assert seen == {"import": [EXIT_OK, []], "fit": [EXIT_OK, []],
+        # the chain pool's modules load only when a fit runs chains
+        assert seen == {"import": [EXIT_OK, []], "pool": [], "fit": [EXIT_OK, []],
                         "scan-rho": [EXIT_OK, []]}

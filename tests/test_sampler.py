@@ -1,16 +1,23 @@
 """Leapfrog integrator, tree sampler, warmup adaptation, and chain driver."""
 
+import concurrent.futures
+import multiprocessing
+import os
+import pickle
+import subprocess
+import sys
+import time
 import warnings
 
 import numpy as np
 import pytest
 
-from conftest import CorrelatedGaussianTarget, GaussianTarget, StallingTarget
-from gainloss import nuts
+from conftest import CorrelatedGaussianTarget, GaussianTarget, StallingTarget, source_env
+from gainloss import errors, nuts
 from gainloss.diagnostics import ess, gelman_rubin
 from gainloss.errors import AdaptationFailedError, DomainError
 from gainloss.models import FAMILIES, ModelKind, ModelSpec, Posterior
-from gainloss.nuts import SamplerConfig, leapfrog, nuts_draw, run_chains
+from gainloss.nuts import SamplerConfig, leapfrog, nuts_draw, run_chain, run_chains
 from gainloss.pipeline import prepare_sample, synthetic_gbm_series
 
 UNIT_1D = GaussianTarget([1.0])
@@ -249,3 +256,173 @@ class TestFloatingPointErrors:
                 trace = run_chains(target, cfg)
             assert trace.step_size[0] == eps
             assert trace.divergent.any()
+
+
+def running(pid: int) -> bool:
+    """Whether ``pid`` exists and is not a zombie waiting to be reaped."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+# Starts two chain workers on a slow target, prints their pids and kills its
+# own process, the way a timeout or the out-of-memory killer would.
+KILLED_CALLER_SCRIPT = """
+import multiprocessing, os, threading, time
+from gainloss import nuts
+
+class Slow:
+    dim = 1
+    def value_and_grad(self, z):
+        time.sleep(0.001)
+        return -0.5 * float(z @ z), -z
+
+def kill_when_started():
+    while len(multiprocessing.active_children()) < 2:
+        time.sleep(0.01)
+    time.sleep(0.5)
+    print(*(p.pid for p in multiprocessing.active_children()), flush=True)
+    os.kill(os.getpid(), 9)
+
+nuts._usable_cpus = lambda: 2
+threading.Thread(target=kill_when_started, daemon=True).start()
+nuts.run_chains(Slow(), nuts.SamplerConfig(n_chains=2, n_draw=10**6, n_tune=0, seed=1))
+"""
+
+
+class CountingGaussian(GaussianTarget):
+    def __init__(self, variances):
+        super().__init__(variances)
+        self.calls = 0
+
+    def value_and_grad(self, z):
+        self.calls += 1
+        return super().value_and_grad(z)
+
+
+def posteriors_on_13_years():
+    """Student-t and IG posteriors of a 3.3k-day GBM series."""
+    series = synthetic_gbm_series(3300, 0.012, lam=3e-4, seed=5)
+    logs = prepare_sample(series, 252)[3]
+    posts = {}
+    for kind in ModelKind:
+        low = FAMILIES[kind].data_low
+        xp, xm = logs.x_plus[logs.x_plus > low], logs.x_minus[logs.x_minus > low]
+        posts[str(kind)] = Posterior(ModelSpec.from_data(kind, xp, xm), xp, xm)
+    return posts
+
+
+@pytest.fixture(scope="module")
+def pool_targets():
+    return {**posteriors_on_13_years(), "gaussian": GaussianTarget([1.0, 4.0, 0.25])}
+
+
+@pytest.fixture
+def pooled(monkeypatch):
+    """Run every multi-chain call in the worker pool, whatever the host's CPUs."""
+    monkeypatch.setattr(nuts, "_usable_cpus", lambda: 4)
+
+
+TRACE_ARRAYS = ("draws", "accept_stat", "divergent", "tree_depth", "step_size",
+                "mass_diag", "n_grad")
+
+
+class TestParallelChains:
+    @pytest.mark.parametrize("n_chains", [2, 3, 4])
+    @pytest.mark.parametrize("name", ["student-t", "inv-gamma", "gaussian"])
+    def test_pool_equals_the_chains_run_in_process(self, pool_targets, pooled,
+                                                   name, n_chains):
+        target = pool_targets[name]
+        cfg = SamplerConfig(n_chains=n_chains, n_draw=30, n_tune=150, seed=21)
+        trace = run_chains(target, cfg)
+        center = (np.asarray(target.initial_unconstrained(), dtype=np.float64)
+                  if hasattr(target, "initial_unconstrained") else np.zeros(target.dim))
+        for chain in range(n_chains):
+            alone = run_chain(target, cfg, center, chain)
+            for field in TRACE_ARRAYS:
+                got = getattr(trace, field)[chain]
+                assert np.array_equal(got, np.asarray(getattr(alone, field))), field
+        assert trace.n_grad.shape == (n_chains, 2)
+        assert multiprocessing.active_children() == []
+
+    def test_a_target_that_cannot_be_pickled_samples(self, pooled):
+        class Local(GaussianTarget):  # a local class does not pickle
+            pass
+
+        target = Local(np.ones(2))
+        with pytest.raises((AttributeError, pickle.PicklingError)):
+            pickle.dumps(target)
+        trace = run_chains(target, SamplerConfig(n_chains=2, n_draw=50, n_tune=150, seed=22))
+        assert trace.draws.shape == (2, 50, 2)
+        assert np.all(np.isfinite(trace.draws))
+
+    def test_stalled_warmup_in_a_worker_raises_the_first_chain(self, pooled):
+        cfg = SamplerConfig(n_chains=2, n_draw=10, n_tune=200, seed=16)
+        with pytest.raises(AdaptationFailedError) as err:
+            run_chains(StallingTarget(), cfg)
+        assert err.value.chain == 0
+        assert err.value.accept_rate < 0.1
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="the kernel ends the workers on Linux only")
+    def test_workers_die_with_a_killed_caller(self):
+        # the workers inherit stdout, so read the pids line, not to the end
+        proc = subprocess.Popen([sys.executable, "-c", KILLED_CALLER_SCRIPT],
+                                env=source_env(), stdout=subprocess.PIPE,
+                                stderr=subprocess.DEVNULL, text=True)
+        pids = []
+        try:
+            pids = [int(p) for p in proc.stdout.readline().split()]
+            assert proc.wait(timeout=60) == -9
+            assert len(pids) == 2
+            deadline = time.monotonic() + 30.0
+            while time.monotonic() < deadline and any(map(running, pids)):
+                time.sleep(0.1)
+            assert not any(map(running, pids))
+        finally:
+            proc.kill()
+            proc.stdout.close()
+            for pid in filter(running, pids):
+                os.kill(pid, 9)
+
+    def test_one_usable_cpu_runs_in_process(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("started a worker pool")
+
+        monkeypatch.setattr(nuts, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        trace = run_chains(GaussianTarget(np.ones(2)),
+                           SamplerConfig(n_chains=2, n_draw=40, n_tune=150, seed=24))
+        assert trace.draws.shape == (2, 40, 2)
+
+    def test_gradient_counts_split_warmup_from_sampling(self):
+        target = CountingGaussian(np.ones(3))
+        cfg = SamplerConfig(n_chains=1, n_draw=60, n_tune=150, seed=25)
+        trace = run_chains(target, cfg)
+        warmup, sampling = trace.n_grad[0]
+        assert warmup + sampling == target.calls
+        # one leapfrog step per draw at least, one per tuning draw plus the start
+        assert sampling >= cfg.n_draw
+        assert warmup > cfg.n_tune
+        assert nuts.trace_summary(trace)["n_grad"] == [[int(warmup), int(sampling)]]
+
+
+def package_errors(cls=errors.GainLossError):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from package_errors(sub)
+
+
+@pytest.mark.parametrize("cls", [errors.GainLossError, *package_errors()],
+                         ids=lambda cls: cls.__name__)
+def test_every_package_error_round_trips_through_pickle(cls):
+    exc = cls(1, 0.05) if cls is AdaptationFailedError else cls("bad thing")
+    copy = pickle.loads(pickle.dumps(exc))
+    assert type(copy) is cls
+    assert str(copy) == str(exc)
+    assert copy.args == exc.args
+    assert vars(copy) == vars(exc)
+
