@@ -32,8 +32,8 @@ Hitting times are integers, so each side holds few distinct values. A side is
 stored once as (distinct value, count) pairs, and a family's ``prepare``
 reduces them to what its likelihood reads: the pairs themselves for the
 Student-t, (n, sum c ln x, sum c / x) for the Inverse-Gamma, whose gradient is
-then O(1) in the data. WAIC reads the same pairs, through ``pointwise_loglik``
-and ``counts``.
+then O(1) in the data. WAIC reads the same pairs, through a
+:class:`LoglikMatrix` and ``counts``.
 
 Log-gamma and digamma are only ever taken of one float, so they come from
 the ``math`` module and not from scipy, whose import would take most of the
@@ -51,11 +51,21 @@ added to the density. All gradients are analytic.
 A posterior has at most six coordinates, so the map runs on Python floats,
 one coordinate at a time, from (index, low, width) specs that
 ``Posterior.__init__`` lists once; the one transform serves
-``value_and_grad``, ``constrain`` and ``log_jacobian``. It rounds exactly as
-elementwise numpy does: the logistic function is 1 / (1 + exp(-z)) with
-``math.exp``, as scipy's ``expit`` computes it, while the shifted log's exp
-and the log Jacobian's sum of logs stay numpy calls, whose vectorized
-results can differ from ``math.exp`` and ``math.log`` in the last bit.
+``value_and_grad``, ``constrain`` and ``log_jacobian``. ``value_and_grad``
+takes and returns float lists, the sampler's protocol, so a gradient builds
+no array beyond the Student-t's sums over distinct values and the two small
+numpy calls named next. The map rounds exactly as elementwise numpy does: the
+logistic function is 1 / (1 + exp(-z)) with ``math.exp``, as scipy's
+``expit`` computes it, while the shifted log's exp and the log Jacobian's
+sum of logs stay numpy calls, whose vectorized results can differ from
+``math.exp`` and ``math.log`` in the last bit.
+
+The report's log likelihoods are computed per side and vectorized over
+draws: a family's ``loglik`` takes each draw's constants (log-gamma and
+logs) once, in Python floats as the one-draw densities do, and applies the
+same elementwise numpy operations to a block of values, so each entry
+equals the one-draw density bit for bit. A :class:`LoglikMatrix` rounds
+each block to float32, as the matrix the report once held was.
 """
 
 from __future__ import annotations
@@ -80,6 +90,7 @@ __all__ = [
     "ig_shape_rate",
     "ig_moments",
     "Posterior",
+    "LoglikMatrix",
 ]
 
 SIGMA_LOW = 1.0
@@ -241,12 +252,15 @@ def _student_prepare(values: np.ndarray, counts: np.ndarray):
 def _student_value_grad(theta, stats, p: SidePrior):
     x, c, n = stats
     mu, sigma, nu = theta
-    t = (x - mu) / sigma
-    t2 = t * t
-    lu = np.log1p(t2 / nu)
-    cw = c * (nu + 1.0) / (nu + t2)
-    # numpy's own summation, not a BLAS dot, whose rounding follows the CPU
-    sum_lu, sum_wt, sum_wt2 = (c * lu).sum(), (cw * t).sum(), (cw * t2).sum()
+    # the only array arithmetic of a gradient: far out, it overflows
+    with np.errstate(over="ignore", invalid="ignore"):
+        t = (x - mu) / sigma
+        t2 = t * t
+        lu = np.log1p(t2 / nu)
+        cw = c * (nu + 1.0) / (nu + t2)
+        # numpy's own summation, not a BLAS dot, whose rounding follows the CPU
+        sum_lu, sum_wt, sum_wt2 = (float((c * lu).sum()), float((cw * t).sum()),
+                                   float((cw * t2).sum()))
     value = n * (
         _lgamma((nu + 1.0) / 2.0) - _lgamma(nu / 2.0)
         - 0.5 * math.log(math.pi * nu) - math.log(sigma)
@@ -258,6 +272,22 @@ def _student_value_grad(theta, stats, p: SidePrior):
     prior, d_loc = _loc_scale_prior(mu, p)
     value += prior + math.log(NU_RATE) - NU_RATE * (nu - NU_SHIFT)
     return value, [sum_wt / sigma + d_loc, (sum_wt2 - n) / sigma, d_nu - NU_RATE]
+
+
+def _student_loglik(theta: np.ndarray):
+    """Per-draw constants of the Student-t density under each row (mu, sigma,
+    nu) of ``theta``, and the map from values x [k] to log densities [draws, k].
+
+    Each entry rounds exactly as :func:`student_logpdf` at that row.
+    """
+    mu, sigma, nu = (theta[:, k, None] for k in range(3))
+    const = np.array([
+        _lgamma((v + 1.0) / 2.0) - _lgamma(v / 2.0) - 0.5 * math.log(math.pi * v)
+        - math.log(s)
+        for s, v in zip(sigma[:, 0].tolist(), nu[:, 0].tolist())
+    ]).reshape(-1, 1)
+    half_nu1 = 0.5 * (nu + 1.0)
+    return lambda x: const - half_nu1 * np.log1p(((x - mu) / sigma) ** 2 / nu)
 
 
 def _ig_prepare(values: np.ndarray, counts: np.ndarray):
@@ -289,6 +319,23 @@ def _ig_value_grad(theta, stats, p: SidePrior):
                            d_alpha * da_ds + d_beta * db_ds]
 
 
+def _ig_loglik(theta: np.ndarray):
+    """Per-draw constants of the Inverse-Gamma density under each row (m, s)
+    of ``theta``, and the map from values x [k] to log densities [draws, k].
+
+    Each entry rounds exactly as :func:`invgamma_logpdf` of
+    :func:`ig_shape_rate` at that row.
+    """
+    m, s = theta[:, 0, None], theta[:, 1, None]
+    alpha = 2.0 + (m * m) / (s * s)
+    beta = m * (alpha - 1.0)
+    const = np.array([a * math.log(b) - _lgamma(a)
+                      for a, b in zip(alpha[:, 0].tolist(), beta[:, 0].tolist())
+                      ]).reshape(-1, 1)
+    alpha1 = alpha + 1.0
+    return lambda x: const - alpha1 * np.log(x) - beta / x
+
+
 @dataclass(frozen=True)
 class Family:
     """One per-side model family; :data:`FAMILIES` holds the two instances.
@@ -297,7 +344,10 @@ class Family:
     the same for every data set; ``value_grad(theta, stats, prior)`` takes
     one side's parameters as a list of floats and returns the log likelihood
     of the prepared data plus the side's log prior, and its gradient as a
-    list; ``logpdf(x, theta)`` is the density at each value of ``x``.
+    list; ``logpdf(x, theta)`` is the density at each value of ``x``, and
+    ``loglik(thetas)`` its batched form over the rows of a [draws, p] array:
+    it computes the per-draw constants once and returns the map from values
+    x [k] to the [draws, k] log densities.
     """
 
     names: tuple[str, ...]
@@ -308,6 +358,7 @@ class Family:
     prepare: Callable[[np.ndarray, np.ndarray], tuple]
     value_grad: Callable[[list[float], tuple, SidePrior], tuple[float, list[float]]]
     logpdf: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    loglik: Callable[[np.ndarray], Callable[[np.ndarray], np.ndarray]]
     initial: Callable[[SidePrior], tuple[float, ...]]
 
     @property
@@ -341,6 +392,7 @@ FAMILIES: dict[ModelKind, Family] = {
         prepare=_student_prepare,
         value_grad=_student_value_grad,
         logpdf=lambda x, theta: student_logpdf(x, *theta),
+        loglik=_student_loglik,
         initial=lambda p: (p.m, _initial_scale(p), NU_INIT),
     ),
     ModelKind.INV_GAMMA: Family(
@@ -349,6 +401,7 @@ FAMILIES: dict[ModelKind, Family] = {
         prepare=_ig_prepare,
         value_grad=_ig_value_grad,
         logpdf=lambda x, theta: invgamma_logpdf(x, *ig_shape_rate(*theta)),
+        loglik=_ig_loglik,
         initial=lambda p: (max(p.m, 1e-3), _initial_scale(p)),
     ),
 }
@@ -460,27 +513,29 @@ class Posterior:
 
     # -- densities ----------------------------------------------------------
 
-    def value_and_grad(self, z: np.ndarray) -> tuple[float, np.ndarray]:
+    def value_and_grad(self, z: list[float]) -> tuple[float, list[float]]:
         """Unconstrained log posterior and its gradient in one pass.
 
-        Off-support or overflowing points return (-inf, zeros); NaN input is
-        a caller bug and raises :class:`NonFiniteError`.
+        ``z`` is a list of ``dim`` floats and the gradient comes back as one,
+        the sampler's protocol. Off-support or overflowing points return
+        (-inf, zeros); NaN input is a caller bug and raises
+        :class:`NonFiniteError`.
         """
-        z = np.asarray(z, dtype=np.float64).tolist()
         if any(map(math.isnan, z)):
             raise NonFiniteError("unconstrained vector contains NaN")
         theta, dtheta, dlog_jac = self._transform(z)
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            value, grad_theta = float(np.log(dtheta).sum()), []
-            for sl, stats, prior in self._sides:
-                side_value, side_grad = self._value_grad(theta[sl], stats, prior)
-                value += side_value
-                grad_theta += side_grad
-            # chain rule through the transform, plus the Jacobian term
-            grad = [g * d + j for g, d, j in zip(grad_theta, dtheta, dlog_jac)]
+        if 0.0 in dtheta:  # a map rounded onto its bound: the log slope is -inf
+            return -math.inf, [0.0] * self.dim
+        value, grad_theta = float(np.log(dtheta).sum()), []
+        for sl, stats, prior in self._sides:
+            side_value, side_grad = self._value_grad(theta[sl], stats, prior)
+            value += side_value
+            grad_theta += side_grad
+        # chain rule through the transform, plus the Jacobian term
+        grad = [g * d + j for g, d, j in zip(grad_theta, dtheta, dlog_jac)]
         if not (math.isfinite(value) and all(map(math.isfinite, grad))):
-            return -math.inf, np.zeros(self.dim)
-        return float(value), np.array(grad)
+            return -math.inf, [0.0] * self.dim
+        return float(value), grad
 
     # -- per-value likelihood -------------------------------------------------
 
@@ -491,9 +546,9 @@ class Posterior:
     def pointwise_loglik(self, theta: np.ndarray) -> np.ndarray:
         """Log likelihood of one observation at each distinct value (gain side
         first); ``counts`` holds how many observations share each value."""
-        theta = np.asarray(theta, dtype=np.float64)
+        theta = np.asarray(theta, dtype=np.float64)[None, :]
         return np.concatenate([
-            self.family.logpdf(values, theta[sl])
+            self.family.loglik(theta[:, sl])(values)[0]
             for values, (sl, _, _) in zip(self._values, self._sides)
         ])
 
@@ -501,3 +556,37 @@ class Posterior:
         """Empirical-moment starting point, mapped to unconstrained space."""
         theta = [v for p in self.spec.priors for v in self.family.initial(p)]
         return self.unconstrain(np.array(theta))
+
+
+class LoglikMatrix:
+    """The [draws, distinct values] log likelihood matrix of ``posterior`` at
+    each row of ``draws`` [n, dim].
+
+    Column j holds :meth:`Posterior.pointwise_loglik` at distinct value j for
+    every draw, rounded to float32. Only column slices ``matrix[:, a:b]`` are
+    computed, each on demand; the per-draw constants of each side's density
+    are computed once, here, so a caller that walks the columns in blocks
+    holds O(draws x block) memory, never the whole matrix.
+    """
+
+    def __init__(self, posterior: Posterior, draws: np.ndarray):
+        draws = np.asarray(draws, dtype=np.float64)
+        family = posterior.family
+        self._sides, offset = [], 0
+        for values, (sl, _, _) in zip(posterior._values, posterior._sides):
+            self._sides.append((offset, values, family.loglik(draws[:, sl])))
+            offset += values.size
+        self.shape = (draws.shape[0], offset)
+
+    def __getitem__(self, key) -> np.ndarray:
+        rows, cols = key if isinstance(key, tuple) and len(key) == 2 else (None, None)
+        if not (isinstance(rows, slice) and rows == slice(None)
+                and isinstance(cols, slice) and cols.step in (None, 1)):
+            raise IndexError("a LoglikMatrix yields column slices [:, a:b] only")
+        start, stop, _ = cols.indices(self.shape[1])
+        out = np.empty((self.shape[0], max(stop - start, 0)), dtype=np.float32)
+        for offset, values, loglik in self._sides:
+            lo, hi = max(start, offset), min(stop, offset + values.size)
+            if lo < hi:
+                out[:, lo - start:hi - start] = loglik(values[lo - offset:hi - offset])
+        return out

@@ -28,18 +28,24 @@ derived from the draws, such as WAIC, is computed afterwards.
 
 The target is any object with a ``dim`` attribute and a
 ``value_and_grad(z) -> (logp, grad)`` method in unconstrained coordinates,
-taking a float ndarray and returning a float and a float ndarray
+taking a list of ``dim`` Python floats and returning a float and a float list
 (off-support points must return ``-inf``, not raise). The sampler calls it
 once per leapfrog step and a few times at each chain's start, so counting
 its calls counts gradients, which each chain does in its own process.
 Optional methods ``constrain``, ``param_names`` and
 ``initial_unconstrained`` refine what the trace records.
 
-An exploding trajectory overflows; its leaves come out divergent. The
-leapfrog step itself runs on Python floats, which overflow without a
-warning, and numpy's floating-point errors are silenced once per transition
-(and once per step-size search), not once per step; that covers the
-target's own arithmetic too.
+Position, momentum, gradient and inverse mass are float lists throughout a
+chain, so no ndarray is built per leapfrog step: the kinetic energy and the
+U-turn test are summed left to right in Python, which also keeps them off a
+BLAS dot, whose summation order, and so whose rounding, follows the CPU.
+Only the momentum draw of each transition and the mass estimate of each
+warmup window call numpy.
+
+An exploding trajectory overflows; its leaves come out divergent. Python
+floats overflow without a warning, and numpy's floating-point errors are
+silenced once per transition (and once per step-size search), not once per
+step; that covers the target's own arithmetic too.
 """
 
 from __future__ import annotations
@@ -148,35 +154,37 @@ class Trace:
 
 
 def leapfrog(
-    z: np.ndarray,
-    p: np.ndarray,
-    grad: np.ndarray,
+    z: list[float],
+    p: list[float],
+    grad: list[float],
     eps: float,
-    inv_mass: np.ndarray,
-    value_and_grad: Callable[[np.ndarray], tuple[float, np.ndarray]],
-) -> tuple[np.ndarray, np.ndarray, float, np.ndarray]:
+    inv_mass: list[float],
+    value_and_grad: Callable[[list[float]], tuple[float, list[float]]],
+) -> tuple[list[float], list[float], float, list[float]]:
     """One half-kick / drift / half-kick step; grad is d(logp)/dz at z.
 
-    The step runs on Python floats, which overflow to inf without a warning
-    and round like numpy's elementwise operations.
+    Every argument and result is a list of Python floats, which overflow to
+    inf without a warning and round like numpy's elementwise operations.
     """
     half = 0.5 * eps
-    p_half = [pk + half * gk for pk, gk in zip(p.tolist(), grad.tolist())]
-    z_new = [zk + eps * (mk * pk)
-             for zk, mk, pk in zip(z.tolist(), inv_mass.tolist(), p_half)]
+    p_half = [pk + half * gk for pk, gk in zip(p, grad)]
+    z_new = [zk + eps * (mk * pk) for zk, mk, pk in zip(z, inv_mass, p_half)]
     if not all(map(math.isfinite, z_new)):
         # Exploding trajectory: surface as a divergent leaf, never as NaN math.
-        return z, p, -math.inf, np.zeros_like(z)
-    z_new = np.array(z_new)
+        return z, p, -math.inf, [0.0] * len(z)
     value_new, grad_new = value_and_grad(z_new)
-    p_new = [pk + half * gk for pk, gk in zip(p_half, grad_new.tolist())]
-    return z_new, np.array(p_new), value_new, grad_new
+    p_new = [pk + half * gk for pk, gk in zip(p_half, grad_new)]
+    return z_new, p_new, value_new, grad_new
 
 
-def _kinetic(p: np.ndarray, inv_mass: np.ndarray) -> float:
-    # Momenta can blow up on unstable trajectories; report inf so the caller
-    # treats the leaf as divergent. The caller silences the overflow.
-    k = 0.5 * float(np.dot(p * p, inv_mass))
+def _kinetic(p: list[float], inv_mass: list[float]) -> float:
+    # Summed left to right: a BLAS dot's order, and so its rounding, follows
+    # the CPU. Momenta can blow up on unstable trajectories; report inf so the
+    # caller treats the leaf as divergent.
+    k = 0.0
+    for pk, mk in zip(p, inv_mass):
+        k += pk * pk * mk
+    k *= 0.5
     return k if math.isfinite(k) else math.inf
 
 
@@ -191,11 +199,12 @@ def _logaddexp(a: float, b: float) -> float:
 
 def _turned(z_left, p_left, z_right, p_right, inv_mass) -> bool:
     """U-turn test on velocities: would either end start moving back inward?"""
-    dz = z_right - z_left
-    return (
-        float(np.dot(dz, inv_mass * p_left)) < 0.0
-        or float(np.dot(dz, inv_mass * p_right)) < 0.0
-    )
+    left = right = 0.0
+    for zl, pl, zr, pr, m in zip(z_left, p_left, z_right, p_right, inv_mass):
+        dz = zr - zl
+        left += dz * (m * pl)
+        right += dz * (m * pr)
+    return left < 0.0 or right < 0.0
 
 
 class _TreeState:
@@ -270,6 +279,12 @@ def _build_subtree(state_edge, direction, depth, eps, inv_mass, h0,
     return first
 
 
+def _momentum(rng, inv_mass: list[float]) -> list[float]:
+    """A draw p ~ N(0, diag(1 / inv_mass)): the sampler's one numpy call per transition."""
+    return [n * math.sqrt(1.0 / m)
+            for n, m in zip(rng.standard_normal(len(inv_mass)).tolist(), inv_mass)]
+
+
 def nuts_draw(z, value, grad, eps, inv_mass, rng, value_and_grad,
               max_tree_depth: int = 10):
     """One NUTS transition from (z, value, grad).
@@ -280,8 +295,7 @@ def nuts_draw(z, value, grad, eps, inv_mass, rng, value_and_grad,
     """
     # silence overflow on exploding trajectories once for the transition
     with np.errstate(over="ignore", invalid="ignore"):
-        std = np.sqrt(1.0 / inv_mass)
-        p0 = rng.standard_normal(z.shape[0]) * std
+        p0 = _momentum(rng, inv_mass)
         h0 = -value + _kinetic(p0, inv_mass)
 
         z_left = z_right = z
@@ -350,8 +364,7 @@ def _find_reasonable_eps(z, value, grad, inv_mass, rng, value_and_grad) -> float
     """Double/halve eps until one leapfrog step has acceptance near 1/2."""
     with np.errstate(over="ignore", invalid="ignore"):
         eps = 1.0
-        std = np.sqrt(1.0 / inv_mass)
-        p = rng.standard_normal(z.shape[0]) * std
+        p = _momentum(rng, inv_mass)
         h0 = -value + _kinetic(p, inv_mass)
         _, p1, v1, _ = leapfrog(z, p, grad, eps, inv_mass, value_and_grad)
         h1 = -v1 + _kinetic(p1, inv_mass) if math.isfinite(v1) else math.inf
@@ -415,8 +428,7 @@ def _warmup_chain(value_and_grad, z0, cfg: SamplerConfig, rng, chain: int):
     value, grad = value_and_grad(z0)
     if not math.isfinite(value):
         raise DomainError(f"chain {chain}: initial point has zero posterior density")
-    dim = z0.shape[0]
-    inv_mass = np.ones(dim)
+    inv_mass = [1.0] * len(z0)
     z = z0
     if cfg.n_tune == 0:
         eps = 0.5 * _find_reasonable_eps(z, value, grad, inv_mass, rng,
@@ -443,7 +455,7 @@ def _warmup_chain(value_and_grad, z0, cfg: SamplerConfig, rng, chain: int):
             if it + 1 == w_end:
                 # diagonal inverse metric = marginal variances, so that
                 # velocity inv_mass * p scales with the posterior width
-                inv_mass = _regularized_variance(np.asarray(buffer))
+                inv_mass = _regularized_variance(np.array(buffer)).tolist()
                 buffer = []
                 window_idx += 1
                 eps = _find_reasonable_eps(z, value, grad, inv_mass, rng,
@@ -490,9 +502,10 @@ def run_chain(target, cfg: SamplerConfig, z_center: np.ndarray, chain: int) -> C
     z0 = z_center + rng.uniform(-1.0, 1.0, dim)
     # jittered start may fall off the support; pull it back toward center
     for _ in range(30):
-        if math.isfinite(value_and_grad(z0)[0]):
+        if math.isfinite(value_and_grad(z0.tolist())[0]):
             break
         z0 = z_center + 0.5 * (z0 - z_center)
+    z0 = z0.tolist()
     z, value, grad, eps, inv_mass = _warmup_chain(value_and_grad, z0, cfg, rng, chain)
     n_warmup = n_calls
 
@@ -508,7 +521,7 @@ def run_chain(target, cfg: SamplerConfig, z_center: np.ndarray, chain: int) -> C
         divergent[it] = info["divergent"]
         depth[it] = info["depth"]
     # inv_mass is the estimated marginal variances
-    return ChainDraws(draws, accept, divergent, depth, eps, inv_mass,
+    return ChainDraws(draws, accept, divergent, depth, eps, np.array(inv_mass),
                       (n_warmup, n_calls - n_warmup))
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 from datetime import date as _date
 from pathlib import Path
@@ -36,6 +37,8 @@ __all__ = [
     "write_value_csv",
     "write_price_csv",
 ]
+
+_EPOCH_ORDINAL = _date(1970, 1, 1).toordinal()  # day 0 of datetime64[D]
 
 
 @dataclass(frozen=True)
@@ -92,7 +95,7 @@ class SeriesStats:
     std: float
 
 
-def _coerce_row(row: Sequence[str], line_no: int) -> tuple[np.datetime64, float]:
+def _coerce_row(row: Sequence[str], line_no: int) -> tuple[_date, float]:
     if len(row) < 2:
         raise MalformedRowError(f"line {line_no}: expected at least 2 columns, got {len(row)}")
     raw_date, raw_close = row[0].strip(), row[1].strip()
@@ -104,11 +107,11 @@ def _coerce_row(row: Sequence[str], line_no: int) -> tuple[np.datetime64, float]
         close = float(raw_close)
     except ValueError as exc:
         raise MalformedRowError(f"line {line_no}: bad close {raw_close!r}") from exc
-    if not np.isfinite(close):
+    if not math.isfinite(close):
         raise MalformedRowError(f"line {line_no}: close {raw_close!r} is not finite")
     if close <= 0.0:
         raise NonPositivePriceError(f"line {line_no}: close {close} is not positive")
-    return np.datetime64(day, "D"), close
+    return day, close
 
 
 def parse_csv(source: Union[str, Path, TextIO], name: str = "") -> PriceSeries:
@@ -132,10 +135,11 @@ def parse_csv(source: Union[str, Path, TextIO], name: str = "") -> PriceSeries:
     else:
         text = source.read()
     reader = csv.reader(io.StringIO(text))
-    dates: list[np.datetime64] = []
+    # plain Python per row; one conversion to numpy at the end
+    dates: list[_date] = []
     closes: list[float] = []
     for line_no, row in enumerate(reader, start=1):
-        if not row or all(not cell.strip() for cell in row):
+        if not "".join(row).strip():  # blank: no cells, or only whitespace
             continue
         if line_no == 1:
             # Header detection: skip the first row only if its date field
@@ -149,9 +153,12 @@ def parse_csv(source: Union[str, Path, TextIO], name: str = "") -> PriceSeries:
         closes.append(close)
     if not dates:
         raise EmptySeriesError("no data rows found")
-    order = np.argsort(np.asarray(dates, dtype="datetime64[D]"), kind="stable")
+    # via day numbers: numpy converts date objects one at a time, 20x slower
+    days = (np.array([d.toordinal() for d in dates], dtype=np.int64)
+            - _EPOCH_ORDINAL).astype("datetime64[D]")
+    order = np.argsort(days, kind="stable")
     return PriceSeries(
-        dates=np.asarray(dates, dtype="datetime64[D]")[order],
+        dates=days[order],
         closes=np.asarray(closes, dtype=np.float64)[order],
         name=name,
     )

@@ -44,8 +44,9 @@ class GaussianTarget:
         self.dim = self.var.size
 
     def value_and_grad(self, z):
+        z = np.asarray(z)
         grad = -z / self.var
-        return 0.5 * float(z @ grad), grad
+        return 0.5 * float(z @ grad), grad.tolist()
 
 
 class CorrelatedGaussianTarget:
@@ -57,8 +58,9 @@ class CorrelatedGaussianTarget:
         self.dim = self.cov.shape[0]
 
     def value_and_grad(self, z):
+        z = np.asarray(z)
         grad = -self.prec @ z
-        return 0.5 * float(z @ grad), grad
+        return 0.5 * float(z @ grad), grad.tolist()
 
 
 class StallingTarget:
@@ -77,8 +79,8 @@ class StallingTarget:
     def value_and_grad(self, z):
         self.calls += 1
         if self.calls == 1:
-            return 0.0, np.zeros(self.dim)
-        return -1e9 * self.calls, np.zeros(self.dim)
+            return 0.0, [0.0] * self.dim
+        return -1e9 * self.calls, [0.0] * self.dim
 
 
 @pytest.fixture

@@ -98,9 +98,10 @@ class ConjugateNormalMean:
         return 3
 
     def value_and_grad(self, z):
+        z = np.asarray(z)
         r = z - self.post_mean
         val = -0.5 * float(np.sum(r * r / self.post_var))
-        return val, -r / self.post_var
+        return val, (-r / self.post_var).tolist()
 
 
 def test_criterion_03_sampler_recovers_the_conjugate_posterior():

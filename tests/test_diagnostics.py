@@ -2,11 +2,13 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import signal, stats
 
+from gainloss import diagnostics
 from gainloss.diagnostics import (
     FitReport,
     REPORT_CSV_HEADER,
@@ -25,7 +27,7 @@ from gainloss.errors import (
     MalformedReportError,
     TooFewSamplesError,
 )
-from gainloss.models import FAMILIES, ModelKind, ModelSpec, Posterior
+from gainloss.models import FAMILIES, LoglikMatrix, ModelKind, ModelSpec, Posterior
 from gainloss.nuts import SamplerConfig, Trace, run_chains
 
 
@@ -281,6 +283,33 @@ class TestWaic:
         for name in ("waic", "se", "lppd", "p_waic"):
             assert getattr(got, name) == pytest.approx(getattr(want, name), rel=1e-12)
 
+    @pytest.mark.parametrize("source", ["array", "float32", "loglik_matrix"])
+    def test_block_width_changes_nothing(self, monkeypatch, source):
+        # 64 draws: the default block is 2048 columns wide, so the last of
+        # 2049 columns is a block of its own
+        rng = np.random.default_rng(75)
+        xp, xm = rng.normal(3.0, 1.0, 1200), rng.normal(3.3, 1.2, 849)
+        post = Posterior(ModelSpec.from_data(ModelKind.STUDENT_T, xp, xm), xp, xm)
+        z = post.initial_unconstrained() + rng.normal(0.0, 0.3, (64, post.dim))
+        draws = np.array([post.constrain(row) for row in z])
+        ll = LoglikMatrix(post, draws)
+        assert ll.shape == (64, 2049)
+        counts = rng.integers(1, 9, ll.shape[1])
+        matrix = ll if source == "loglik_matrix" else ll[:, :]
+        if source == "array":
+            matrix = matrix.astype(np.float64) * 1.37
+        results, terms = [], []
+        for columns in (1, 7, None):
+            if columns is not None:
+                monkeypatch.setattr(diagnostics, "LOGLIK_BLOCK", 64 * columns)
+            results.append(waic(matrix, counts))
+            # the totals can hide a last-bit change in one column's terms
+            terms.append(np.concatenate(diagnostics._column_terms(matrix)))
+        assert results[0] == results[1] == results[2]
+        assert np.array_equal(terms[0], terms[1]) and np.array_equal(terms[0], terms[2])
+        if source != "array":
+            assert results[2] == waic(ll[:, :], counts)
+
     def test_needs_two_draws_and_one_observation(self):
         with pytest.raises(TooFewSamplesError):
             waic(np.zeros((1, 5)))
@@ -347,6 +376,31 @@ class TestBuildReport:
         assert len(cells) == len(REPORT_CSV_HEADER.split(","))
         assert cells[0] == "csv"
         assert float(cells[2]) == pytest.approx(report.d_mean, rel=1e-9)
+
+    def test_memory_stays_bounded_on_many_distinct_values(self):
+        # 4 x 4000 draws of an IG posterior on 2 x 1000 distinct values: the
+        # float32 matrix alone would take 128 MB
+        rng = np.random.default_rng(76)
+        xp, xm = np.log(np.arange(2.0, 1002.0)), np.log(np.arange(3.0, 1003.0))
+        post = Posterior(ModelSpec.from_data(ModelKind.INV_GAMMA, xp, xm), xp, xm)
+        assert post.counts.size * 16000 * 4 > 100 * 2**20
+        z = post.initial_unconstrained() + rng.normal(0.0, 0.05, (4, 4000, post.dim))
+        draws = np.array([[post.constrain(row) for row in chain] for chain in z])
+        trace = Trace(
+            draws=draws, param_names=post.param_names,
+            accept_stat=np.full((4, 4000), 0.8), divergent=np.zeros((4, 4000), bool),
+            tree_depth=np.ones((4, 4000), np.int16), step_size=np.ones(4),
+            mass_diag=np.ones((4, post.dim)), n_grad=np.zeros((4, 2), np.int64),
+            config=SamplerConfig(n_chains=4, n_draw=4000, n_tune=0, seed=0),
+        )
+        tracemalloc.start()
+        try:
+            report = build_report(trace, post, index_id="big", rho=0.1, filter_size=252)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert math.isfinite(report.waic)
+        assert peak < 8 * 2**20, f"build_report peaked at {peak / 2**20:.1f} MB"
 
     def test_from_json_rejects_garbage(self):
         with pytest.raises(MalformedReportError):

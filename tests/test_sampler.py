@@ -23,17 +23,13 @@ from gainloss.pipeline import prepare_sample, synthetic_gbm_series
 UNIT_1D = GaussianTarget([1.0])
 
 
-def hamiltonian(value, p, inv_mass):
-    return -value + 0.5 * float(p * inv_mass @ p) if p.ndim else 0.0
-
-
 class TestLeapfrog:
     def test_harmonic_oscillator_hand_expansion(self):
         # from rest at q0: q1 = q0 (1 - eps^2/2), p1 = -eps q0 (1 - eps^2/4)
         eps = 0.1
-        z0, p0 = np.array([1.0]), np.array([0.0])
+        z0, p0 = [1.0], [0.0]
         grad0 = UNIT_1D.value_and_grad(z0)[1]
-        z1, p1, v1, g1 = leapfrog(z0, p0, grad0, eps, np.ones(1), UNIT_1D.value_and_grad)
+        z1, p1, v1, g1 = leapfrog(z0, p0, grad0, eps, [1.0], UNIT_1D.value_and_grad)
         assert z1[0] == 1.0 - eps**2 / 2.0
         assert p1[0] == -eps * (1.0 - eps**2 / 4.0)
         assert v1 == UNIT_1D.value_and_grad(z1)[0]
@@ -43,29 +39,31 @@ class TestLeapfrog:
         rng = np.random.default_rng(50)
         cov = np.array([[2.0, 0.7, 0.0], [0.7, 1.0, 0.3], [0.0, 0.3, 0.5]])
         target = CorrelatedGaussianTarget(cov)
-        inv_mass = rng.uniform(0.5, 2.0, 3)
-        z0 = rng.standard_normal(3)
-        p0 = rng.standard_normal(3)
+        inv_mass = rng.uniform(0.5, 2.0, 3).tolist()
+        z0 = rng.standard_normal(3).tolist()
+        p0 = rng.standard_normal(3).tolist()
         g0 = target.value_and_grad(z0)[1]
         z1, p1, _, g1 = leapfrog(z0, p0, g0, 0.2, inv_mass, target.value_and_grad)
-        z2, p2, _, _ = leapfrog(z1, -p1, g1, 0.2, inv_mass, target.value_and_grad)
+        z2, p2, _, _ = leapfrog(z1, [-v for v in p1], g1, 0.2, inv_mass,
+                                target.value_and_grad)
         assert np.allclose(z2, z0, atol=1e-10)
-        assert np.allclose(-p2, p0, atol=1e-10)
+        assert np.allclose(np.negative(p2), p0, atol=1e-10)
 
     def test_energy_drift_stays_small(self):
         eps, inv_mass = 0.01, np.ones(1)
-        z, p = np.array([1.0]), np.array([0.5])
+        z, p = [1.0], [0.5]
         value, grad = UNIT_1D.value_and_grad(z)
-        h0 = -value + 0.5 * float(p @ (inv_mass * p))
+        h0 = -value + 0.5 * float(np.asarray(p) @ (inv_mass * p))
         for _ in range(100):
-            z, p, value, grad = leapfrog(z, p, grad, eps, inv_mass, UNIT_1D.value_and_grad)
-        h1 = -value + 0.5 * float(p @ (inv_mass * p))
+            z, p, value, grad = leapfrog(z, p, grad, eps, inv_mass.tolist(),
+                                         UNIT_1D.value_and_grad)
+        h1 = -value + 0.5 * float(np.asarray(p) @ (inv_mass * p))
         assert abs(h1 - h0) < 1e-3
 
     def test_exploding_step_returns_divergent_leaf(self):
-        z, p = np.array([1.0]), np.array([1.0])
+        z, p = [1.0], [1.0]
         grad = UNIT_1D.value_and_grad(z)[1]
-        z1, p1, value, grad1 = leapfrog(z, p, grad, 1e200, np.ones(1), UNIT_1D.value_and_grad)
+        z1, p1, value, grad1 = leapfrog(z, p, grad, 1e200, [1.0], UNIT_1D.value_and_grad)
         assert value == -np.inf
         assert np.all(np.isfinite(z1)) and np.all(np.isfinite(p1))
         assert np.array_equal(grad1, np.zeros(1))
@@ -74,10 +72,10 @@ class TestLeapfrog:
 class TestNutsDraw:
     def test_depth_zero_is_a_metropolis_step(self):
         rng = np.random.default_rng(51)
-        z = np.array([0.3])
+        z = [0.3]
         value, grad = UNIT_1D.value_and_grad(z)
         z1, v1, g1, info = nuts_draw(
-            z, value, grad, 0.5, np.ones(1), rng, UNIT_1D.value_and_grad, max_tree_depth=0
+            z, value, grad, 0.5, [1.0], rng, UNIT_1D.value_and_grad, max_tree_depth=0
         )
         assert info["depth"] == 0
         assert 0.0 < info["accept_stat"] <= 1.0
@@ -88,12 +86,12 @@ class TestNutsDraw:
     def test_info_contract_on_typical_step(self):
         rng = np.random.default_rng(52)
         target = GaussianTarget(np.ones(4))
-        z = rng.standard_normal(4)
+        z = rng.standard_normal(4).tolist()
         value, grad = target.value_and_grad(z)
         depths = []
         for _ in range(50):
             z, value, grad, info = nuts_draw(
-                z, value, grad, 0.4, np.ones(4), rng, target.value_and_grad
+                z, value, grad, 0.4, [1.0] * 4, rng, target.value_and_grad
             )
             assert set(info) == {"accept_stat", "divergent", "depth"}
             assert 0.0 <= info["accept_stat"] <= 1.0
@@ -103,12 +101,12 @@ class TestNutsDraw:
     def test_huge_step_size_flags_divergence(self):
         rng = np.random.default_rng(53)
         target = GaussianTarget([1e-6])  # extremely narrow
-        z = np.array([0.0])
+        z = [0.0]
         value, grad = target.value_and_grad(z)
         flags = []
         for _ in range(20):
             _, _, _, info = nuts_draw(
-                z, value, grad, 50.0, np.ones(1), rng, target.value_and_grad
+                z, value, grad, 50.0, [1.0], rng, target.value_and_grad
             )
             flags.append(info["divergent"])
         assert any(flags)
@@ -205,7 +203,7 @@ class TestRunChains:
             dim = 2
 
             def value_and_grad(self, z):
-                return -np.inf, np.zeros(2)
+                return -np.inf, [0.0, 0.0]
 
         with pytest.raises(DomainError):
             run_chains(Hopeless(), SamplerConfig(n_chains=1, n_draw=10, n_tune=50, seed=17))
@@ -231,11 +229,11 @@ class TestFloatingPointErrors:
     inside the sampler; none of it may escape as a RuntimeWarning."""
 
     def test_exploding_leapfrog_step_warns_nothing(self):
-        z, p = np.array([1.0]), np.array([1.0])
+        z, p = [1.0], [1.0]
         grad = UNIT_1D.value_and_grad(z)[1]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            _, _, value, _ = leapfrog(z, p, grad, 1e200, np.ones(1), UNIT_1D.value_and_grad)
+            _, _, value, _ = leapfrog(z, p, grad, 1e200, [1.0], UNIT_1D.value_and_grad)
         assert value == -np.inf
 
     @pytest.mark.parametrize("eps", [1e2, 1e5, 1e200])
@@ -271,13 +269,15 @@ def running(pid: int) -> bool:
 # own process, the way a timeout or the out-of-memory killer would.
 KILLED_CALLER_SCRIPT = """
 import multiprocessing, os, threading, time
+import numpy as np
 from gainloss import nuts
 
 class Slow:
     dim = 1
     def value_and_grad(self, z):
+        z = np.asarray(z)
         time.sleep(0.001)
-        return -0.5 * float(z @ z), -z
+        return -0.5 * float(z @ z), (-z).tolist()
 
 def kill_when_started():
     while len(multiprocessing.active_children()) < 2:
@@ -397,6 +397,20 @@ class TestParallelChains:
         trace = run_chains(GaussianTarget(np.ones(2)),
                            SamplerConfig(n_chains=2, n_draw=40, n_tune=150, seed=24))
         assert trace.draws.shape == (2, 40, 2)
+
+    def test_chains_take_no_blas_dot(self, pool_targets, monkeypatch):
+        # a BLAS dot sums in an order, and so rounds in a way, that follows
+        # the CPU; the sampler's sums must not go through one
+        def no_dot(*args, **kwargs):
+            raise AssertionError("numpy.dot called")
+
+        monkeypatch.setattr(np, "dot", no_dot)
+        cfg = SamplerConfig(n_chains=1, n_draw=30, n_tune=150, seed=27)
+        for target in pool_targets.values():
+            center = (np.asarray(target.initial_unconstrained(), dtype=np.float64)
+                      if hasattr(target, "initial_unconstrained") else np.zeros(target.dim))
+            chain = run_chain(target, cfg, center, 0)
+            assert np.all(np.isfinite(chain.draws))
 
     def test_gradient_counts_split_warmup_from_sampling(self):
         target = CountingGaussian(np.ones(3))
