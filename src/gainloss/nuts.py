@@ -12,7 +12,23 @@ its path (velocity-based U-turn test), when the energy error exceeds
 Warmup interleaves dual averaging of the step size (targeting a mean
 acceptance statistic) with expanding-window estimation of a diagonal mass
 matrix from the warmup draws; the final step size is the averaged iterate of
-the last dual-averaging stretch.
+the last dual-averaging stretch. Before the first window the metric is the
+Laplace approximation's: each chain climbs from the unjittered start to the
+posterior mode by damped Newton steps, with Hessians from central
+differences of the gradient (2 * dim calls each), and takes the diagonal of
+the inverse negative Hessian there, the marginal variances, as its inverse
+mass. A unit metric would make the first window's trees run deep on a badly
+scaled posterior. The chain's jittered start is then centred on the mode,
+within a few Laplace sds of it: from a unit box around the unjittered start
+it would sit hundreds of sds out on a narrow coordinate, where the short
+trees of that metric crawl back. The search draws no random numbers, so
+every chain finds the same mode and metric, and its small linear systems
+are solved in Python floats, not by LAPACK, whose rounding follows the CPU.
+Where it fails (zero density on its path, a Hessian that is not negative
+definite, no convergence within a fixed number of steps) the chain starts
+from the unit metric around the unjittered start, and its draws are those
+of a warmup without the search. The trace records which metric each chain
+started from.
 
 Chains are independent: chain ``c`` of a run seeded with ``seed`` draws from
 a counter-based generator keyed by ``(seed, c)``, so results do not depend on
@@ -30,8 +46,9 @@ The target is any object with a ``dim`` attribute and a
 ``value_and_grad(z) -> (logp, grad)`` method in unconstrained coordinates,
 taking a list of ``dim`` Python floats and returning a float and a float list
 (off-support points must return ``-inf``, not raise). The sampler calls it
-once per leapfrog step and a few times at each chain's start, so counting
-its calls counts gradients, which each chain does in its own process.
+once per leapfrog step, and at each chain's start a few times plus some
+tens of times for the mode search, so counting its calls counts gradients,
+which each chain does in its own process.
 Optional methods ``constrain``, ``param_names`` and
 ``initial_unconstrained`` refine what the trace records.
 
@@ -44,8 +61,8 @@ warmup window call numpy.
 
 An exploding trajectory overflows; its leaves come out divergent. Python
 floats overflow without a warning, and numpy's floating-point errors are
-silenced once per transition (and once per step-size search), not once per
-step; that covers the target's own arithmetic too.
+silenced once per transition (and once per step-size or mode search), not
+once per step; that covers the target's own arithmetic too.
 """
 
 from __future__ import annotations
@@ -89,6 +106,14 @@ _BASE_WINDOW = 25
 
 _MIN_ACCEPT = 0.1  # below this after warmup the chain is declared failed
 
+# mode search that sets the initial metric
+_MODE_ITERS = 30      # Newton steps before the search gives up
+_MODE_HALVINGS = 30   # step halvings before a Newton step gives up
+_MODE_TOL = 1e-8      # Newton decrement g^T (-H)^-1 g at which the mode is found
+_MODE_MAX_STEP = 1.0  # longest move of one coordinate in one Newton step
+_HESSIAN_STEP = 1e-4  # central-difference step of the Hessian in each coordinate
+_LAPLACE_JITTER = 2.0  # start radius around the mode, in Laplace sds
+
 _PR_SET_PDEATHSIG = 1  # from <linux/prctl.h>
 
 
@@ -125,6 +150,7 @@ class Trace:
     step_size: np.ndarray             # [n_chains]
     mass_diag: np.ndarray             # [n_chains, dim]
     n_grad: np.ndarray                # [n_chains, 2] gradient calls: warmup, sampling
+    init_metric: tuple[str, ...]      # [n_chains] "laplace" or "unit"
     config: SamplerConfig
 
     @property
@@ -423,12 +449,120 @@ def _regularized_variance(draws: np.ndarray) -> np.ndarray:
     return np.maximum(shrunk, 1e-12)
 
 
-def _warmup_chain(value_and_grad, z0, cfg: SamplerConfig, rng, chain: int):
-    """Adapt eps and the diagonal mass; returns (z, value, grad, eps, inv_mass)."""
+def _cholesky(a: list[list[float]]) -> Union[list[list[float]], None]:
+    """Lower Cholesky factor of the symmetric matrix ``a`` (a list of rows),
+    or None if ``a`` is not positive definite.
+
+    Python floats, not LAPACK, whose rounding follows the CPU.
+    """
+    n = len(a)
+    low = [[0.0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1):
+            s = a[i][j]
+            for k in range(j):
+                s -= low[i][k] * low[j][k]
+            if i > j:
+                low[i][j] = s / low[j][j]
+            elif s > 0.0 and math.isfinite(s):
+                low[i][i] = math.sqrt(s)
+            else:
+                return None
+    return low
+
+
+def _cho_solve(low: list[list[float]], b: list[float]) -> list[float]:
+    """x with (low low^T) x = b, by forward and then back substitution."""
+    n = len(b)
+    y = []
+    for i in range(n):
+        s = b[i]
+        for k in range(i):
+            s -= low[i][k] * y[k]
+        y.append(s / low[i][i])
+    x = [0.0] * n
+    for i in reversed(range(n)):
+        s = y[i]
+        for k in range(i + 1, n):
+            s -= low[k][i] * x[k]
+        x[i] = s / low[i][i]
+    return x
+
+
+def _neg_hessian(value_and_grad, z: list[float]) -> Union[list[list[float]], None]:
+    """-d2 logp / dz2 at z from central differences of the gradient,
+    symmetrized; None if the stencil leaves the support."""
+    h = _HESSIAN_STEP
+    cols = []
+    for k in range(len(z)):
+        up, down = list(z), list(z)
+        up[k] += h
+        down[k] -= h
+        (v_up, g_up), (v_down, g_down) = value_and_grad(up), value_and_grad(down)
+        if not (math.isfinite(v_up) and math.isfinite(v_down)):
+            return None
+        cols.append([(gd - gu) / (2.0 * h) for gu, gd in zip(g_up, g_down)])
+    return [[0.5 * (cols[i][j] + cols[j][i]) for j in range(len(z))]
+            for i in range(len(z))]
+
+
+def _laplace(value_and_grad, z: list[float]) -> Union[tuple[list[float], list[float]], None]:
+    """The posterior mode and the diagonal of the inverse negative Hessian there.
+
+    A damped Newton search climbs from ``z`` to the mode: where the negative
+    Hessian is not positive definite, its diagonal is inflated
+    (Levenberg-Marquardt) until it is; each step moves no coordinate by more
+    than ``_MODE_MAX_STEP`` and is halved until the density rises. The
+    diagonal is the Laplace approximation's marginal variances, which is
+    what a diagonal inverse metric estimates. Returns
+    None where ``z`` has zero density, a step finds no rise, or the search
+    does not converge within ``_MODE_ITERS`` Newton steps to a point whose
+    Hessian is negative definite. No random numbers are drawn.
+    """
+    value, grad = value_and_grad(z)
+    if not math.isfinite(value):
+        return None
+    dim = len(z)
+    for _ in range(_MODE_ITERS):
+        a = _neg_hessian(value_and_grad, z)
+        if a is None:
+            return None
+        low, shift = _cholesky(a), 0.0
+        while low is None:
+            shift = 4.0 * shift or 1e-3
+            if shift > 1e6:
+                return None
+            low = _cholesky([[a_ij + shift * (abs(a_ij) + 1.0) if i == j else a_ij
+                              for j, a_ij in enumerate(row)] for i, row in enumerate(a)])
+        step = _cho_solve(low, grad)
+        if shift == 0.0 and sum(g * s for g, s in zip(grad, step)) < _MODE_TOL:
+            # converged, on the unshifted Hessian: its inverse's diagonal
+            return z, [_cho_solve(low, [float(i == k) for i in range(dim)])[k]
+                       for k in range(dim)]
+        # far from the mode a step can be long enough to pin a bounded
+        # coordinate to its bound, where the density is flat
+        longest = max(map(abs, step))
+        t = 1.0 if longest <= _MODE_MAX_STEP else _MODE_MAX_STEP / longest
+        for _ in range(_MODE_HALVINGS):
+            trial = [zk + t * sk for zk, sk in zip(z, step)]
+            if all(map(math.isfinite, trial)):
+                v_trial, g_trial = value_and_grad(trial)
+                if v_trial > value:  # False for -inf and NaN alike
+                    z, value, grad = trial, v_trial, g_trial
+                    break
+            t *= 0.5
+        else:
+            return None
+    return None
+
+
+def _warmup_chain(value_and_grad, z0, cfg: SamplerConfig, rng, chain: int,
+                  inv_mass: list[float]):
+    """Adapt eps and the diagonal mass from ``inv_mass``; returns
+    (z, value, grad, eps, inv_mass)."""
     value, grad = value_and_grad(z0)
     if not math.isfinite(value):
         raise DomainError(f"chain {chain}: initial point has zero posterior density")
-    inv_mass = [1.0] * len(z0)
     z = z0
     if cfg.n_tune == 0:
         eps = 0.5 * _find_reasonable_eps(z, value, grad, inv_mass, rng,
@@ -477,13 +611,16 @@ class ChainDraws(NamedTuple):
     step_size: float
     mass_diag: np.ndarray    # [dim]
     n_grad: tuple[int, int]  # gradient calls in warmup, in sampling
+    init_metric: str         # "laplace", or "unit" where the mode search fell back
 
 
 def run_chain(target, cfg: SamplerConfig, z_center: np.ndarray, chain: int) -> ChainDraws:
     """Warm up and sample chain ``chain`` of ``cfg`` on ``target``.
 
-    The chain starts at ``z_center`` plus uniform jitter on [-1, 1] per
-    unconstrained coordinate and is driven by its own counter-based generator
+    The chain starts at the posterior mode plus uniform jitter of
+    ``_LAPLACE_JITTER`` Laplace sds per unconstrained coordinate, or, where
+    the mode search fails or there is no tuning, at ``z_center`` plus
+    uniform jitter on [-1, 1]. It is driven by its own counter-based generator
     keyed on ``(cfg.seed, chain)``, so its draws do not depend on which
     process runs it or on what ran before.
     """
@@ -497,16 +634,29 @@ def run_chain(target, cfg: SamplerConfig, z_center: np.ndarray, chain: int) -> C
 
     dim = z_center.shape[0]
     constrain = getattr(target, "constrain", None)
+    # the same for every chain: the search starts from the unjittered centre
+    # and draws no random numbers
+    laplace = None
+    if cfg.n_tune:
+        with np.errstate(over="ignore", invalid="ignore"):
+            laplace = _laplace(value_and_grad, z_center.tolist())
+    if laplace is None:
+        center, spread, inv_mass = z_center, 1.0, [1.0] * dim
+    else:
+        mode, inv_mass = laplace
+        center = np.array(mode)
+        spread = _LAPLACE_JITTER * np.sqrt(inv_mass)
     seq = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(chain,))
     rng = np.random.Generator(np.random.Philox(seq))
-    z0 = z_center + rng.uniform(-1.0, 1.0, dim)
+    z0 = center + spread * rng.uniform(-1.0, 1.0, dim)
     # jittered start may fall off the support; pull it back toward center
     for _ in range(30):
         if math.isfinite(value_and_grad(z0.tolist())[0]):
             break
-        z0 = z_center + 0.5 * (z0 - z_center)
+        z0 = center + 0.5 * (z0 - center)
     z0 = z0.tolist()
-    z, value, grad, eps, inv_mass = _warmup_chain(value_and_grad, z0, cfg, rng, chain)
+    z, value, grad, eps, inv_mass = _warmup_chain(value_and_grad, z0, cfg, rng, chain,
+                                                  inv_mass)
     n_warmup = n_calls
 
     draws = np.empty((cfg.n_draw, dim))
@@ -522,7 +672,7 @@ def run_chain(target, cfg: SamplerConfig, z_center: np.ndarray, chain: int) -> C
         depth[it] = info["depth"]
     # inv_mass is the estimated marginal variances
     return ChainDraws(draws, accept, divergent, depth, eps, np.array(inv_mass),
-                      (n_warmup, n_calls - n_warmup))
+                      (n_warmup, n_calls - n_warmup), "unit" if laplace is None else "laplace")
 
 
 # The target and start centre of the run a pool worker serves. The worker is
@@ -602,6 +752,7 @@ def run_chains(target, cfg: SamplerConfig) -> Trace:
         step_size=np.array([c.step_size for c in chains]),
         mass_diag=np.stack([c.mass_diag for c in chains]),
         n_grad=np.array([c.n_grad for c in chains], dtype=np.int64),
+        init_metric=tuple(c.init_metric for c in chains),
         config=cfg,
     )
 
@@ -642,6 +793,7 @@ def trace_summary(trace: Trace) -> dict:
         "divergences": [int(d) for d in trace.divergent.sum(axis=1)],
         "mean_tree_depth": [float(d) for d in trace.tree_depth.mean(axis=1)],
         "n_grad": [[int(n) for n in row] for row in trace.n_grad],
+        "init_metric": list(trace.init_metric),
     }
 
 

@@ -47,6 +47,7 @@ def fake_trace(values_by_name, n_chains=2, n_draw=60):
         step_size=np.full(n_chains, 0.5),
         mass_diag=np.ones((n_chains, len(names))),
         n_grad=np.zeros((n_chains, 2), dtype=np.int64),
+        init_metric=("unit",) * n_chains,
         config=cfg,
     )
 
@@ -391,6 +392,7 @@ class TestBuildReport:
             accept_stat=np.full((4, 4000), 0.8), divergent=np.zeros((4, 4000), bool),
             tree_depth=np.ones((4, 4000), np.int16), step_size=np.ones(4),
             mass_diag=np.ones((4, post.dim)), n_grad=np.zeros((4, 2), np.int64),
+            init_metric=("unit",) * 4,
             config=SamplerConfig(n_chains=4, n_draw=4000, n_tune=0, seed=0),
         )
         tracemalloc.start()

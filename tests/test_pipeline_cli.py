@@ -443,6 +443,7 @@ class TestCliFit:
             summary = json.loads((out / f"synth_{model}_summary.json").read_text())
             assert summary["seed"] == 3
             assert summary["n_chains"] == 2
+            assert summary["init_metric"] == ["laplace", "laplace"]
         header = (out / "synth_student-t_chain0.csv").read_text().splitlines()[0]
         assert header.startswith("chain,draw,mu_plus,")
 

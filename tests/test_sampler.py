@@ -1,6 +1,7 @@
 """Leapfrog integrator, tree sampler, warmup adaptation, and chain driver."""
 
 import concurrent.futures
+import math
 import multiprocessing
 import os
 import pickle
@@ -326,7 +327,7 @@ def pooled(monkeypatch):
 
 
 TRACE_ARRAYS = ("draws", "accept_stat", "divergent", "tree_depth", "step_size",
-                "mass_diag", "n_grad")
+                "mass_diag", "n_grad", "init_metric")
 
 
 class TestParallelChains:
@@ -399,18 +400,23 @@ class TestParallelChains:
         assert trace.draws.shape == (2, 40, 2)
 
     def test_chains_take_no_blas_dot(self, pool_targets, monkeypatch):
-        # a BLAS dot sums in an order, and so rounds in a way, that follows
-        # the CPU; the sampler's sums must not go through one
-        def no_dot(*args, **kwargs):
-            raise AssertionError("numpy.dot called")
+        # a BLAS dot or a LAPACK solve sums in an order, and so rounds in a
+        # way, that follows the CPU; the sampler's sums must not go through one
+        def forbidden(name):
+            def call(*args, **kwargs):
+                raise AssertionError(f"numpy.{name} called")
+            return call
 
-        monkeypatch.setattr(np, "dot", no_dot)
+        monkeypatch.setattr(np, "dot", forbidden("dot"))
+        for name in ("solve", "inv", "cholesky"):
+            monkeypatch.setattr(np.linalg, name, forbidden(f"linalg.{name}"))
         cfg = SamplerConfig(n_chains=1, n_draw=30, n_tune=150, seed=27)
         for target in pool_targets.values():
             center = (np.asarray(target.initial_unconstrained(), dtype=np.float64)
                       if hasattr(target, "initial_unconstrained") else np.zeros(target.dim))
             chain = run_chain(target, cfg, center, 0)
             assert np.all(np.isfinite(chain.draws))
+            assert chain.init_metric == "laplace"
 
     def test_gradient_counts_split_warmup_from_sampling(self):
         target = CountingGaussian(np.ones(3))
@@ -422,6 +428,139 @@ class TestParallelChains:
         assert sampling >= cfg.n_draw
         assert warmup > cfg.n_tune
         assert nuts.trace_summary(trace)["n_grad"] == [[int(warmup), int(sampling)]]
+
+
+class Saddle:
+    """log p = (z1^2 - z0^2) / 2, which rises without bound along z1."""
+
+    dim = 2
+
+    def value_and_grad(self, z):
+        return 0.5 * (z[1] * z[1] - z[0] * z[0]), [-z[0], z[1]]
+
+
+class DoubleWell:
+    """log p = -sum (z^2 - 1)^2: the origin, where a search starts, is a
+    local minimum; the modes are at +-1."""
+
+    dim = 2
+
+    def value_and_grad(self, z):
+        return (-sum((zk * zk - 1.0) ** 2 for zk in z),
+                [-4.0 * zk * (zk * zk - 1.0) for zk in z])
+
+
+class Pinhole:
+    """Finite density at the origin only."""
+
+    dim = 2
+
+    def value_and_grad(self, z):
+        return (-math.inf if any(z) else 0.0), [0.0] * self.dim
+
+
+class TestLaplaceMetric:
+    """The mode search that sets each chain's initial inverse metric."""
+
+    @pytest.mark.parametrize("target", [
+        GaussianTarget([1.0, 4.0, 0.25]),
+        CorrelatedGaussianTarget([[2.0, 0.9, 0.3], [0.9, 1.0, -0.2], [0.3, -0.2, 0.5]]),
+    ], ids=["independent", "correlated"])
+    def test_gaussians_give_the_mode_and_the_covariance_diagonal(self, target):
+        cov_diag = np.diag(target.cov) if hasattr(target, "cov") else target.var
+        # from the mode, and from a start the search must climb from
+        for start in ([0.0, 0.0, 0.0], [0.7, -1.3, 2.0]):
+            mode, metric = nuts._laplace(target.value_and_grad, start)
+            assert np.allclose(mode, 0.0, rtol=0.0, atol=1e-6)
+            assert np.allclose(metric, cov_diag, rtol=1e-6, atol=0.0)
+
+    def test_the_student_t_posterior_converges(self, pool_targets):
+        target = pool_targets["student-t"]
+        mode, metric = nuts._laplace(target.value_and_grad,
+                                     target.initial_unconstrained().tolist())
+        assert np.allclose(target.value_and_grad(mode)[1], 0.0, atol=1e-3)
+        # the location is far narrower than the unit metric assumes
+        assert metric[0] < 1e-3
+
+    @pytest.mark.parametrize("target, start", [
+        (Saddle(), [0.5, 0.5]),   # never converges
+        (DoubleWell(), [0.0, 0.0]),  # no Newton step rises
+        (Pinhole(), [0.0, 0.0]),  # the Hessian's stencil leaves the support
+    ], ids=["saddle", "minimum", "pinhole"])
+    def test_falls_back_where_the_hessian_fails(self, target, start):
+        assert nuts._laplace(target.value_and_grad, start) is None
+
+    def test_a_fallback_warms_up_from_the_unit_metric(self, monkeypatch):
+        target = DoubleWell()
+        cfg = SamplerConfig(n_chains=1, n_draw=50, n_tune=150, seed=28)
+        searched = run_chain(target, cfg, np.zeros(2), 0)
+        started = []
+        warmup = nuts._warmup_chain
+
+        def spy(value_and_grad, z0, cfg, rng, chain, inv_mass):
+            started.append(inv_mass)
+            return warmup(value_and_grad, z0, cfg, rng, chain, inv_mass)
+
+        monkeypatch.setattr(nuts, "_warmup_chain", spy)
+        monkeypatch.setattr(nuts, "_laplace", lambda *args: None)
+        unsearched = run_chain(target, cfg, np.zeros(2), 0)
+        assert started == [[1.0, 1.0]]
+        assert searched.init_metric == unsearched.init_metric == "unit"
+        for field in TRACE_ARRAYS:
+            if field != "n_grad":
+                assert np.array_equal(np.asarray(getattr(searched, field)),
+                                      np.asarray(getattr(unsearched, field))), field
+        # the failed search's gradients count as warmup
+        assert searched.n_grad[0] > unsearched.n_grad[0]
+        assert searched.n_grad[1] == unsearched.n_grad[1]
+
+    def test_chains_start_within_a_few_laplace_sds_of_the_mode(self, pool_targets,
+                                                              monkeypatch):
+        # a unit box around the moment start is hundreds of sds wide on the
+        # narrow location coordinates
+        target = pool_targets["inv-gamma"]
+        mode, metric = nuts._laplace(target.value_and_grad,
+                                     target.initial_unconstrained().tolist())
+        starts = []
+        warmup = nuts._warmup_chain
+
+        def spy(value_and_grad, z0, cfg, rng, chain, inv_mass):
+            starts.append(z0)
+            assert inv_mass == metric
+            return warmup(value_and_grad, z0, cfg, rng, chain, inv_mass)
+
+        monkeypatch.setattr(nuts, "_warmup_chain", spy)
+        cfg = SamplerConfig(n_chains=2, n_draw=10, n_tune=80, seed=30)
+        for chain in range(2):
+            run_chain(target, cfg, target.initial_unconstrained(), chain)
+        offsets = (np.array(starts) - mode) / np.sqrt(metric)
+        assert np.all(np.abs(offsets) <= nuts._LAPLACE_JITTER)
+        assert not np.array_equal(starts[0], starts[1])
+
+    def test_the_trace_records_which_metric_warmup_started_from(self):
+        trace = run_chains(GaussianTarget(np.ones(2)),
+                           SamplerConfig(n_chains=2, n_draw=40, n_tune=150, seed=29))
+        assert trace.init_metric == ("laplace", "laplace")
+        assert nuts.trace_summary(trace)["init_metric"] == ["laplace", "laplace"]
+        for target, cfg in ((DoubleWell(), SamplerConfig(n_chains=2, n_draw=40,
+                                                         n_tune=150, seed=29)),
+                            (GaussianTarget(np.ones(2)), SamplerConfig(
+                                n_chains=1, n_draw=40, n_tune=0, seed=29))):
+            trace = run_chains(target, cfg)
+            assert nuts.trace_summary(trace)["init_metric"] == ["unit"] * cfg.n_chains
+
+    def test_the_search_cuts_warmup_gradients_on_13_years(self, pool_targets,
+                                                          monkeypatch):
+        # a deterministic count, not seconds: the unit metric's first window
+        # runs deep trees on the badly scaled location
+        target = pool_targets["student-t"]
+        cfg = SamplerConfig(n_chains=1, n_draw=50, n_tune=300, seed=5)
+        center = target.initial_unconstrained()
+        laplace = run_chain(target, cfg, center, 0)
+        monkeypatch.setattr(nuts, "_laplace", lambda *args: None)
+        unit = run_chain(target, cfg, center, 0)
+        assert laplace.init_metric == "laplace" and unit.init_metric == "unit"
+        assert laplace.n_grad[0] < 0.6 * unit.n_grad[0]
 
 
 def package_errors(cls=errors.GainLossError):
