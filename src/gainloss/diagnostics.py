@@ -12,15 +12,17 @@ them, and the model, from that posterior. Convergence is
 judged with the between/within-chain variance ratio (potential scale
 reduction) and a multi-chain autocorrelation effective sample size; model fit
 is compared with the widely applicable information criterion, computed after
-sampling with one log-likelihood column per distinct value, weighted by count.
+sampling with one log-likelihood row per distinct value, weighted by count.
 
-A report's memory is O(draws x ``LOGLIK_BLOCK``), whatever the number of
-distinct values. WAIC reads the [draws x distinct] log-likelihood matrix a
-block of columns at a time, from a :class:`~gainloss.models.LoglikMatrix`
-that computes only the block asked for, and folds each block into its
-columns' lppd and p_waic terms. Held whole, the float32 matrix of the
-default 4 x 4000 draws would take 696 MB for the 10.9k distinct hitting
-times of a synthetic 25k-day series at barrier scale 2.
+A report's memory is O(``LOGLIK_BLOCK``), whatever the number of distinct
+values. WAIC reads the log likelihoods as float64 rows, one per distinct
+value and one column per draw, a block of rows at a time, from a
+:class:`~gainloss.models.LoglikMatrix` that computes only the block asked
+for. Each row's lppd and p_waic terms are reductions along its contiguous
+draw axis, which numpy sums pairwise within the row, so a row's terms do
+not depend on the block it falls in. Held whole, the matrix of the default
+4 x 4000 draws would take 1.4 GB for the 10.9k distinct hitting times of a
+synthetic 25k-day series at barrier scale 2.
 """
 
 from __future__ import annotations
@@ -61,8 +63,8 @@ MIN_CHAINS = 2            # R^ compares chains
 MIN_CHAIN_DRAWS = 4       # per chain, for R^ and ESS
 MIN_HDI_SAMPLES = 50      # pooled over chains
 _HIST_BINS = 60
-# Elements of one [draws x columns] float64 block of WAIC's column loop:
-# 1 MB, so its temporaries stay in cache
+# Elements of one [rows x draws] float64 block of WAIC's row loop: 1 MB, so
+# its temporaries stay in cache
 LOGLIK_BLOCK = 1 << 17
 
 
@@ -200,57 +202,53 @@ class WaicResult:
     n_obs: int
 
 
-def _sum_draws(block: np.ndarray) -> np.ndarray:
-    """Column sums of a [draws, k] block, added in draw order for every k.
-
-    numpy reduces a block of two or more columns row by row, in draw order,
-    but a single column pairwise; a running sum keeps that one in order too,
-    so a column's terms do not depend on the block it falls in.
-    """
-    if block.shape[1] > 1:
-        return block.sum(axis=0)
-    return np.cumsum(block[:, 0])[-1:]
-
-
 def _column_terms(ll) -> tuple[np.ndarray, np.ndarray]:
-    """Each column's lppd and p_waic terms, reading ``LOGLIK_BLOCK // draws``
-    columns of ``ll`` at a time, so the float64 temporaries stay cache-sized
-    and a :class:`~gainloss.models.LoglikMatrix` is never held whole."""
-    n_draws, n_cols = ll.shape
+    """The lppd and p_waic terms of each column of a [draws, n] array, or of
+    each row of a :class:`~gainloss.models.LoglikMatrix`.
+
+    Both are read as float64 rows, one per observation or distinct value and
+    ``LOGLIK_BLOCK // draws`` at a time, so the temporaries stay cache-sized
+    and a :class:`~gainloss.models.LoglikMatrix` is never held whole.
+    """
+    if isinstance(ll, LoglikMatrix):
+        (n_cols, n_draws), rows = ll.shape, ll.rows
+    else:
+        ll = np.asarray(ll)
+        if ll.ndim != 2:
+            raise TooFewSamplesError(f"expected [draws, n_obs], got shape {ll.shape}")
+        n_draws, n_cols = ll.shape
+
+        def rows(start, stop):
+            return np.ascontiguousarray(ll[:, start:stop].T, dtype=np.float64)
+    if n_draws < 2 or n_cols < 1:
+        raise TooFewSamplesError("waic needs >= 2 draws and >= 1 observation")
     lppd_i = np.empty(n_cols)
     p_i = np.empty(n_cols)
-    width = max(1, LOGLIK_BLOCK // n_draws)
-    for start in range(0, n_cols, width):
-        stop = min(start + width, n_cols)
-        cols = ll[:, start:stop].astype(np.float64)
-        peak = cols.max(axis=0)
-        lppd_i[start:stop] = peak + np.log(_sum_draws(np.exp(cols - peak)) / n_draws)
-        dev = cols - _sum_draws(cols) / n_draws
-        p_i[start:stop] = _sum_draws(dev * dev) / (n_draws - 1)
+    height = max(1, LOGLIK_BLOCK // n_draws)
+    for start in range(0, n_cols, height):
+        stop = min(start + height, n_cols)
+        block = rows(start, stop)
+        peak = block.max(axis=1, keepdims=True)
+        lppd_i[start:stop] = peak[:, 0] + np.log(np.exp(block - peak).sum(axis=1) / n_draws)
+        p_i[start:stop] = block.var(axis=1, ddof=1)
     return lppd_i, p_i
 
 
 def waic(pointwise_loglik, counts: Optional[np.ndarray] = None) -> WaicResult:
     """Widely applicable information criterion, -2(lppd - p_waic).
 
-    ``pointwise_loglik`` has one row per retained posterior draw and one
-    column per observation, or per distinct value when ``counts`` gives how
-    many observations share each column (``None``: one each); it is an array
-    or a :class:`~gainloss.models.LoglikMatrix`. The effective parameter count
-    is the count-weighted sum of per-column sample variances; the standard
-    error scales the spread of per-observation contributions by sqrt(n_obs),
-    with n_obs the total count. Memory is O(draws x ``LOGLIK_BLOCK``)
-    beyond the input, whatever the number of columns.
+    ``pointwise_loglik`` is a [draws, n] array, with one row per retained
+    posterior draw and one column per observation, or per distinct value
+    when ``counts`` gives how many observations share each column (``None``:
+    one each); or it is a :class:`~gainloss.models.LoglikMatrix`, whose rows
+    are the distinct values. The effective parameter count is the
+    count-weighted sum of per-value sample variances; the standard error
+    scales the spread of per-observation contributions by sqrt(n_obs), with
+    n_obs the total count. Memory is O(``LOGLIK_BLOCK``) beyond the input,
+    whatever the number of values.
     """
-    ll = (pointwise_loglik if isinstance(pointwise_loglik, LoglikMatrix)
-          else np.asarray(pointwise_loglik))
-    if len(ll.shape) != 2:
-        raise TooFewSamplesError(f"expected [draws, n_obs], got shape {ll.shape}")
-    n_draws, n_cols = ll.shape
-    if n_draws < 2 or n_cols < 1:
-        raise TooFewSamplesError("waic needs >= 2 draws and >= 1 observation")
-    c = np.ones(n_cols) if counts is None else np.asarray(counts, dtype=np.float64)
-    lppd_i, p_i = _column_terms(ll)
+    lppd_i, p_i = _column_terms(pointwise_loglik)
+    c = np.ones(p_i.size) if counts is None else np.asarray(counts, dtype=np.float64)
     contrib = -2.0 * (lppd_i - p_i)
     # numpy's own summation, not a BLAS dot, whose rounding follows the CPU
     n = float(c.sum())

@@ -37,7 +37,8 @@ class ZeroVarianceError(InputError):
 
 
 class WindowTooLargeError(InputError):
-    """A rolling window or slice exceeds the available observations."""
+    """A rolling window or slice is shorter than one step or exceeds the
+    available observations."""
 
 
 class NonPositiveRhoError(InputError):

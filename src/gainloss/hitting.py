@@ -57,14 +57,6 @@ class HittingSample:
         object.__setattr__(self, "tau_plus", np.asarray(self.tau_plus, dtype=np.int64))
         object.__setattr__(self, "tau_minus", np.asarray(self.tau_minus, dtype=np.int64))
 
-    @property
-    def censoring_rate_plus(self) -> float:
-        return self.censored_plus / self.n_anchors if self.n_anchors else 0.0
-
-    @property
-    def censoring_rate_minus(self) -> float:
-        return self.censored_minus / self.n_anchors if self.n_anchors else 0.0
-
 
 @dataclass(frozen=True)
 class LogHittingSample:

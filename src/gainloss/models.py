@@ -63,9 +63,9 @@ sum of logs stay numpy calls, whose vectorized results can differ from
 The report's log likelihoods are computed per side and vectorized over
 draws: a family's ``loglik`` takes each draw's constants (log-gamma and
 logs) once, in Python floats as the one-draw densities do, and applies the
-same elementwise numpy operations to a block of values, so each entry
-equals the one-draw density bit for bit. A :class:`LoglikMatrix` rounds
-each block to float32, as the matrix the report once held was.
+same elementwise numpy operations to a block of values, one float64 row per
+value and one column per draw, so each entry equals the one-draw density
+bit for bit. A :class:`LoglikMatrix` hands those rows out a block at a time.
 """
 
 from __future__ import annotations
@@ -276,18 +276,18 @@ def _student_value_grad(theta, stats, p: SidePrior):
 
 def _student_loglik(theta: np.ndarray):
     """Per-draw constants of the Student-t density under each row (mu, sigma,
-    nu) of ``theta``, and the map from values x [k] to log densities [draws, k].
+    nu) of ``theta``, and the map from values x [k] to log densities [k, draws].
 
     Each entry rounds exactly as :func:`student_logpdf` at that row.
     """
-    mu, sigma, nu = (theta[:, k, None] for k in range(3))
+    mu, sigma, nu = np.array(theta.T)
     const = np.array([
         _lgamma((v + 1.0) / 2.0) - _lgamma(v / 2.0) - 0.5 * math.log(math.pi * v)
         - math.log(s)
-        for s, v in zip(sigma[:, 0].tolist(), nu[:, 0].tolist())
-    ]).reshape(-1, 1)
+        for s, v in zip(sigma.tolist(), nu.tolist())
+    ])
     half_nu1 = 0.5 * (nu + 1.0)
-    return lambda x: const - half_nu1 * np.log1p(((x - mu) / sigma) ** 2 / nu)
+    return lambda x: const - half_nu1 * np.log1p(((x[:, None] - mu) / sigma) ** 2 / nu)
 
 
 def _ig_prepare(values: np.ndarray, counts: np.ndarray):
@@ -321,19 +321,18 @@ def _ig_value_grad(theta, stats, p: SidePrior):
 
 def _ig_loglik(theta: np.ndarray):
     """Per-draw constants of the Inverse-Gamma density under each row (m, s)
-    of ``theta``, and the map from values x [k] to log densities [draws, k].
+    of ``theta``, and the map from values x [k] to log densities [k, draws].
 
     Each entry rounds exactly as :func:`invgamma_logpdf` of
     :func:`ig_shape_rate` at that row.
     """
-    m, s = theta[:, 0, None], theta[:, 1, None]
+    m, s = np.array(theta.T)
     alpha = 2.0 + (m * m) / (s * s)
     beta = m * (alpha - 1.0)
     const = np.array([a * math.log(b) - _lgamma(a)
-                      for a, b in zip(alpha[:, 0].tolist(), beta[:, 0].tolist())
-                      ]).reshape(-1, 1)
+                      for a, b in zip(alpha.tolist(), beta.tolist())])
     alpha1 = alpha + 1.0
-    return lambda x: const - alpha1 * np.log(x) - beta / x
+    return lambda x: const - alpha1 * np.log(x)[:, None] - beta / x[:, None]
 
 
 @dataclass(frozen=True)
@@ -347,7 +346,7 @@ class Family:
     list; ``logpdf(x, theta)`` is the density at each value of ``x``, and
     ``loglik(thetas)`` its batched form over the rows of a [draws, p] array:
     it computes the per-draw constants once and returns the map from values
-    x [k] to the [draws, k] log densities.
+    x [k] to the [k, draws] log densities.
     """
 
     names: tuple[str, ...]
@@ -369,20 +368,6 @@ class Family:
     def side_names(self, index: int) -> tuple[str, str]:
         """Gain-side and loss-side names of one per-side parameter."""
         return f"{self.names[index]}_plus", f"{self.names[index]}_minus"
-
-    def log_prior(self, theta: np.ndarray, prior: SidePrior) -> float:
-        """Log prior of one side's parameters; -inf off the support.
-
-        The prior is the side's ``value_grad`` on no data.
-        """
-        theta = np.asarray(theta, dtype=np.float64)
-        if np.any(np.isnan(theta)):
-            raise NonFiniteError("parameter vector contains NaN")
-        low, high = self.support
-        if not np.all((np.asarray(low) < theta) & (theta < np.asarray(high))):
-            return -math.inf
-        stats = self.prepare(np.empty(0), np.empty(0))
-        return float(self.value_grad(theta.tolist(), stats, prior)[0])
 
 
 FAMILIES: dict[ModelKind, Family] = {
@@ -545,12 +530,10 @@ class Posterior:
 
     def pointwise_loglik(self, theta: np.ndarray) -> np.ndarray:
         """Log likelihood of one observation at each distinct value (gain side
-        first); ``counts`` holds how many observations share each value."""
-        theta = np.asarray(theta, dtype=np.float64)[None, :]
-        return np.concatenate([
-            self.family.loglik(theta[:, sl])(values)[0]
-            for values, (sl, _, _) in zip(self._values, self._sides)
-        ])
+        first), the one-draw case of :class:`LoglikMatrix`; ``counts`` holds
+        how many observations share each value."""
+        matrix = LoglikMatrix(self, np.asarray(theta, dtype=np.float64)[None, :])
+        return matrix.rows(0, matrix.shape[0])[:, 0]
 
     def initial_unconstrained(self) -> np.ndarray:
         """Empirical-moment starting point, mapped to unconstrained space."""
@@ -559,14 +542,14 @@ class Posterior:
 
 
 class LoglikMatrix:
-    """The [draws, distinct values] log likelihood matrix of ``posterior`` at
-    each row of ``draws`` [n, dim].
+    """The [distinct values, draws] log likelihood matrix of ``posterior``
+    under each row of ``draws`` [n, dim].
 
-    Column j holds :meth:`Posterior.pointwise_loglik` at distinct value j for
-    every draw, rounded to float32. Only column slices ``matrix[:, a:b]`` are
-    computed, each on demand; the per-draw constants of each side's density
-    are computed once, here, so a caller that walks the columns in blocks
-    holds O(draws x block) memory, never the whole matrix.
+    Row j holds :meth:`Posterior.pointwise_loglik` at distinct value j for
+    every draw. Only the rows asked of :meth:`rows` are computed; the
+    per-draw constants of each side's density are computed once, here, so a
+    caller that walks the rows in blocks holds O(block x draws) memory, never
+    the whole matrix.
     """
 
     def __init__(self, posterior: Posterior, draws: np.ndarray):
@@ -576,17 +559,12 @@ class LoglikMatrix:
         for values, (sl, _, _) in zip(posterior._values, posterior._sides):
             self._sides.append((offset, values, family.loglik(draws[:, sl])))
             offset += values.size
-        self.shape = (draws.shape[0], offset)
+        self.shape = (offset, draws.shape[0])
 
-    def __getitem__(self, key) -> np.ndarray:
-        rows, cols = key if isinstance(key, tuple) and len(key) == 2 else (None, None)
-        if not (isinstance(rows, slice) and rows == slice(None)
-                and isinstance(cols, slice) and cols.step in (None, 1)):
-            raise IndexError("a LoglikMatrix yields column slices [:, a:b] only")
-        start, stop, _ = cols.indices(self.shape[1])
-        out = np.empty((self.shape[0], max(stop - start, 0)), dtype=np.float32)
-        for offset, values, loglik in self._sides:
-            lo, hi = max(start, offset), min(stop, offset + values.size)
-            if lo < hi:
-                out[:, lo - start:hi - start] = loglik(values[lo - offset:hi - offset])
-        return out
+    def rows(self, start: int, stop: int) -> np.ndarray:
+        """Rows ``start`` to ``stop``: a C-contiguous float64 block of
+        [stop - start, draws]."""
+        return np.concatenate([
+            loglik(values[max(start - offset, 0):max(stop - offset, 0)])
+            for offset, values, loglik in self._sides
+        ])

@@ -175,9 +175,6 @@ class Trace:
         """Constrained draws of one parameter, shape [n_chains, n_draw]."""
         return self.draws[:, :, self.param_index(name)]
 
-    def flat(self, name: str) -> np.ndarray:
-        return self.chains_for(name).reshape(-1)
-
 
 def leapfrog(
     z: list[float],

@@ -18,16 +18,17 @@ import json
 import math
 from dataclasses import asdict, dataclass
 from functools import partial
-from typing import Optional, Sequence
+from typing import Optional, Sequence, get_type_hints
 
 import numpy as np
 
 from .detrend import DEFAULT_FILTER_SIZE, FilteredSeries, detrend, threshold_from_std
-from .diagnostics import HDI_MASS, FitReport, build_report
+from .diagnostics import HDI_MASS, FitReport, _conforms, build_report
 from .errors import (
     GainLossError,
     MalformedReportError,
     NonPositiveRhoError,
+    WindowTooLargeError,
 )
 from .hitting import HittingSample, LogHittingSample, hitting_times, log_sample
 from .models import FAMILIES, ModelKind, ModelSpec, Posterior
@@ -214,6 +215,9 @@ class ScanPoint:
         )
 
 
+_SCAN_HINTS = get_type_hints(ScanPoint)
+
+
 def scan_points_csv(points: Sequence[ScanPoint]) -> str:
     return "\n".join([SCAN_CSV_HEADER] + [p.csv_row() for p in points]) + "\n"
 
@@ -234,23 +238,30 @@ def _num(value) -> float:
     return math.nan if value is None else float(value)
 
 
-def _point_from_fields(fields: dict) -> ScanPoint:
+def _point_from_cells(cells: dict) -> ScanPoint:
+    """A scan CSV row, from its text cells keyed by the CSV header."""
+    cells["index_id"] = cells.pop("index")
+    cast = {int: int, float: _num, str: str}
     try:
-        return ScanPoint(
-            scan=str(fields["scan"]), label=str(fields["label"]),
-            index_id=str(fields.get("index", fields.get("index_id", ""))),
-            model=str(fields["model"]), filter_size=int(fields["filter_size"]),
-            rho=_num(fields["rho"]), n_plus=int(fields["n_plus"]),
-            n_minus=int(fields["n_minus"]), d_mean=_num(fields["d_mean"]),
-            d_std=_num(fields["d_std"]), hdi_low=_num(fields["hdi_low"]),
-            hdi_high=_num(fields["hdi_high"]), ess=_num(fields["ess"]),
-            max_rhat=_num(fields["max_rhat"]), waic=_num(fields["waic"]),
-            waic_se=_num(fields["waic_se"]),
-            divergence_rate=_num(fields["divergence_rate"]),
-            error=str(fields.get("error", "") or ""),
-        )
-    except (KeyError, ValueError, TypeError) as exc:
+        return ScanPoint(**{name: cast[_SCAN_HINTS[name]](cell)
+                            for name, cell in cells.items()})
+    except ValueError as exc:
         raise MalformedReportError(f"bad scan row: {exc}") from exc
+
+
+def _point_from_json(row) -> ScanPoint:
+    """A scan JSON row, which must hold every field with its annotated type,
+    as :meth:`FitReport.from_json` checks a report; ``null`` reads as NaN in
+    a float field."""
+    if not (isinstance(row, dict) and row.keys() == _SCAN_HINTS.keys()):
+        raise MalformedReportError(f"bad scan row: want {sorted(_SCAN_HINTS)}, got {row!r}")
+    for name, value in row.items():
+        hint = _SCAN_HINTS[name]
+        if not (_conforms(value, hint) or (value is None and hint is float)):
+            raise MalformedReportError(
+                f"scan field {name} must be {hint.__name__}, got {value!r}")
+    return ScanPoint(**{name: _num(value) if _SCAN_HINTS[name] is float else value
+                        for name, value in row.items()})
 
 
 def scan_points_from_csv(text: str) -> list[ScanPoint]:
@@ -264,7 +275,7 @@ def scan_points_from_csv(text: str) -> list[ScanPoint]:
         cells = line.split(",", len(header) - 1)
         if len(cells) != len(header):
             raise MalformedReportError(f"bad scan row: {line!r}")
-        points.append(_point_from_fields(dict(zip(header, cells))))
+        points.append(_point_from_cells(dict(zip(header, cells))))
     return points
 
 
@@ -276,7 +287,7 @@ def scan_points_from_json(text: str) -> list[ScanPoint]:
         raise MalformedReportError(f"not valid JSON: {exc}") from exc
     if not isinstance(payload, list):
         raise MalformedReportError("scan JSON must be a list of rows")
-    return [_point_from_fields(row) for row in payload]
+    return [_point_from_json(row) for row in payload]
 
 
 def _rows(scan, label, index_id, kinds, filter_size, rho, make) -> list[ScanPoint]:
@@ -405,8 +416,11 @@ def scan_window(
 
     A window labeled Y covers the ``window_years`` calendar years up to and
     excluding year Y (so a 13-year span yields labels first+5 .. first+12:
-    eight windows for a five-year length).
+    eight windows for a five-year length). A length below one year is
+    refused before any window is built.
     """
+    if window_years < 1:
+        raise WindowTooLargeError(f"window_years must be >= 1, got {window_years}")
     first = _year(series.dates[0])
     last = _year(series.dates[-1])
     grid = [(str(y), filter_size, rho, partial(

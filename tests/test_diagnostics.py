@@ -286,19 +286,19 @@ class TestWaic:
 
     @pytest.mark.parametrize("source", ["array", "float32", "loglik_matrix"])
     def test_block_width_changes_nothing(self, monkeypatch, source):
-        # 64 draws: the default block is 2048 columns wide, so the last of
-        # 2049 columns is a block of its own
+        # 64 draws: the default block is 2048 rows high, so the last of 2049
+        # rows, one per distinct value, is a block of its own
         rng = np.random.default_rng(75)
         xp, xm = rng.normal(3.0, 1.0, 1200), rng.normal(3.3, 1.2, 849)
         post = Posterior(ModelSpec.from_data(ModelKind.STUDENT_T, xp, xm), xp, xm)
         z = post.initial_unconstrained() + rng.normal(0.0, 0.3, (64, post.dim))
         draws = np.array([post.constrain(row) for row in z])
         ll = LoglikMatrix(post, draws)
-        assert ll.shape == (64, 2049)
-        counts = rng.integers(1, 9, ll.shape[1])
-        matrix = ll if source == "loglik_matrix" else ll[:, :]
-        if source == "array":
-            matrix = matrix.astype(np.float64) * 1.37
+        assert ll.shape == (2049, 64)
+        counts = rng.integers(1, 9, ll.shape[0])
+        dense = ll.rows(0, ll.shape[0]).T  # [draws, values], as waic's arrays are
+        matrix = {"array": dense * 1.37, "float32": dense.astype(np.float32),
+                  "loglik_matrix": ll}[source]
         results, terms = [], []
         for columns in (1, 7, None):
             if columns is not None:
@@ -308,8 +308,8 @@ class TestWaic:
             terms.append(np.concatenate(diagnostics._column_terms(matrix)))
         assert results[0] == results[1] == results[2]
         assert np.array_equal(terms[0], terms[1]) and np.array_equal(terms[0], terms[2])
-        if source != "array":
-            assert results[2] == waic(ll[:, :], counts)
+        if source == "loglik_matrix":
+            assert results[2] == waic(dense, counts)
 
     def test_needs_two_draws_and_one_observation(self):
         with pytest.raises(TooFewSamplesError):
@@ -380,7 +380,7 @@ class TestBuildReport:
 
     def test_memory_stays_bounded_on_many_distinct_values(self):
         # 4 x 4000 draws of an IG posterior on 2 x 1000 distinct values: the
-        # float32 matrix alone would take 128 MB
+        # float64 matrix alone would take 256 MB
         rng = np.random.default_rng(76)
         xp, xm = np.log(np.arange(2.0, 1002.0)), np.log(np.arange(3.0, 1003.0))
         post = Posterior(ModelSpec.from_data(ModelKind.INV_GAMMA, xp, xm), xp, xm)

@@ -117,8 +117,6 @@ class TestHittingTimes:
         assert s.n_anchors == 149
         assert s.tau_plus.size + s.censored_plus == s.n_anchors
         assert s.tau_minus.size + s.censored_minus == s.n_anchors
-        assert s.censoring_rate_plus == s.censored_plus / s.n_anchors
-        assert s.censoring_rate_minus == s.censored_minus / s.n_anchors
 
     def test_taus_are_positive_integers_within_range(self):
         rng = np.random.default_rng(14)

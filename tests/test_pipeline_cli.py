@@ -167,11 +167,11 @@ class TestFitLogSample:
         k = len(family.names)
         ll = np.array([np.concatenate([family.logpdf(xp, theta[:k]),
                                        family.logpdf(xm, theta[k:])])
-                       for theta in trace.draws.reshape(-1, 2 * k)], dtype=np.float32)
+                       for theta in trace.draws.reshape(-1, 2 * k)])
         want = waic(ll)
         assert want.n_obs == report.n_plus + report.n_minus
-        assert report.waic == pytest.approx(want.waic, rel=1e-9)
-        assert report.waic_se == pytest.approx(want.se, rel=1e-9)
+        assert report.waic == pytest.approx(want.waic, rel=1e-12)
+        assert report.waic_se == pytest.approx(want.se, rel=1e-12)
 
     def test_invgamma_with_nothing_left_raises(self):
         logs = LogHittingSample(
@@ -273,6 +273,23 @@ class TestScanPointSerialization:
             scan_points_from_json("not json")
         with pytest.raises(MalformedReportError):
             scan_points_from_json('[{"scan": "rho"}]')
+
+    @pytest.mark.parametrize("field, value", [
+        ("filter_size", True), ("n_plus", 252.9), ("label", 7), ("error", None),
+        ("rho", "0.5"), ("d_mean", True),
+    ])
+    def test_json_field_of_another_type_is_refused(self, field, value):
+        # a cast would read true as 1, 252.9 as 252, 7 as "7" and "0.5" as 0.5
+        row = {**asdict(full_point()), field: value}
+        with pytest.raises(MalformedReportError, match=f"scan field {field} must be"):
+            scan_points_from_json(json.dumps([row]))
+
+    def test_json_row_needs_exactly_the_scan_fields(self):
+        row = asdict(full_point())
+        for bad in ({k: v for k, v in row.items() if k != "error"},
+                    {**row, "extra": 1}, [row]):
+            with pytest.raises(MalformedReportError, match="bad scan row"):
+                scan_points_from_json(json.dumps([bad]))
 
 
 class TestScans:
@@ -638,6 +655,22 @@ class TestCliScan:
         assert "--chains must be >= 2" in err
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("years", ["0", "-2"])
+    def test_scan_window_below_one_year_is_an_input_error(
+            self, price_file, tmp_path, capsys, monkeypatch, years):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("the sampler ran")
+
+        monkeypatch.setattr("gainloss.pipeline.run_chains", no_sampling)
+        code, out, err = run_cli(
+            ["scan-window", str(price_file), "--window-years", years,
+             "--chains", "2", "--draws", "100", "--tune", "100",
+             "--out-dir", str(tmp_path)], capsys,
+        )
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert f"window_years must be >= 1, got {years}" in err
+
     def test_scan_window_with_no_windows_is_a_clean_no_op(self, price_file,
                                                           tmp_path, capsys):
         code, _, err = run_cli(
@@ -815,6 +848,16 @@ class TestCliPlot:
         assert code == EXIT_OK
         assert (tmp_path / "scan.svg").exists()
         assert (tmp_path / "scanj.svg").exists()
+
+    def test_scan_json_with_a_mistyped_field_is_an_input_error(self, tmp_path, capsys):
+        path = tmp_path / "scan.json"
+        path.write_text(json.dumps([{**asdict(full_point()), "filter_size": 252.9}]))
+        code, out, err = run_cli(["plot", str(path), "--out-dir", str(tmp_path)],
+                                 capsys)
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert "scan field filter_size must be int, got 252.9" in err
+        assert not (tmp_path / "scan.svg").exists()
 
     def test_malformed_plot_input(self, fit_out, tmp_path, capsys):
         bad = tmp_path / "bad.csv"

@@ -188,7 +188,6 @@ class TestRunChains:
         trace = run_chains(target, SamplerConfig(n_chains=1, n_draw=60, n_tune=150, seed=15))
         assert trace.param_names == ("param_0", "param_1")
         assert trace.chains_for("param_1").shape == (1, 60)
-        assert trace.flat("param_0").shape == (60,)
         with pytest.raises(KeyError):
             trace.param_index("nope")
 
