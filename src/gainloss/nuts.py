@@ -1,13 +1,17 @@
 """No-U-Turn sampler with step-size and diagonal mass adaptation.
 
 One transition builds a trajectory by repeated binary doubling. Each doubling
-runs 2^depth leapfrog steps in a uniformly random direction; leaves are
-weighted by exp(-(H - H0)) and the returned draw is a multinomial pick among
-them (biased toward the newest subtree at the top level, plain multinomial
-inside a subtree). Doubling stops when either trajectory end would retrace
-its path (velocity-based U-turn test), when the energy error exceeds
-``DIVERGENCE_THRESHOLD``, or at ``max_tree_depth`` doublings past the first
-(so ``max_tree_depth = 0`` degenerates to a single leapfrog Metropolis step).
+builds a subtree of 2^depth leapfrog steps from one end of the trajectory, in
+a uniformly random direction. A leaf is one leapfrog step weighted by
+exp(-(H - H0)); the step-size search reads its acceptance ratio off the same
+leaf. One merge rule extends a tree by a subtree, both for the trajectory
+and inside the subtree recursion; only its pick of the proposal differs:
+biased toward the fresh subtree, min(1, w_sub / w_tree), at the top level,
+and multinomial, w_sub / (w_tree + w_sub), inside a subtree. Doubling stops
+when either trajectory end would retrace its path (velocity-based U-turn
+test), when the energy error exceeds ``DIVERGENCE_THRESHOLD``, or at
+``max_tree_depth`` doublings past the first (so ``max_tree_depth = 0``
+degenerates to a single leapfrog Metropolis step).
 
 Warmup interleaves dual averaging of the step size (targeting a mean
 acceptance statistic) with expanding-window estimation of a diagonal mass
@@ -220,8 +224,9 @@ def _logaddexp(a: float, b: float) -> float:
     return m + math.log(math.exp(a - m) + math.exp(b - m))
 
 
-def _turned(z_left, p_left, z_right, p_right, inv_mass) -> bool:
+def _turned(left_edge, right_edge, inv_mass) -> bool:
     """U-turn test on velocities: would either end start moving back inward?"""
+    (z_left, p_left, _), (z_right, p_right, _) = left_edge, right_edge
     left = right = 0.0
     for zl, pl, zr, pr, m in zip(z_left, p_left, z_right, p_right, inv_mass):
         dz = zr - zl
@@ -231,17 +236,16 @@ def _turned(z_left, p_left, z_right, p_right, inv_mass) -> bool:
 
 
 class _TreeState:
-    """Mutable bundle for one side of the doubling recursion."""
+    """A trajectory or subtree: its outermost states ``left`` and ``right``,
+    each ``(z, p, grad)``, its proposal ``(z, logp, grad)``, its log weight
+    and acceptance sums, and whether it diverged or turned."""
 
-    __slots__ = ("z_left", "p_left", "g_left", "z_right", "p_right", "g_right",
-                 "z_prop", "v_prop", "g_prop", "log_weight", "sum_alpha",
-                 "n_alpha", "divergent", "turned")
+    __slots__ = ("left", "right", "prop", "log_weight", "sum_alpha", "n_alpha",
+                 "divergent", "turned")
 
     def __init__(self, z, p, g, value):
-        self.z_left = self.z_right = self.z_prop = z
-        self.p_left = self.p_right = p
-        self.g_left = self.g_right = self.g_prop = g
-        self.v_prop = value
+        self.left = self.right = (z, p, g)
+        self.prop = (z, value, g)
         self.log_weight = 0.0
         self.sum_alpha = 0.0
         self.n_alpha = 0
@@ -249,15 +253,47 @@ class _TreeState:
         self.turned = False
 
 
-def _build_subtree(state_edge, direction, depth, eps, inv_mass, h0,
-                   value_and_grad, rng):
-    """Build a subtree of 2**depth leaves from one trajectory edge.
+def _merge(tree, sub, direction, inv_mass, rng, biased):
+    """Extend ``tree`` by ``sub``, built from its edge in ``direction``; returns ``tree``.
 
-    Returns a _TreeState whose edges are the subtree's outermost states and
-    whose proposal is a multinomial pick among its leaves.
+    The acceptance sums always add up. A divergent or turned ``sub`` stops
+    the tree and leaves its proposal and edges as they were. Otherwise the
+    proposal becomes ``sub``'s with probability min(1, w_sub / w_tree) when
+    ``biased`` (the top level of a transition, favouring the fresh subtree)
+    or w_sub / (w_tree + w_sub) (inside a subtree), the uniform drawn only
+    where the total weight is positive; the far edge moves to ``sub``'s, and
+    the tree has turned if its new ends would move back inward.
     """
-    z, p, g = state_edge
+    tree.sum_alpha += sub.sum_alpha
+    tree.n_alpha += sub.n_alpha
+    if sub.divergent or sub.turned:
+        tree.divergent = sub.divergent
+        tree.turned = sub.turned
+        return tree
+    total = _logaddexp(tree.log_weight, sub.log_weight)
+    rival = tree.log_weight if biased else total
+    if total > -math.inf and math.log(rng.random()) < sub.log_weight - rival:
+        tree.prop = sub.prop
+    tree.log_weight = total
+    if direction > 0:
+        tree.right = sub.right
+    else:
+        tree.left = sub.left
+    tree.turned = _turned(tree.left, tree.right, inv_mass)
+    return tree
+
+
+def _build_subtree(edge, direction, depth, eps, inv_mass, h0, value_and_grad, rng):
+    """Build a subtree of 2**depth leaves from a trajectory edge ``(z, p, grad)``.
+
+    A leaf is one leapfrog step. Its log weight is -(H - H0), its acceptance
+    statistic min(1, exp(H0 - H)), and it is divergent where H - H0 exceeds
+    ``DIVERGENCE_THRESHOLD``; a non-finite energy error counts as +inf, so
+    the log weight is finite or -inf. A leaf draws no random numbers. A
+    deeper subtree merges its two halves with a multinomial pick.
+    """
     if depth == 0:
+        z, p, g = edge
         z1, p1, v1, g1 = leapfrog(z, p, g, direction * eps, inv_mass, value_and_grad)
         h1 = -v1 + _kinetic(p1, inv_mass) if math.isfinite(v1) else math.inf
         delta_h = h1 - h0
@@ -270,36 +306,13 @@ def _build_subtree(state_edge, direction, depth, eps, inv_mass, h0,
         leaf.divergent = delta_h > DIVERGENCE_THRESHOLD
         return leaf
 
-    first = _build_subtree(state_edge, direction, depth - 1, eps, inv_mass,
-                           h0, value_and_grad, rng)
-    if first.divergent or first.turned:
-        return first
-    edge = ((first.z_right, first.p_right, first.g_right) if direction > 0
-            else (first.z_left, first.p_left, first.g_left))
-    second = _build_subtree(edge, direction, depth - 1, eps, inv_mass,
-                            h0, value_and_grad, rng)
-    first.sum_alpha += second.sum_alpha
-    first.n_alpha += second.n_alpha
-    if second.divergent or second.turned:
-        first.divergent = second.divergent
-        first.turned = second.turned
-        return first
-    total = _logaddexp(first.log_weight, second.log_weight)
-    # within-subtree multinomial pick, proportional to subtree weights
-    if total > -math.inf and math.log(rng.random()) < second.log_weight - total:
-        first.z_prop = second.z_prop
-        first.v_prop = second.v_prop
-        first.g_prop = second.g_prop
-    first.log_weight = total
-    if direction > 0:
-        first.z_right, first.p_right, first.g_right = (
-            second.z_right, second.p_right, second.g_right)
-    else:
-        first.z_left, first.p_left, first.g_left = (
-            second.z_left, second.p_left, second.g_left)
-    first.turned = _turned(first.z_left, first.p_left, first.z_right,
-                           first.p_right, inv_mass)
-    return first
+    tree = _build_subtree(edge, direction, depth - 1, eps, inv_mass, h0,
+                          value_and_grad, rng)
+    if tree.divergent or tree.turned:
+        return tree
+    sub = _build_subtree(tree.right if direction > 0 else tree.left, direction,
+                         depth - 1, eps, inv_mass, h0, value_and_grad, rng)
+    return _merge(tree, sub, direction, inv_mass, rng, False)
 
 
 def _momentum(rng, inv_mass: list[float]) -> list[float]:
@@ -320,42 +333,19 @@ def nuts_draw(z, value, grad, eps, inv_mass, rng, value_and_grad,
     with np.errstate(over="ignore", invalid="ignore"):
         p0 = _momentum(rng, inv_mass)
         h0 = -value + _kinetic(p0, inv_mass)
-
-        z_left = z_right = z
-        p_left = p_right = p0
-        g_left = g_right = grad
-        z_prop, v_prop, g_prop = z, value, grad
-        log_weight = 0.0  # the start state enters with weight exp(0)
-        sum_alpha = 0.0
-        n_alpha = 0
-        divergent = False
+        tree = _TreeState(z, p0, grad, value)  # the start enters with weight exp(0)
         depth = 0
-
         for depth in range(max_tree_depth + 1):
             direction = 1 if rng.random() < 0.5 else -1
-            edge = ((z_right, p_right, g_right) if direction > 0
-                    else (z_left, p_left, g_left))
-            sub = _build_subtree(edge, direction, depth, eps, inv_mass, h0,
-                                 value_and_grad, rng)
-            sum_alpha += sub.sum_alpha
-            n_alpha += sub.n_alpha
-            if sub.divergent or sub.turned:
-                divergent = divergent or sub.divergent
-                break
-            # biased progressive sampling: favor the fresh subtree
-            if math.log(rng.random()) < sub.log_weight - log_weight:
-                z_prop, v_prop, g_prop = sub.z_prop, sub.v_prop, sub.g_prop
-            log_weight = _logaddexp(log_weight, sub.log_weight)
-            if direction > 0:
-                z_right, p_right, g_right = sub.z_right, sub.p_right, sub.g_right
-            else:
-                z_left, p_left, g_left = sub.z_left, sub.p_left, sub.g_left
-            if _turned(z_left, p_left, z_right, p_right, inv_mass):
+            sub = _build_subtree(tree.right if direction > 0 else tree.left, direction,
+                                 depth, eps, inv_mass, h0, value_and_grad, rng)
+            _merge(tree, sub, direction, inv_mass, rng, True)
+            if tree.divergent or tree.turned:
                 break
 
-    accept_stat = sum_alpha / n_alpha if n_alpha else 0.0
-    info = {"accept_stat": accept_stat, "divergent": divergent, "depth": depth}
-    return z_prop, v_prop, g_prop, info
+    accept_stat = tree.sum_alpha / tree.n_alpha if tree.n_alpha else 0.0
+    info = {"accept_stat": accept_stat, "divergent": tree.divergent, "depth": depth}
+    return (*tree.prop, info)
 
 
 class _DualAveraging:
@@ -384,26 +374,22 @@ class _DualAveraging:
 
 
 def _find_reasonable_eps(z, value, grad, inv_mass, rng, value_and_grad) -> float:
-    """Double/halve eps until one leapfrog step has acceptance near 1/2."""
+    """Double or halve eps from 1 until one leapfrog step's acceptance ratio
+    crosses 1/2, or eps reaches 1e-10 or 1e7."""
     with np.errstate(over="ignore", invalid="ignore"):
-        eps = 1.0
         p = _momentum(rng, inv_mass)
         h0 = -value + _kinetic(p, inv_mass)
-        _, p1, v1, _ = leapfrog(z, p, grad, eps, inv_mass, value_and_grad)
-        h1 = -v1 + _kinetic(p1, inv_mass) if math.isfinite(v1) else math.inf
-        log_ratio = h0 - h1 if math.isfinite(h1) else -math.inf
-        direction = 1.0 if log_ratio > math.log(0.5) else -1.0
-        for _ in range(60):
+        eps, direction = 1.0, 0.0
+        while True:
+            # a one-leaf subtree's log weight is the step's log acceptance ratio
+            log_ratio = _build_subtree((z, p, grad), 1, 0, eps, inv_mass, h0,
+                                       value_and_grad, rng).log_weight
+            direction = direction or (1.0 if log_ratio > math.log(0.5) else -1.0)
             if direction * log_ratio <= direction * math.log(0.5):
-                break
+                return eps
             eps *= 2.0 ** direction
             if not (1e-10 < eps < 1e7):
-                eps = min(max(eps, 1e-10), 1e7)
-                break
-            _, p1, v1, _ = leapfrog(z, p, grad, eps, inv_mass, value_and_grad)
-            h1 = -v1 + _kinetic(p1, inv_mass) if math.isfinite(v1) else math.inf
-            log_ratio = h0 - h1 if math.isfinite(h1) else -math.inf
-    return eps
+                return min(max(eps, 1e-10), 1e7)
 
 
 def _term_buffer(n_tune: int) -> int:
@@ -607,7 +593,7 @@ class ChainDraws(NamedTuple):
     tree_depth: np.ndarray   # [n_draw] int16
     step_size: float
     mass_diag: np.ndarray    # [dim]
-    n_grad: tuple[int, int]  # gradient calls in warmup, in sampling
+    n_grad: np.ndarray       # [2] int64 gradient calls: warmup, sampling
     init_metric: str         # "laplace", or "unit" where the mode search fell back
 
 
@@ -669,7 +655,8 @@ def run_chain(target, cfg: SamplerConfig, z_center: np.ndarray, chain: int) -> C
         depth[it] = info["depth"]
     # inv_mass is the estimated marginal variances
     return ChainDraws(draws, accept, divergent, depth, eps, np.array(inv_mass),
-                      (n_warmup, n_calls - n_warmup), "unit" if laplace is None else "laplace")
+                      np.array((n_warmup, n_calls - n_warmup), dtype=np.int64),
+                      "unit" if laplace is None else "laplace")
 
 
 # The target and start centre of the run a pool worker serves. The worker is
@@ -740,18 +727,11 @@ def run_chains(target, cfg: SamplerConfig) -> Trace:
         finally:
             pool.shutdown(cancel_futures=True)
 
-    return Trace(
-        draws=np.stack([c.draws for c in chains]),
-        param_names=names,
-        accept_stat=np.stack([c.accept_stat for c in chains]),
-        divergent=np.stack([c.divergent for c in chains]),
-        tree_depth=np.stack([c.tree_depth for c in chains]),
-        step_size=np.array([c.step_size for c in chains]),
-        mass_diag=np.stack([c.mass_diag for c in chains]),
-        n_grad=np.array([c.n_grad for c in chains], dtype=np.int64),
-        init_metric=tuple(c.init_metric for c in chains),
-        config=cfg,
-    )
+    # one [n_chains, ...] array per ChainDraws field, in chain order
+    columns = dict(zip(ChainDraws._fields, zip(*chains)))
+    init_metric = columns.pop("init_metric")
+    return Trace(param_names=names, init_metric=init_metric, config=cfg,
+                 **{name: np.stack(column) for name, column in columns.items()})
 
 
 def trace_to_csv(trace: Trace, out_dir: Union[str, Path], prefix: str = "trace") -> list[Path]:

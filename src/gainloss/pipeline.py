@@ -353,6 +353,16 @@ def _raise(exc: GainLossError, *_) -> LogHittingSample:
     raise exc
 
 
+def _refuse_fixed_inputs(filter_sizes: Sequence[int], rho: Optional[float]) -> None:
+    """Refuse detrending windows below 1 and a given barrier that is not
+    positive, before any grid is built: no fit on any series could use them."""
+    bad = [f for f in filter_sizes if f < 1]
+    if bad:
+        raise WindowTooLargeError(f"filter sizes must be >= 1, got {bad}")
+    if rho is not None and not (rho > 0.0):
+        raise NonPositiveRhoError(f"rho must be positive, got {rho:g}")
+
+
 def scan_filter(
     series: PriceSeries,
     kinds: Sequence[ModelKind],
@@ -366,8 +376,9 @@ def scan_filter(
     The barrier defaults to the sample std of the series detrended at the
     reference window, so the grid varies only the filter. When that reference
     fails, for instance on a series shorter than the window, every grid point
-    fails with it.
+    fails with it. A size below 1 or a given ``rho <= 0`` is refused first.
     """
+    _refuse_fixed_inputs(filter_sizes, rho)
     sample = partial(_prepared_logs, series)
     if rho is None:
         try:
@@ -416,11 +427,13 @@ def scan_window(
 
     A window labeled Y covers the ``window_years`` calendar years up to and
     excluding year Y (so a 13-year span yields labels first+5 .. first+12:
-    eight windows for a five-year length). A length below one year is
-    refused before any window is built.
+    eight windows for a five-year length). A length below one year, a
+    ``filter_size`` below 1 or a ``rho <= 0`` is refused before any window
+    is built.
     """
     if window_years < 1:
         raise WindowTooLargeError(f"window_years must be >= 1, got {window_years}")
+    _refuse_fixed_inputs([filter_size], rho)
     first = _year(series.dates[0])
     last = _year(series.dates[-1])
     grid = [(str(y), filter_size, rho, partial(

@@ -671,6 +671,29 @@ class TestCliScan:
         assert out == ""
         assert f"window_years must be >= 1, got {years}" in err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["scan-filter", "--filter-sizes", "0,-5"], "filter sizes must be >= 1, got [0, -5]"),
+        (["scan-filter", "--rho", "-1"], "rho must be positive, got -1"),
+        (["scan-window", "--window-years", "1", "--filter-size", "0"],
+         "filter sizes must be >= 1, got [0]"),
+        (["scan-window", "--window-years", "1", "--rho", "-1"],
+         "rho must be positive, got -1"),
+    ])
+    def test_out_of_range_fixed_inputs_are_input_errors(
+            self, price_file, tmp_path, capsys, monkeypatch, argv, message):
+        # refused before any grid point, where every row would fail alike
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("the sampler ran")
+
+        monkeypatch.setattr("gainloss.pipeline.run_chains", no_sampling)
+        code, out, err = run_cli(
+            [argv[0], str(price_file), *argv[1:], "--chains", "2", "--draws", "100",
+             "--tune", "100", "--out-dir", str(tmp_path)], capsys,
+        )
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert message in err
+
     def test_scan_window_with_no_windows_is_a_clean_no_op(self, price_file,
                                                           tmp_path, capsys):
         code, _, err = run_cli(

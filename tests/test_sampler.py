@@ -72,17 +72,26 @@ class TestLeapfrog:
 
 class TestNutsDraw:
     def test_depth_zero_is_a_metropolis_step(self):
-        rng = np.random.default_rng(51)
-        z = [0.3]
+        # replay each transition from a twin generator: the momentum, the
+        # direction, one leapfrog step, then the uniform of the pick
+        rng, twin = np.random.default_rng(51), np.random.default_rng(51)
+        eps, z = 1.2, [0.3]
         value, grad = UNIT_1D.value_and_grad(z)
-        z1, v1, g1, info = nuts_draw(
-            z, value, grad, 0.5, [1.0], rng, UNIT_1D.value_and_grad, max_tree_depth=0
-        )
-        assert info["depth"] == 0
-        assert 0.0 < info["accept_stat"] <= 1.0
-        stayed = np.allclose(z1, z)
-        p0_possibilities = not stayed  # moved to the single leapfrog leaf
-        assert stayed or p0_possibilities
+        moved = []
+        for _ in range(300):
+            p0 = twin.standard_normal(1).tolist()
+            step = eps if twin.random() < 0.5 else -eps
+            z1, p1, v1, g1 = leapfrog(z, p0, grad, step, [1.0], UNIT_1D.value_and_grad)
+            log_ratio = (-value + 0.5 * (p0[0] * p0[0])) - (-v1 + 0.5 * (p1[0] * p1[0]))
+            moved.append(math.log(twin.random()) < log_ratio)
+            z_new, v_new, g_new, info = nuts_draw(
+                z, value, grad, eps, [1.0], rng, UNIT_1D.value_and_grad, max_tree_depth=0
+            )
+            assert info["depth"] == 0
+            assert info["accept_stat"] == min(1.0, math.exp(log_ratio))
+            assert (z_new, v_new, g_new) == ((z1, v1, g1) if moved[-1] else (z, value, grad))
+            z, value, grad = z_new, v_new, g_new
+        assert any(moved) and not all(moved)
 
     def test_info_contract_on_typical_step(self):
         rng = np.random.default_rng(52)
@@ -325,6 +334,14 @@ def pooled(monkeypatch):
     monkeypatch.setattr(nuts, "_usable_cpus", lambda: 4)
 
 
+def assert_stacked_types(trace):
+    """The types run_chains gives the per-chain fields it stacks."""
+    assert trace.n_grad.dtype == np.int64 and trace.step_size.dtype == np.float64
+    assert trace.tree_depth.dtype == np.int16 and trace.divergent.dtype == bool
+    assert type(trace.init_metric) is tuple
+    assert all(type(metric) is str for metric in trace.init_metric)
+
+
 TRACE_ARRAYS = ("draws", "accept_stat", "divergent", "tree_depth", "step_size",
                 "mass_diag", "n_grad", "init_metric")
 
@@ -427,6 +444,7 @@ class TestParallelChains:
         assert sampling >= cfg.n_draw
         assert warmup > cfg.n_tune
         assert nuts.trace_summary(trace)["n_grad"] == [[int(warmup), int(sampling)]]
+        assert_stacked_types(trace)
 
 
 class Saddle:
@@ -541,12 +559,14 @@ class TestLaplaceMetric:
                            SamplerConfig(n_chains=2, n_draw=40, n_tune=150, seed=29))
         assert trace.init_metric == ("laplace", "laplace")
         assert nuts.trace_summary(trace)["init_metric"] == ["laplace", "laplace"]
+        assert_stacked_types(trace)
         for target, cfg in ((DoubleWell(), SamplerConfig(n_chains=2, n_draw=40,
                                                          n_tune=150, seed=29)),
                             (GaussianTarget(np.ones(2)), SamplerConfig(
                                 n_chains=1, n_draw=40, n_tune=0, seed=29))):
             trace = run_chains(target, cfg)
             assert nuts.trace_summary(trace)["init_metric"] == ["unit"] * cfg.n_chains
+            assert_stacked_types(trace)
 
     def test_the_search_cuts_warmup_gradients_on_13_years(self, pool_targets,
                                                           monkeypatch):
