@@ -51,7 +51,7 @@ added to the density. All gradients are analytic.
 A posterior has at most six coordinates, so the map runs on Python floats,
 one coordinate at a time, from (index, low, width) specs that
 ``Posterior.__init__`` lists once; the one transform serves
-``value_and_grad``, ``constrain`` and ``log_jacobian``. ``value_and_grad``
+``value_and_grad`` and ``constrain``. ``value_and_grad``
 takes and returns float lists, the sampler's protocol, so a gradient builds
 no array beyond the Student-t's sums over distinct values and the two small
 numpy calls named next. The map rounds exactly as elementwise numpy does: the
@@ -489,12 +489,6 @@ class Posterior:
                 frac = (z[k] - low) / width
                 z[k] = float(np.log(frac) - np.log1p(-frac))
         return np.array(z)
-
-    def log_jacobian(self, z: np.ndarray) -> float:
-        """Log |d theta / d z| of the constraining map."""
-        dtheta = self._transform(np.asarray(z, dtype=np.float64).tolist())[1]
-        # the Jacobian is diagonal: its log determinant sums the log slopes
-        return float(np.log(dtheta).sum())
 
     # -- densities ----------------------------------------------------------
 

@@ -1,4 +1,4 @@
-"""No-U-Turn sampler with step-size and diagonal mass adaptation.
+"""No-U-Turn sampler in Laplace-whitened coordinates, with step-size adaptation.
 
 One transition builds a trajectory by repeated binary doubling. Each doubling
 builds a subtree of 2^depth leapfrog steps from one end of the trajectory, in
@@ -13,26 +13,26 @@ test), when the energy error exceeds ``DIVERGENCE_THRESHOLD``, or at
 ``max_tree_depth`` doublings past the first (so ``max_tree_depth = 0``
 degenerates to a single leapfrog Metropolis step).
 
-Warmup interleaves dual averaging of the step size (targeting a mean
-acceptance statistic) with expanding-window estimation of a diagonal mass
-matrix from the warmup draws; the final step size is the averaged iterate of
-the last dual-averaging stretch. Before the first window the metric is the
-Laplace approximation's: each chain climbs from the unjittered start to the
-posterior mode by damped Newton steps, with Hessians from central
-differences of the gradient (2 * dim calls each), and takes the diagonal of
-the inverse negative Hessian there, the marginal variances, as its inverse
-mass. A unit metric would make the first window's trees run deep on a badly
-scaled posterior. The chain's jittered start is then centred on the mode,
-within a few Laplace sds of it: from a unit box around the unjittered start
-it would sit hundreds of sds out on a narrow coordinate, where the short
-trees of that metric crawl back. The search draws no random numbers, so
-every chain finds the same mode and metric, and its small linear systems
-are solved in Python floats, not by LAPACK, whose rounding follows the CPU.
-Where it fails (zero density on its path, a Hessian that is not negative
-definite, no convergence within a fixed number of steps) the chain starts
-from the unit metric around the unjittered start, and its draws are those
-of a warmup without the search. The trace records which metric each chain
-started from.
+Each chain samples ``u`` with ``z = mode + L^-T u``, where ``L L^T = -H``
+is the Cholesky factor of the negative Hessian of the log posterior at its
+mode, and pulls gradients back as ``L^-1 g``. Under the Laplace
+approximation ``u`` is standard normal, so the sampler always runs on the
+unit metric: the map, not warmup draws, absorbs the posterior's scales and
+correlations. Warmup is one step-size search and then dual averaging of the
+step size (toward a mean acceptance statistic) over every tuning iteration;
+the final step size is its averaged iterate. The mode is found by damped
+Newton steps from the unjittered start, with Hessians from central
+differences of the gradient (2 * dim calls each); the nonzero entries of
+``L^-1`` are listed once per chain (a posterior that factorizes by side has
+exact zeros across the sides). The chain starts within ``_LAPLACE_JITTER``
+whitened units of the mode: from a unit box around the unjittered start it
+would sit hundreds of sds out on a narrow coordinate. The search draws no
+random numbers, so every chain finds the same map, and it solves in Python
+floats, not by LAPACK, whose rounding follows the CPU. Where it fails (zero
+density on its path, a Hessian that is not negative definite, no
+convergence within a fixed number of steps), or where there is no tuning,
+the map is the identity around the unjittered start, jittered by [-1, 1].
+The trace records which map each chain used.
 
 Chains are independent: chain ``c`` of a run seeded with ``seed`` draws from
 a counter-based generator keyed by ``(seed, c)``, so results do not depend on
@@ -57,11 +57,11 @@ Optional methods ``constrain``, ``param_names`` and
 ``initial_unconstrained`` refine what the trace records.
 
 Position, momentum, gradient and inverse mass are float lists throughout a
-chain, so no ndarray is built per leapfrog step: the kinetic energy and the
-U-turn test are summed left to right in Python, which also keeps them off a
-BLAS dot, whose summation order, and so whose rounding, follows the CPU.
-Only the momentum draw of each transition and the mass estimate of each
-warmup window call numpy.
+chain, so no ndarray is built per leapfrog step: the kinetic energy, the
+U-turn test and the whitening map are summed left to right in Python, which
+also keeps them off a BLAS dot, whose summation order, and so whose
+rounding, follows the CPU. Only the momentum draw of each transition calls
+numpy.
 
 An exploding trajectory overflows; its leaves come out divergent. Python
 floats overflow without a warning, and numpy's floating-point errors are
@@ -103,20 +103,15 @@ _DA_GAMMA = 0.05
 _DA_T0 = 10.0
 _DA_KAPPA = 0.75
 
-# warmup window layout
-_INIT_BUFFER = 75
-_TERM_BUFFER = 50   # floor; the actual terminal stretch grows with n_tune
-_BASE_WINDOW = 25
-
 _MIN_ACCEPT = 0.1  # below this after warmup the chain is declared failed
 
-# mode search that sets the initial metric
+# mode search that sets the whitening map
 _MODE_ITERS = 30      # Newton steps before the search gives up
 _MODE_HALVINGS = 30   # step halvings before a Newton step gives up
 _MODE_TOL = 1e-8      # Newton decrement g^T (-H)^-1 g at which the mode is found
 _MODE_MAX_STEP = 1.0  # longest move of one coordinate in one Newton step
 _HESSIAN_STEP = 1e-4  # central-difference step of the Hessian in each coordinate
-_LAPLACE_JITTER = 2.0  # start radius around the mode, in Laplace sds
+_LAPLACE_JITTER = 2.0  # start radius around the mode, in whitened units
 
 _PR_SET_PDEATHSIG = 1  # from <linux/prctl.h>
 
@@ -152,7 +147,7 @@ class Trace:
     divergent: np.ndarray             # [n_chains, n_draw] bool
     tree_depth: np.ndarray            # [n_chains, n_draw] int16
     step_size: np.ndarray             # [n_chains]
-    mass_diag: np.ndarray             # [n_chains, dim]
+    mass_diag: np.ndarray             # [n_chains, dim] diag of the whitening covariance
     n_grad: np.ndarray                # [n_chains, 2] gradient calls: warmup, sampling
     init_metric: tuple[str, ...]      # [n_chains] "laplace" or "unit"
     config: SamplerConfig
@@ -392,46 +387,6 @@ def _find_reasonable_eps(z, value, grad, inv_mass, rng, value_and_grad) -> float
                 return min(max(eps, 1e-10), 1e7)
 
 
-def _term_buffer(n_tune: int) -> int:
-    """Length of the final eps-only stretch.
-
-    Step-size dual averaging restarts after the last mass update, and its
-    averaged iterate needs a few hundred updates to settle near the target
-    acceptance; a fixed 50-draw stretch leaves eps systematically small.
-    The earlier doubling windows still need most of the tune span, or the
-    mass matrix never converges on badly scaled targets.
-    """
-    return min(500, max(_TERM_BUFFER, n_tune // 3))
-
-
-def _mass_windows(n_tune: int) -> list[tuple[int, int]]:
-    """(start, end) iteration spans whose draws feed mass re-estimation."""
-    term = _term_buffer(n_tune)
-    if n_tune < _INIT_BUFFER + term + _BASE_WINDOW:
-        return []
-    windows = []
-    start = _INIT_BUFFER
-    size = _BASE_WINDOW
-    while True:
-        end = start + size
-        # absorb a too-small final stretch into the last window
-        if end + term > n_tune or n_tune - end - term < size:
-            windows.append((start, n_tune - term))
-            break
-        windows.append((start, end))
-        start = end
-        size *= 2
-    return windows
-
-
-def _regularized_variance(draws: np.ndarray) -> np.ndarray:
-    """Shrunk marginal variances; keeps the metric positive and tempered."""
-    n = draws.shape[0]
-    var = np.var(draws, axis=0, ddof=1) if n > 1 else np.ones(draws.shape[1])
-    shrunk = (n / (n + 5.0)) * var + 1e-3 * (5.0 / (n + 5.0))
-    return np.maximum(shrunk, 1e-12)
-
-
 def _cholesky(a: list[list[float]]) -> Union[list[list[float]], None]:
     """Lower Cholesky factor of the symmetric matrix ``a`` (a list of rows),
     or None if ``a`` is not positive definite.
@@ -489,15 +444,14 @@ def _neg_hessian(value_and_grad, z: list[float]) -> Union[list[list[float]], Non
             for i in range(len(z))]
 
 
-def _laplace(value_and_grad, z: list[float]) -> Union[tuple[list[float], list[float]], None]:
-    """The posterior mode and the diagonal of the inverse negative Hessian there.
+def _laplace(value_and_grad, z: list[float]) -> Union[tuple[list[float], list[list[float]]], None]:
+    """The posterior mode and the lower Cholesky factor L of -H there, H the
+    Hessian of the log posterior, so that L^-T L^-1 is the Laplace covariance.
 
     A damped Newton search climbs from ``z`` to the mode: where the negative
     Hessian is not positive definite, its diagonal is inflated
     (Levenberg-Marquardt) until it is; each step moves no coordinate by more
-    than ``_MODE_MAX_STEP`` and is halved until the density rises. The
-    diagonal is the Laplace approximation's marginal variances, which is
-    what a diagonal inverse metric estimates. Returns
+    than ``_MODE_MAX_STEP`` and is halved until the density rises. Returns
     None where ``z`` has zero density, a step finds no rise, or the search
     does not converge within ``_MODE_ITERS`` Newton steps to a point whose
     Hessian is negative definite. No random numbers are drawn.
@@ -505,7 +459,6 @@ def _laplace(value_and_grad, z: list[float]) -> Union[tuple[list[float], list[fl
     value, grad = value_and_grad(z)
     if not math.isfinite(value):
         return None
-    dim = len(z)
     for _ in range(_MODE_ITERS):
         a = _neg_hessian(value_and_grad, z)
         if a is None:
@@ -519,9 +472,7 @@ def _laplace(value_and_grad, z: list[float]) -> Union[tuple[list[float], list[fl
                               for j, a_ij in enumerate(row)] for i, row in enumerate(a)])
         step = _cho_solve(low, grad)
         if shift == 0.0 and sum(g * s for g, s in zip(grad, step)) < _MODE_TOL:
-            # converged, on the unshifted Hessian: its inverse's diagonal
-            return z, [_cho_solve(low, [float(i == k) for i in range(dim)])[k]
-                       for k in range(dim)]
+            return z, low  # converged, on the unshifted Hessian
         # far from the mode a step can be long enough to pin a bounded
         # coordinate to its bound, where the density is flat
         longest = max(map(abs, step))
@@ -539,49 +490,90 @@ def _laplace(value_and_grad, z: list[float]) -> Union[tuple[list[float], list[fl
     return None
 
 
-def _warmup_chain(value_and_grad, z0, cfg: SamplerConfig, rng, chain: int,
-                  inv_mass: list[float]):
-    """Adapt eps and the diagonal mass from ``inv_mass``; returns
-    (z, value, grad, eps, inv_mass)."""
-    value, grad = value_and_grad(z0)
+def _lower_inverse(low: list[list[float]]) -> list[list[float]]:
+    """L^-1 of a lower triangular L with a positive diagonal, by forward
+    substitution on each unit vector. Where L is exactly 0.0, as across the
+    blocks of a block-diagonal L, so is L^-1."""
+    n = len(low)
+    inv = [[0.0] * n for _ in range(n)]
+    for k in range(n):
+        inv[k][k] = 1.0 / low[k][k]
+        for i in range(k + 1, n):
+            s = 0.0
+            for j in range(k, i):
+                s -= low[i][j] * inv[j][k]
+            inv[i][k] = s / low[i][i]
+    return inv
+
+
+def _whitening(value_and_grad, mode: list[float], low: list[list[float]]):
+    """The map ``z(u) = mode + L^-T u`` and the target pulled back through it.
+
+    Returns ``(position, pulled_back, variances)``: ``position(u)`` is z(u);
+    ``pulled_back(u)`` is ``(logp(z(u)), L^-1 grad)``, the log density in
+    ``u`` up to the constant log |det L^-T|; ``variances`` is the diagonal of
+    L^-T L^-1. The nonzero entries of L^-1 are listed once, its rows for the
+    gradient and its columns for the position, and summed left to right.
+    A position that overflows is off the support.
+    """
+    inv = _lower_inverse(low)
+    dim = len(mode)
+    rows = [[(j, inv[i][j]) for j in range(i + 1) if inv[i][j] != 0.0]
+            for i in range(dim)]
+    cols = [[(i, inv[i][k]) for i in range(k, dim) if inv[i][k] != 0.0]
+            for k in range(dim)]
+    centred = list(zip(mode, cols))
+
+    def position(u):
+        z = []
+        for mk, col in centred:
+            s = 0.0
+            for i, w in col:
+                s += w * u[i]
+            z.append(mk + s)
+        return z
+
+    def pulled_back(u):
+        z = position(u)
+        if not all(map(math.isfinite, z)):
+            return -math.inf, [0.0] * dim
+        value, g = value_and_grad(z)
+        grad = []
+        for row in rows:
+            s = 0.0
+            for j, w in row:
+                s += w * g[j]
+            grad.append(s)
+        return value, grad
+
+    variances = [math.fsum(w * w for _, w in col) for col in cols]
+    return position, pulled_back, variances
+
+
+def _warmup_chain(value_and_grad, u0, cfg: SamplerConfig, rng, chain: int):
+    """One step-size search from ``u0``, then dual averaging of the step size
+    on the unit metric over all ``cfg.n_tune`` iterations; returns
+    (u, value, grad, eps)."""
+    value, grad = value_and_grad(u0)
     if not math.isfinite(value):
         raise DomainError(f"chain {chain}: initial point has zero posterior density")
-    z = z0
+    u, unit = u0, [1.0] * len(u0)
+    eps = _find_reasonable_eps(u, value, grad, unit, rng, value_and_grad)
     if cfg.n_tune == 0:
-        eps = 0.5 * _find_reasonable_eps(z, value, grad, inv_mass, rng,
-                                         value_and_grad)
-        return z, value, grad, eps, inv_mass
-
-    eps = _find_reasonable_eps(z, value, grad, inv_mass, rng, value_and_grad)
+        return u, value, grad, 0.5 * eps
     da = _DualAveraging(eps, cfg.target_accept)
-    windows = _mass_windows(cfg.n_tune)
-    window_idx = 0
-    buffer = []
     tail_alphas = []
     tail_len = min(100, cfg.n_tune)
     for it in range(cfg.n_tune):
-        z, value, grad, info = nuts_draw(z, value, grad, eps, inv_mass, rng,
+        u, value, grad, info = nuts_draw(u, value, grad, eps, unit, rng,
                                          value_and_grad, cfg.max_tree_depth)
         eps = da.update(info["accept_stat"])
         if cfg.n_tune - it <= tail_len:
             tail_alphas.append(info["accept_stat"])
-        if window_idx < len(windows):
-            w_start, w_end = windows[window_idx]
-            if it >= w_start:
-                buffer.append(z)
-            if it + 1 == w_end:
-                # diagonal inverse metric = marginal variances, so that
-                # velocity inv_mass * p scales with the posterior width
-                inv_mass = _regularized_variance(np.array(buffer)).tolist()
-                buffer = []
-                window_idx += 1
-                eps = _find_reasonable_eps(z, value, grad, inv_mass, rng,
-                                           value_and_grad)
-                da = _DualAveraging(eps, cfg.target_accept)
-    mean_tail = float(np.mean(tail_alphas)) if tail_alphas else 0.0
+    mean_tail = float(np.mean(tail_alphas))
     if mean_tail < _MIN_ACCEPT:
         raise AdaptationFailedError(chain, mean_tail)
-    return z, value, grad, da.adapted, inv_mass
+    return u, value, grad, da.adapted
 
 
 class ChainDraws(NamedTuple):
@@ -592,7 +584,7 @@ class ChainDraws(NamedTuple):
     divergent: np.ndarray    # [n_draw] bool
     tree_depth: np.ndarray   # [n_draw] int16
     step_size: float
-    mass_diag: np.ndarray    # [dim]
+    mass_diag: np.ndarray    # [dim] Laplace marginal variances, or ones on fallback
     n_grad: np.ndarray       # [2] int64 gradient calls: warmup, sampling
     init_metric: str         # "laplace", or "unit" where the mode search fell back
 
@@ -600,12 +592,18 @@ class ChainDraws(NamedTuple):
 def run_chain(target, cfg: SamplerConfig, z_center: np.ndarray, chain: int) -> ChainDraws:
     """Warm up and sample chain ``chain`` of ``cfg`` on ``target``.
 
-    The chain starts at the posterior mode plus uniform jitter of
-    ``_LAPLACE_JITTER`` Laplace sds per unconstrained coordinate, or, where
-    the mode search fails or there is no tuning, at ``z_center`` plus
-    uniform jitter on [-1, 1]. It is driven by its own counter-based generator
-    keyed on ``(cfg.seed, chain)``, so its draws do not depend on which
-    process runs it or on what ran before.
+    The chain samples whitened coordinates ``u`` with ``z = mode + L^-T u``,
+    ``L`` the Cholesky factor of the negative Hessian at the posterior mode,
+    on the unit metric; it starts at ``u`` uniform on ``[-_LAPLACE_JITTER,
+    _LAPLACE_JITTER]`` per coordinate. Where the mode search fails or there
+    is no tuning, the map is the identity around ``z_center`` and ``u``
+    starts uniform on [-1, 1]. Warmup is one step-size search and dual
+    averaging over all ``cfg.n_tune`` iterations. Draws are mapped back
+    through ``z(u)``, then constrained; ``mass_diag`` is the diagonal of
+    ``L^-T L^-1``, the Laplace marginal variances, or ones on fallback. The
+    chain is driven by its own counter-based generator keyed on
+    ``(cfg.seed, chain)``, so its draws do not depend on which process runs
+    it or on what ran before.
     """
     target_value_and_grad = target.value_and_grad
     n_calls = 0
@@ -624,37 +622,36 @@ def run_chain(target, cfg: SamplerConfig, z_center: np.ndarray, chain: int) -> C
         with np.errstate(over="ignore", invalid="ignore"):
             laplace = _laplace(value_and_grad, z_center.tolist())
     if laplace is None:
-        center, spread, inv_mass = z_center, 1.0, [1.0] * dim
+        identity = [[float(i == j) for j in range(dim)] for i in range(dim)]
+        mode, low, spread = z_center.tolist(), identity, 1.0
     else:
-        mode, inv_mass = laplace
-        center = np.array(mode)
-        spread = _LAPLACE_JITTER * np.sqrt(inv_mass)
+        (mode, low), spread = laplace, _LAPLACE_JITTER
+    position, pulled_back, variances = _whitening(value_and_grad, mode, low)
     seq = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(chain,))
     rng = np.random.Generator(np.random.Philox(seq))
-    z0 = center + spread * rng.uniform(-1.0, 1.0, dim)
-    # jittered start may fall off the support; pull it back toward center
+    u0 = spread * rng.uniform(-1.0, 1.0, dim)
+    # jittered start may fall off the support; pull it back toward the centre
     for _ in range(30):
-        if math.isfinite(value_and_grad(z0.tolist())[0]):
+        if math.isfinite(pulled_back(u0.tolist())[0]):
             break
-        z0 = center + 0.5 * (z0 - center)
-    z0 = z0.tolist()
-    z, value, grad, eps, inv_mass = _warmup_chain(value_and_grad, z0, cfg, rng, chain,
-                                                  inv_mass)
+        u0 = 0.5 * u0
+    u, value, grad, eps = _warmup_chain(pulled_back, u0.tolist(), cfg, rng, chain)
     n_warmup = n_calls
 
     draws = np.empty((cfg.n_draw, dim))
     accept = np.empty(cfg.n_draw)
     divergent = np.zeros(cfg.n_draw, dtype=bool)
     depth = np.zeros(cfg.n_draw, dtype=np.int16)
+    unit = [1.0] * dim
     for it in range(cfg.n_draw):
-        z, value, grad, info = nuts_draw(z, value, grad, eps, inv_mass, rng,
-                                         value_and_grad, cfg.max_tree_depth)
+        u, value, grad, info = nuts_draw(u, value, grad, eps, unit, rng,
+                                         pulled_back, cfg.max_tree_depth)
+        z = position(u)
         draws[it] = constrain(z) if constrain is not None else z
         accept[it] = info["accept_stat"]
         divergent[it] = info["divergent"]
         depth[it] = info["depth"]
-    # inv_mass is the estimated marginal variances
-    return ChainDraws(draws, accept, divergent, depth, eps, np.array(inv_mass),
+    return ChainDraws(draws, accept, divergent, depth, eps, np.array(variances),
                       np.array((n_warmup, n_calls - n_warmup), dtype=np.int64),
                       "unit" if laplace is None else "laplace")
 
@@ -755,7 +752,8 @@ def trace_to_csv(trace: Trace, out_dir: Union[str, Path], prefix: str = "trace")
 
 
 def trace_summary(trace: Trace) -> dict:
-    """JSON-ready run summary (config, adaptation results, divergences)."""
+    """JSON-ready run summary (config, adaptation results, divergences); its
+    ``mass_diag`` is each chain's Laplace marginal variances, or ones on fallback."""
     return {
         "n_chains": trace.n_chains,
         "n_draw": trace.n_draw,

@@ -58,6 +58,15 @@ def log_prior(family, theta, prior):
     return float(family.value_grad(theta.tolist(), stats, prior)[0])
 
 
+def log_jacobian(post, z):
+    """Log |d theta / d z| of the posterior's constraining map at ``z``.
+
+    The Jacobian is diagonal: its log determinant sums the log slopes.
+    """
+    dtheta = post._transform(np.asarray(z, dtype=np.float64).tolist())[1]
+    return float(np.log(dtheta).sum())
+
+
 def joint_log_prior(post, theta):
     """Sum of the two sides' family priors at a constrained vector."""
     k = post.dim // 2
@@ -306,7 +315,7 @@ class TestCoordinateMaps:
                 zm[k] -= h
                 dk = (post.constrain(zp)[k] - post.constrain(zm)[k]) / (2 * h)
                 want += math.log(abs(dk))
-            assert post.log_jacobian(z) == pytest.approx(want, abs=1e-6)
+            assert log_jacobian(post, z) == pytest.approx(want, abs=1e-6)
 
 
 class TestPosterior:
@@ -327,7 +336,7 @@ class TestPosterior:
             want = (
                 float((post.counts * post.pointwise_loglik(theta)).sum())
                 + joint_log_prior(post, theta)
-                + post.log_jacobian(z)
+                + log_jacobian(post, z)
             )
             assert post.value_and_grad(z)[0] == pytest.approx(want, rel=1e-12)
 
@@ -364,9 +373,11 @@ class TestPosterior:
         double = Posterior(st.spec, np.tile(st.x_plus, 2), np.tile(st.x_minus, 2))
         z = st.initial_unconstrained() + 0.1
         theta = st.constrain(z)
-        lik_once = st.value_and_grad(z)[0] - joint_log_prior(st, theta) - st.log_jacobian(z)
+        lik_once = (
+            st.value_and_grad(z)[0] - joint_log_prior(st, theta) - log_jacobian(st, z)
+        )
         lik_twice = (
-            double.value_and_grad(z)[0] - joint_log_prior(st, theta) - double.log_jacobian(z)
+            double.value_and_grad(z)[0] - joint_log_prior(st, theta) - log_jacobian(double, z)
         )
         assert lik_twice == pytest.approx(2.0 * lik_once, rel=1e-10)
 
@@ -572,7 +583,7 @@ class TestScalarTransformMatchesVectorOracle:
         assert type(value) is float and all(type(g) is float for g in grad)
         assert grad == want_grad.tolist()
         assert post.constrain(z).tolist() == theta.tolist()
-        assert post.log_jacobian(z) == log_jac
+        assert log_jacobian(post, z) == log_jac
 
     def test_random_points(self):
         rng = np.random.default_rng(40)
