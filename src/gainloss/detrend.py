@@ -12,12 +12,13 @@ sample standard deviation of the filtered values.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
 
-from .errors import EmptySeriesError, WindowTooLargeError, ZeroVarianceError
+from .errors import EmptySeriesError, NonFiniteError, WindowTooLargeError, ZeroVarianceError
 from .series import PriceSeries, log_prices
 
 __all__ = [
@@ -30,10 +31,6 @@ __all__ = [
 ]
 
 DEFAULT_FILTER_SIZE = 252  # one business year
-
-# Rows processed per block in rolling_median; bounds the temporary
-# window matrix to ~block * f floats.
-_MEDIAN_BLOCK = 200_000
 
 
 @dataclass(frozen=True)
@@ -60,24 +57,26 @@ def rolling_median(values: np.ndarray, window: int) -> np.ndarray:
 
     Entry k is the median of ``values[k : k + window]``. For even windows the
     median is the midpoint of the two central order statistics, matching a
-    sort-per-window computation exactly.
+    sort-per-window computation exactly. One sorted list of the window slides
+    along by bisection; NaN would break its order, so values must be finite.
     """
     arr = np.asarray(values, dtype=np.float64)
-    n = arr.size
     if window < 1:
         raise WindowTooLargeError(f"window must be >= 1, got {window}")
-    if n == 0:
+    if arr.size == 0:
         raise EmptySeriesError("cannot filter an empty series")
-    if window > n:
-        raise WindowTooLargeError(f"window {window} exceeds series length {n}")
-    n_out = n - window + 1
-    out = np.empty(n_out, dtype=np.float64)
-    block = max(1, _MEDIAN_BLOCK // window)
-    for start in range(0, n_out, block):
-        stop = min(start + block, n_out)
-        view = np.lib.stride_tricks.sliding_window_view(arr[start:stop + window - 1], window)
-        out[start:stop] = np.median(view, axis=1)
-    return out
+    if window > arr.size:
+        raise WindowTooLargeError(f"window {window} exceeds series length {arr.size}")
+    if not np.isfinite(arr).all():
+        raise NonFiniteError("a rolling median needs finite values, not NaN or inf")
+    vals = arr.tolist()
+    ordered, lo, hi = sorted(vals[:window]), (window - 1) // 2, window // 2
+    sums = [ordered[lo] + ordered[hi]]
+    for leaving, arriving in zip(vals, vals[window:]):
+        del ordered[bisect_left(ordered, leaving)]
+        insort(ordered, arriving)
+        sums.append(ordered[lo] + ordered[hi])
+    return np.array(sums) / 2.0
 
 
 def detrend(series: PriceSeries, filter_size: int = DEFAULT_FILTER_SIZE) -> FilteredSeries:

@@ -51,14 +51,16 @@ added to the density. All gradients are analytic.
 A posterior has at most six coordinates, so the map runs on Python floats,
 one coordinate at a time, from (index, low, width) specs that
 ``Posterior.__init__`` lists once; the one transform serves
-``value_and_grad`` and ``constrain``. ``value_and_grad``
-takes and returns float lists, the sampler's protocol, so a gradient builds
-no array beyond the Student-t's sums over distinct values and the two small
-numpy calls named next. The map rounds exactly as elementwise numpy does: the
-logistic function is 1 / (1 + exp(-z)) with ``math.exp``, as scipy's
-``expit`` computes it, while the shifted log's exp and the log Jacobian's
-sum of logs stay numpy calls, whose vectorized results can differ from
-``math.exp`` and ``math.log`` in the last bit.
+``value_and_grad`` and ``constrain``. ``value_and_grad`` takes and returns
+float lists, the sampler's protocol, so a gradient builds no array beyond
+the two small numpy calls named next and the Student-t's one [3, k] buffer
+of c log(a^2 + s2), q a and q a^2 (a = x - mu, s2 = nu sigma^2 and q =
+c / (a^2 + s2)), filled and summed by nine array calls a side. The map
+rounds exactly as elementwise numpy does: the logistic function is
+1 / (1 + exp(-z)) with ``math.exp``, as scipy's ``expit`` computes it,
+while the shifted log's exp and the log Jacobian's sum of logs stay numpy
+calls, whose vectorized results can differ from ``math.exp`` and
+``math.log`` in the last bit.
 
 The report's log likelihoods are computed per side and vectorized over
 draws: a family's ``loglik`` takes each draw's constants (log-gamma and
@@ -252,15 +254,20 @@ def _student_prepare(values: np.ndarray, counts: np.ndarray):
 def _student_value_grad(theta, stats, p: SidePrior):
     x, c, n = stats
     mu, sigma, nu = theta
+    s2 = nu * sigma * sigma
     # the only array arithmetic of a gradient: far out, it overflows
     with np.errstate(over="ignore", invalid="ignore"):
-        t = (x - mu) / sigma
-        t2 = t * t
-        lu = np.log1p(t2 / nu)
-        cw = c * (nu + 1.0) / (nu + t2)
+        rows = np.empty((3, x.shape[0]))
+        a = np.subtract(x, mu)
+        a2 = np.multiply(a, a, out=rows[2])
+        q = np.divide(c, np.add(a2, s2, out=rows[0]))
+        np.multiply(np.log(rows[0], out=rows[0]), c, out=rows[0])
+        np.multiply(q, a, out=rows[1])
+        np.multiply(q, a2, out=rows[2])
         # numpy's own summation, not a BLAS dot, whose rounding follows the CPU
-        sum_lu, sum_wt, sum_wt2 = (float((c * lu).sum()), float((cw * t).sum()),
-                                   float((cw * t2).sum()))
+        sum_log, sum_qa, sum_qa2 = np.add.reduce(rows, axis=1).tolist()
+    # sum c log1p(t^2 / nu) and sum c (nu + 1) t^2 / (nu + t^2), t = a / sigma
+    sum_lu, sum_wt2 = sum_log - n * math.log(s2), (nu + 1.0) * sum_qa2
     value = n * (
         _lgamma((nu + 1.0) / 2.0) - _lgamma(nu / 2.0)
         - 0.5 * math.log(math.pi * nu) - math.log(sigma)
@@ -271,7 +278,7 @@ def _student_value_grad(theta, stats, p: SidePrior):
     )
     prior, d_loc = _loc_scale_prior(mu, p)
     value += prior + math.log(NU_RATE) - NU_RATE * (nu - NU_SHIFT)
-    return value, [sum_wt / sigma + d_loc, (sum_wt2 - n) / sigma, d_nu - NU_RATE]
+    return value, [(nu + 1.0) * sum_qa + d_loc, (sum_wt2 - n) / sigma, d_nu - NU_RATE]
 
 
 def _student_loglik(theta: np.ndarray):

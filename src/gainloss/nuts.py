@@ -13,15 +13,17 @@ test), when the energy error exceeds ``DIVERGENCE_THRESHOLD``, or at
 ``max_tree_depth`` doublings past the first (so ``max_tree_depth = 0``
 degenerates to a single leapfrog Metropolis step).
 
-Each chain samples ``u`` with ``z = mode + L^-T u``, where ``L L^T = -H``
-is the Cholesky factor of the negative Hessian of the log posterior at its
+Each chain samples ``u`` with ``z = mode + L^-T u``, where ``L L^T = -H`` is
+the Cholesky factor of the negative Hessian of the log posterior at its
 mode, and pulls gradients back as ``L^-1 g``. Under the Laplace
 approximation ``u`` is standard normal, so the sampler always runs on the
 unit metric: the map, not warmup draws, absorbs the posterior's scales and
-correlations. Warmup is one step-size search and then dual averaging of the
-step size (toward a mean acceptance statistic) over every tuning iteration;
-the final step size is its averaged iterate. The mode is found by damped
-Newton steps from the unjittered start, with Hessians from central
+correlations, and it puts the chain in the typical set. So warmup only tunes
+the step size: one step-size search, then one depth-0 transition (a single
+leapfrog Metropolis step) per tuning iteration, whose acceptance statistic
+min(1, exp(-dH)) drives dual averaging; the final step size is its averaged
+iterate. Sampling builds trees up to ``max_tree_depth``. The mode is found
+by damped Newton steps from the unjittered start, with Hessians from central
 differences of the gradient (2 * dim calls each); the nonzero entries of
 ``L^-1`` are listed once per chain (a posterior that factorizes by side has
 exact zeros across the sides). The chain starts within ``_LAPLACE_JITTER``
@@ -29,10 +31,10 @@ whitened units of the mode: from a unit box around the unjittered start it
 would sit hundreds of sds out on a narrow coordinate. The search draws no
 random numbers, so every chain finds the same map, and it solves in Python
 floats, not by LAPACK, whose rounding follows the CPU. Where it fails (zero
-density on its path, a Hessian that is not negative definite, no
-convergence within a fixed number of steps), or where there is no tuning,
-the map is the identity around the unjittered start, jittered by [-1, 1].
-The trace records which map each chain used.
+density on its path, a Hessian that is not negative definite, no convergence
+within a fixed number of steps), or where there is no tuning, the map is the
+identity around the unjittered start, jittered by [-1, 1]. The trace records
+which map each chain used.
 
 Chains are independent: chain ``c`` of a run seeded with ``seed`` draws from
 a counter-based generator keyed by ``(seed, c)``, so results do not depend on
@@ -56,12 +58,11 @@ which each chain does in its own process.
 Optional methods ``constrain``, ``param_names`` and
 ``initial_unconstrained`` refine what the trace records.
 
-Position, momentum, gradient and inverse mass are float lists throughout a
-chain, so no ndarray is built per leapfrog step: the kinetic energy, the
-U-turn test and the whitening map are summed left to right in Python, which
-also keeps them off a BLAS dot, whose summation order, and so whose
-rounding, follows the CPU. Only the momentum draw of each transition calls
-numpy.
+Position, momentum and gradient are float lists throughout a chain, so no
+ndarray is built per leapfrog step: the kinetic energy, the U-turn test and
+the whitening map are summed left to right in Python, which also keeps them
+off a BLAS dot, whose summation order, and so whose rounding, follows the
+CPU. Only the momentum draw of each transition calls numpy.
 
 An exploding trajectory overflows; its leaves come out divergent. Python
 floats overflow without a warning, and numpy's floating-point errors are
@@ -180,17 +181,16 @@ def leapfrog(
     p: list[float],
     grad: list[float],
     eps: float,
-    inv_mass: list[float],
     value_and_grad: Callable[[list[float]], tuple[float, list[float]]],
 ) -> tuple[list[float], list[float], float, list[float]]:
-    """One half-kick / drift / half-kick step; grad is d(logp)/dz at z.
+    """One unit-metric half-kick / drift / half-kick step; grad is d(logp)/dz at z.
 
     Every argument and result is a list of Python floats, which overflow to
     inf without a warning and round like numpy's elementwise operations.
     """
     half = 0.5 * eps
     p_half = [pk + half * gk for pk, gk in zip(p, grad)]
-    z_new = [zk + eps * (mk * pk) for zk, mk, pk in zip(z, inv_mass, p_half)]
+    z_new = [zk + eps * pk for zk, pk in zip(z, p_half)]
     if not all(map(math.isfinite, z_new)):
         # Exploding trajectory: surface as a divergent leaf, never as NaN math.
         return z, p, -math.inf, [0.0] * len(z)
@@ -199,13 +199,13 @@ def leapfrog(
     return z_new, p_new, value_new, grad_new
 
 
-def _kinetic(p: list[float], inv_mass: list[float]) -> float:
+def _kinetic(p: list[float]) -> float:
     # Summed left to right: a BLAS dot's order, and so its rounding, follows
     # the CPU. Momenta can blow up on unstable trajectories; report inf so the
     # caller treats the leaf as divergent.
     k = 0.0
-    for pk, mk in zip(p, inv_mass):
-        k += pk * pk * mk
+    for pk in p:
+        k += pk * pk
     k *= 0.5
     return k if math.isfinite(k) else math.inf
 
@@ -219,14 +219,14 @@ def _logaddexp(a: float, b: float) -> float:
     return m + math.log(math.exp(a - m) + math.exp(b - m))
 
 
-def _turned(left_edge, right_edge, inv_mass) -> bool:
+def _turned(left_edge, right_edge) -> bool:
     """U-turn test on velocities: would either end start moving back inward?"""
     (z_left, p_left, _), (z_right, p_right, _) = left_edge, right_edge
     left = right = 0.0
-    for zl, pl, zr, pr, m in zip(z_left, p_left, z_right, p_right, inv_mass):
+    for zl, pl, zr, pr in zip(z_left, p_left, z_right, p_right):
         dz = zr - zl
-        left += dz * (m * pl)
-        right += dz * (m * pr)
+        left += dz * pl
+        right += dz * pr
     return left < 0.0 or right < 0.0
 
 
@@ -248,7 +248,7 @@ class _TreeState:
         self.turned = False
 
 
-def _merge(tree, sub, direction, inv_mass, rng, biased):
+def _merge(tree, sub, direction, rng, biased):
     """Extend ``tree`` by ``sub``, built from its edge in ``direction``; returns ``tree``.
 
     The acceptance sums always add up. A divergent or turned ``sub`` stops
@@ -274,11 +274,11 @@ def _merge(tree, sub, direction, inv_mass, rng, biased):
         tree.right = sub.right
     else:
         tree.left = sub.left
-    tree.turned = _turned(tree.left, tree.right, inv_mass)
+    tree.turned = _turned(tree.left, tree.right)
     return tree
 
 
-def _build_subtree(edge, direction, depth, eps, inv_mass, h0, value_and_grad, rng):
+def _build_subtree(edge, direction, depth, eps, h0, value_and_grad, rng):
     """Build a subtree of 2**depth leaves from a trajectory edge ``(z, p, grad)``.
 
     A leaf is one leapfrog step. Its log weight is -(H - H0), its acceptance
@@ -289,8 +289,8 @@ def _build_subtree(edge, direction, depth, eps, inv_mass, h0, value_and_grad, rn
     """
     if depth == 0:
         z, p, g = edge
-        z1, p1, v1, g1 = leapfrog(z, p, g, direction * eps, inv_mass, value_and_grad)
-        h1 = -v1 + _kinetic(p1, inv_mass) if math.isfinite(v1) else math.inf
+        z1, p1, v1, g1 = leapfrog(z, p, g, direction * eps, value_and_grad)
+        h1 = -v1 + _kinetic(p1) if math.isfinite(v1) else math.inf
         delta_h = h1 - h0
         if not math.isfinite(delta_h):
             delta_h = math.inf
@@ -301,23 +301,20 @@ def _build_subtree(edge, direction, depth, eps, inv_mass, h0, value_and_grad, rn
         leaf.divergent = delta_h > DIVERGENCE_THRESHOLD
         return leaf
 
-    tree = _build_subtree(edge, direction, depth - 1, eps, inv_mass, h0,
-                          value_and_grad, rng)
+    tree = _build_subtree(edge, direction, depth - 1, eps, h0, value_and_grad, rng)
     if tree.divergent or tree.turned:
         return tree
     sub = _build_subtree(tree.right if direction > 0 else tree.left, direction,
-                         depth - 1, eps, inv_mass, h0, value_and_grad, rng)
-    return _merge(tree, sub, direction, inv_mass, rng, False)
+                         depth - 1, eps, h0, value_and_grad, rng)
+    return _merge(tree, sub, direction, rng, False)
 
 
-def _momentum(rng, inv_mass: list[float]) -> list[float]:
-    """A draw p ~ N(0, diag(1 / inv_mass)): the sampler's one numpy call per transition."""
-    return [n * math.sqrt(1.0 / m)
-            for n, m in zip(rng.standard_normal(len(inv_mass)).tolist(), inv_mass)]
+def _momentum(rng, dim: int) -> list[float]:
+    """A draw p ~ N(0, I): the sampler's one numpy call per transition."""
+    return rng.standard_normal(dim).tolist()
 
 
-def nuts_draw(z, value, grad, eps, inv_mass, rng, value_and_grad,
-              max_tree_depth: int = 10):
+def nuts_draw(z, value, grad, eps, rng, value_and_grad, max_tree_depth: int = 10):
     """One NUTS transition from (z, value, grad).
 
     Returns ``(z, value, grad, info)`` where info carries ``accept_stat``
@@ -326,15 +323,15 @@ def nuts_draw(z, value, grad, eps, inv_mass, rng, value_and_grad,
     """
     # silence overflow on exploding trajectories once for the transition
     with np.errstate(over="ignore", invalid="ignore"):
-        p0 = _momentum(rng, inv_mass)
-        h0 = -value + _kinetic(p0, inv_mass)
+        p0 = _momentum(rng, len(z))
+        h0 = -value + _kinetic(p0)
         tree = _TreeState(z, p0, grad, value)  # the start enters with weight exp(0)
         depth = 0
         for depth in range(max_tree_depth + 1):
             direction = 1 if rng.random() < 0.5 else -1
             sub = _build_subtree(tree.right if direction > 0 else tree.left, direction,
-                                 depth, eps, inv_mass, h0, value_and_grad, rng)
-            _merge(tree, sub, direction, inv_mass, rng, True)
+                                 depth, eps, h0, value_and_grad, rng)
+            _merge(tree, sub, direction, rng, True)
             if tree.divergent or tree.turned:
                 break
 
@@ -368,17 +365,17 @@ class _DualAveraging:
         return math.exp(self.log_eps_bar)
 
 
-def _find_reasonable_eps(z, value, grad, inv_mass, rng, value_and_grad) -> float:
+def _find_reasonable_eps(z, value, grad, rng, value_and_grad) -> float:
     """Double or halve eps from 1 until one leapfrog step's acceptance ratio
     crosses 1/2, or eps reaches 1e-10 or 1e7."""
     with np.errstate(over="ignore", invalid="ignore"):
-        p = _momentum(rng, inv_mass)
-        h0 = -value + _kinetic(p, inv_mass)
+        p = _momentum(rng, len(z))
+        h0 = -value + _kinetic(p)
         eps, direction = 1.0, 0.0
         while True:
             # a one-leaf subtree's log weight is the step's log acceptance ratio
-            log_ratio = _build_subtree((z, p, grad), 1, 0, eps, inv_mass, h0,
-                                       value_and_grad, rng).log_weight
+            log_ratio = _build_subtree((z, p, grad), 1, 0, eps, h0, value_and_grad,
+                                       rng).log_weight
             direction = direction or (1.0 if log_ratio > math.log(0.5) else -1.0)
             if direction * log_ratio <= direction * math.log(0.5):
                 return eps
@@ -550,27 +547,24 @@ def _whitening(value_and_grad, mode: list[float], low: list[list[float]]):
     return position, pulled_back, variances
 
 
-def _warmup_chain(value_and_grad, u0, cfg: SamplerConfig, rng, chain: int):
-    """One step-size search from ``u0``, then dual averaging of the step size
-    on the unit metric over all ``cfg.n_tune`` iterations; returns
-    (u, value, grad, eps)."""
-    value, grad = value_and_grad(u0)
+def _warmup_chain(value_and_grad, u, cfg: SamplerConfig, rng, chain: int):
+    """One step-size search from ``u``, then ``cfg.n_tune`` single leapfrog
+    Metropolis steps (depth-0 transitions) on the unit metric, each feeding
+    its acceptance statistic min(1, exp(-dH)) to dual averaging of the step
+    size; returns (u, value, grad, eps)."""
+    value, grad = value_and_grad(u)
     if not math.isfinite(value):
         raise DomainError(f"chain {chain}: initial point has zero posterior density")
-    u, unit = u0, [1.0] * len(u0)
-    eps = _find_reasonable_eps(u, value, grad, unit, rng, value_and_grad)
+    eps = _find_reasonable_eps(u, value, grad, rng, value_and_grad)
     if cfg.n_tune == 0:
         return u, value, grad, 0.5 * eps
     da = _DualAveraging(eps, cfg.target_accept)
-    tail_alphas = []
-    tail_len = min(100, cfg.n_tune)
-    for it in range(cfg.n_tune):
-        u, value, grad, info = nuts_draw(u, value, grad, eps, unit, rng,
-                                         value_and_grad, cfg.max_tree_depth)
-        eps = da.update(info["accept_stat"])
-        if cfg.n_tune - it <= tail_len:
-            tail_alphas.append(info["accept_stat"])
-    mean_tail = float(np.mean(tail_alphas))
+    alphas = []
+    for _ in range(cfg.n_tune):
+        u, value, grad, info = nuts_draw(u, value, grad, eps, rng, value_and_grad, 0)
+        alphas.append(info["accept_stat"])
+        eps = da.update(alphas[-1])
+    mean_tail = float(np.mean(alphas[-100:]))
     if mean_tail < _MIN_ACCEPT:
         raise AdaptationFailedError(chain, mean_tail)
     return u, value, grad, da.adapted
@@ -598,7 +592,8 @@ def run_chain(target, cfg: SamplerConfig, z_center: np.ndarray, chain: int) -> C
     _LAPLACE_JITTER]`` per coordinate. Where the mode search fails or there
     is no tuning, the map is the identity around ``z_center`` and ``u``
     starts uniform on [-1, 1]. Warmup is one step-size search and dual
-    averaging over all ``cfg.n_tune`` iterations. Draws are mapped back
+    averaging over ``cfg.n_tune`` single leapfrog Metropolis steps, one
+    gradient each; sampling runs NUTS at ``cfg.max_tree_depth``. Draws are mapped back
     through ``z(u)``, then constrained; ``mass_diag`` is the diagonal of
     ``L^-T L^-1``, the Laplace marginal variances, or ones on fallback. The
     chain is driven by its own counter-based generator keyed on
@@ -642,10 +637,9 @@ def run_chain(target, cfg: SamplerConfig, z_center: np.ndarray, chain: int) -> C
     accept = np.empty(cfg.n_draw)
     divergent = np.zeros(cfg.n_draw, dtype=bool)
     depth = np.zeros(cfg.n_draw, dtype=np.int16)
-    unit = [1.0] * dim
     for it in range(cfg.n_draw):
-        u, value, grad, info = nuts_draw(u, value, grad, eps, unit, rng,
-                                         pulled_back, cfg.max_tree_depth)
+        u, value, grad, info = nuts_draw(u, value, grad, eps, rng, pulled_back,
+                                         cfg.max_tree_depth)
         z = position(u)
         draws[it] = constrain(z) if constrain is not None else z
         accept[it] = info["accept_stat"]

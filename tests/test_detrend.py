@@ -10,7 +10,12 @@ from gainloss.detrend import (
     rolling_median,
     threshold_from_std,
 )
-from gainloss.errors import EmptySeriesError, WindowTooLargeError, ZeroVarianceError
+from gainloss.errors import (
+    EmptySeriesError,
+    NonFiniteError,
+    WindowTooLargeError,
+    ZeroVarianceError,
+)
 from gainloss.series import PriceSeries
 
 
@@ -70,7 +75,7 @@ class TestRollingMedian:
             assert np.array_equal(rolling_median(v, window), sort_oracle(v, window))
 
     def test_block_boundaries_are_seamless(self):
-        # window 3 forces multiple internal blocks on a 70k-point input
+        # the sorted window slides across a 70k-point input without drifting
         rng = np.random.default_rng(4)
         v = rng.standard_normal(70_000)
         got = rolling_median(v, 3)
@@ -78,6 +83,14 @@ class TestRollingMedian:
         idx = rng.integers(0, got.size, size=300)
         for i in idx:
             assert got[i] == sorted(v[i : i + 3])[1]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_is_refused(self, bad):
+        # NaN compares false both ways, so it would corrupt the sorted window
+        v = np.arange(10.0)
+        v[4] = bad
+        with pytest.raises(NonFiniteError):
+            rolling_median(v, 3)
 
 
 class TestDetrend:

@@ -30,7 +30,7 @@ class TestLeapfrog:
         eps = 0.1
         z0, p0 = [1.0], [0.0]
         grad0 = UNIT_1D.value_and_grad(z0)[1]
-        z1, p1, v1, g1 = leapfrog(z0, p0, grad0, eps, [1.0], UNIT_1D.value_and_grad)
+        z1, p1, v1, g1 = leapfrog(z0, p0, grad0, eps, UNIT_1D.value_and_grad)
         assert z1[0] == 1.0 - eps**2 / 2.0
         assert p1[0] == -eps * (1.0 - eps**2 / 4.0)
         assert v1 == UNIT_1D.value_and_grad(z1)[0]
@@ -40,31 +40,28 @@ class TestLeapfrog:
         rng = np.random.default_rng(50)
         cov = np.array([[2.0, 0.7, 0.0], [0.7, 1.0, 0.3], [0.0, 0.3, 0.5]])
         target = CorrelatedGaussianTarget(cov)
-        inv_mass = rng.uniform(0.5, 2.0, 3).tolist()
         z0 = rng.standard_normal(3).tolist()
         p0 = rng.standard_normal(3).tolist()
         g0 = target.value_and_grad(z0)[1]
-        z1, p1, _, g1 = leapfrog(z0, p0, g0, 0.2, inv_mass, target.value_and_grad)
-        z2, p2, _, _ = leapfrog(z1, [-v for v in p1], g1, 0.2, inv_mass,
-                                target.value_and_grad)
+        z1, p1, _, g1 = leapfrog(z0, p0, g0, 0.2, target.value_and_grad)
+        z2, p2, _, _ = leapfrog(z1, [-v for v in p1], g1, 0.2, target.value_and_grad)
         assert np.allclose(z2, z0, atol=1e-10)
         assert np.allclose(np.negative(p2), p0, atol=1e-10)
 
     def test_energy_drift_stays_small(self):
-        eps, inv_mass = 0.01, np.ones(1)
+        eps = 0.01
         z, p = [1.0], [0.5]
         value, grad = UNIT_1D.value_and_grad(z)
-        h0 = -value + 0.5 * float(np.asarray(p) @ (inv_mass * p))
+        h0 = -value + 0.5 * p[0] * p[0]
         for _ in range(100):
-            z, p, value, grad = leapfrog(z, p, grad, eps, inv_mass.tolist(),
-                                         UNIT_1D.value_and_grad)
-        h1 = -value + 0.5 * float(np.asarray(p) @ (inv_mass * p))
+            z, p, value, grad = leapfrog(z, p, grad, eps, UNIT_1D.value_and_grad)
+        h1 = -value + 0.5 * p[0] * p[0]
         assert abs(h1 - h0) < 1e-3
 
     def test_exploding_step_returns_divergent_leaf(self):
         z, p = [1.0], [1.0]
         grad = UNIT_1D.value_and_grad(z)[1]
-        z1, p1, value, grad1 = leapfrog(z, p, grad, 1e200, [1.0], UNIT_1D.value_and_grad)
+        z1, p1, value, grad1 = leapfrog(z, p, grad, 1e200, UNIT_1D.value_and_grad)
         assert value == -np.inf
         assert np.all(np.isfinite(z1)) and np.all(np.isfinite(p1))
         assert np.array_equal(grad1, np.zeros(1))
@@ -81,11 +78,11 @@ class TestNutsDraw:
         for _ in range(300):
             p0 = twin.standard_normal(1).tolist()
             step = eps if twin.random() < 0.5 else -eps
-            z1, p1, v1, g1 = leapfrog(z, p0, grad, step, [1.0], UNIT_1D.value_and_grad)
+            z1, p1, v1, g1 = leapfrog(z, p0, grad, step, UNIT_1D.value_and_grad)
             log_ratio = (-value + 0.5 * (p0[0] * p0[0])) - (-v1 + 0.5 * (p1[0] * p1[0]))
             moved.append(math.log(twin.random()) < log_ratio)
             z_new, v_new, g_new, info = nuts_draw(
-                z, value, grad, eps, [1.0], rng, UNIT_1D.value_and_grad, max_tree_depth=0
+                z, value, grad, eps, rng, UNIT_1D.value_and_grad, max_tree_depth=0
             )
             assert info["depth"] == 0
             assert info["accept_stat"] == min(1.0, math.exp(log_ratio))
@@ -101,7 +98,7 @@ class TestNutsDraw:
         depths = []
         for _ in range(50):
             z, value, grad, info = nuts_draw(
-                z, value, grad, 0.4, [1.0] * 4, rng, target.value_and_grad
+                z, value, grad, 0.4, rng, target.value_and_grad
             )
             assert set(info) == {"accept_stat", "divergent", "depth"}
             assert 0.0 <= info["accept_stat"] <= 1.0
@@ -116,7 +113,7 @@ class TestNutsDraw:
         flags = []
         for _ in range(20):
             _, _, _, info = nuts_draw(
-                z, value, grad, 50.0, [1.0], rng, target.value_and_grad
+                z, value, grad, 50.0, rng, target.value_and_grad
             )
             flags.append(info["divergent"])
         assert any(flags)
@@ -242,7 +239,7 @@ class TestFloatingPointErrors:
         grad = UNIT_1D.value_and_grad(z)[1]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            _, _, value, _ = leapfrog(z, p, grad, 1e200, [1.0], UNIT_1D.value_and_grad)
+            _, _, value, _ = leapfrog(z, p, grad, 1e200, UNIT_1D.value_and_grad)
         assert value == -np.inf
 
     @pytest.mark.parametrize("eps", [1e2, 1e5, 1e200])
@@ -582,15 +579,29 @@ class TestLaplaceMetric:
     def test_the_search_cuts_warmup_gradients_on_13_years(self, pool_targets,
                                                           monkeypatch):
         # a deterministic count, not seconds: on the identity map the unit
-        # metric runs deep trees on the badly scaled location
-        target = pool_targets["student-t"]
+        # metric runs deep trees on the badly scaled location once sampling
+        # starts, which the search's own gradients do not outweigh
         cfg = SamplerConfig(n_chains=1, n_draw=50, n_tune=300, seed=5)
+        for name in ("student-t", "inv-gamma"):
+            target = pool_targets[name]
+            center = target.initial_unconstrained()
+            laplace = run_chain(target, cfg, center, 0)
+            with monkeypatch.context() as patch:
+                patch.setattr(nuts, "_laplace", lambda *args: None)
+                unit = run_chain(target, cfg, center, 0)
+            assert laplace.init_metric == "laplace" and unit.init_metric == "unit"
+            assert laplace.n_grad.sum() < 0.6 * unit.n_grad.sum(), name
+
+    @pytest.mark.parametrize("name", ["student-t", "inv-gamma"])
+    def test_each_tuning_iteration_takes_one_gradient(self, pool_targets, name):
+        # one leapfrog Metropolis step per tuning iteration, whatever the
+        # tree depth sampling may reach
+        target = pool_targets[name]
         center = target.initial_unconstrained()
-        laplace = run_chain(target, cfg, center, 0)
-        monkeypatch.setattr(nuts, "_laplace", lambda *args: None)
-        unit = run_chain(target, cfg, center, 0)
-        assert laplace.init_metric == "laplace" and unit.init_metric == "unit"
-        assert laplace.n_grad[0] < 0.6 * unit.n_grad[0]
+        warmup = [run_chain(target, SamplerConfig(n_chains=1, n_draw=10, n_tune=tune,
+                                                  seed=5), center, 0).n_grad[0]
+                  for tune in (150, 300)]
+        assert warmup[1] - warmup[0] == 150
 
 
 class TestWhitening:
