@@ -49,6 +49,7 @@ from .pipeline import (
     DEFAULT_WINDOW_YEARS,
     RHAT_FAIL,
     ScanPoint,
+    draw_fits,
     fit_log_sample,
     parse_model_choice,
     prepare_sample,
@@ -260,9 +261,13 @@ def _cmd_fit(args, config) -> int:
         f"censored-={sample.censored_minus} rho={rho_used:.10g} filter_size={f}"
     )
     reports = []
-    for kind in kinds:
+    # several models draw all their chains before the first report; a single
+    # model's chains run in fit_log_sample
+    drawn = draw_fits([(logs, k) for k in kinds], sampler) if len(kinds) > 1 else [None]
+    for kind, fit in zip(kinds, drawn):
         report, trace = fit_log_sample(
             logs, kind, sampler, index_id=series.name, filter_size=f, hdi_mass=hdi_mass,
+            drawn=fit,
         )
         reports.append(report)
         report.save(out / f"{series.name}_{report.model}_report.json")

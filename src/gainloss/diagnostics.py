@@ -20,9 +20,11 @@ value and one column per draw, a block of rows at a time, from a
 :class:`~gainloss.models.LoglikMatrix` that computes only the block asked
 for. Each row's lppd and p_waic terms are reductions along its contiguous
 draw axis, which numpy sums pairwise within the row, so a row's terms do
-not depend on the block it falls in. Held whole, the matrix of the default
-4 x 4000 draws would take 1.4 GB for the 10.9k distinct hitting times of a
-synthetic 25k-day series at barrier scale 2.
+not depend on the block it falls in, nor on the worker process that
+computes the block: the blocks are :func:`~gainloss.nuts.fork_map` tasks.
+Held whole, the matrix of the default 4 x 4000 draws would take 1.4 GB for
+the 10.9k distinct hitting times of a synthetic 25k-day series at barrier
+scale 2.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from .errors import (
     TooFewSamplesError,
 )
 from .models import LoglikMatrix, Posterior
-from .nuts import Trace
+from .nuts import Trace, fork_map
 
 __all__ = [
     "effect_size_draws",
@@ -208,7 +210,9 @@ def _column_terms(ll) -> tuple[np.ndarray, np.ndarray]:
 
     Both are read as float64 rows, one per observation or distinct value and
     ``LOGLIK_BLOCK // draws`` at a time, so the temporaries stay cache-sized
-    and a :class:`~gainloss.models.LoglikMatrix` is never held whole.
+    and a :class:`~gainloss.models.LoglikMatrix` is never held whole. Each
+    block is one :func:`~gainloss.nuts.fork_map` task, so the blocks spread
+    over the usable CPUs, and a single block runs in this process.
     """
     if isinstance(ll, LoglikMatrix):
         (n_cols, n_draws), rows = ll.shape, ll.rows
@@ -222,16 +226,16 @@ def _column_terms(ll) -> tuple[np.ndarray, np.ndarray]:
             return np.ascontiguousarray(ll[:, start:stop].T, dtype=np.float64)
     if n_draws < 2 or n_cols < 1:
         raise TooFewSamplesError("waic needs >= 2 draws and >= 1 observation")
-    lppd_i = np.empty(n_cols)
-    p_i = np.empty(n_cols)
     height = max(1, LOGLIK_BLOCK // n_draws)
-    for start in range(0, n_cols, height):
-        stop = min(start + height, n_cols)
-        block = rows(start, stop)
+
+    def terms(k: int) -> tuple[np.ndarray, np.ndarray]:
+        block = rows(k * height, min((k + 1) * height, n_cols))
         peak = block.max(axis=1, keepdims=True)
-        lppd_i[start:stop] = peak[:, 0] + np.log(np.exp(block - peak).sum(axis=1) / n_draws)
-        p_i[start:stop] = block.var(axis=1, ddof=1)
-    return lppd_i, p_i
+        lppd = peak[:, 0] + np.log(np.exp(block - peak).sum(axis=1) / n_draws)
+        return lppd, block.var(axis=1, ddof=1)
+
+    lppd_i, p_i = zip(*fork_map(terms, -(-n_cols // height)))
+    return np.concatenate(lppd_i), np.concatenate(p_i)
 
 
 def waic(pointwise_loglik, counts: Optional[np.ndarray] = None) -> WaicResult:

@@ -38,15 +38,17 @@ which map each chain used.
 
 Chains are independent: chain ``c`` of a run seeded with ``seed`` draws from
 a counter-based generator keyed by ``(seed, c)``, so results do not depend on
-execution order. ``run_chains`` runs them in forked worker processes, one per
-usable CPU up to the chain count, and in its own process when that count is 1
-or the platform cannot fork. The trace is bit-identical either way. A worker
-inherits the target from the fork, so the target is never pickled; only the
-chain index and the config go out, and only the chain's arrays come back.
-The workers are shut down before ``run_chains`` returns or raises, and on
-Linux the kernel kills them if the calling process is killed. The trace
-holds draws, sampler statistics and each chain's gradient count only; what is
-derived from the draws, such as WAIC, is computed afterwards.
+execution order. ``fork_map`` runs numbered tasks in workers forked with bare
+``os.fork``, one per usable CPU up to the task count, and in its own process
+when that count is 1 or the platform cannot fork; a worker inherits the tasks
+from the fork, so nothing goes out to it, and only its results come back,
+pickled through a pipe. ``run_chains`` makes each chain of one target a task,
+and ``run_chains_each`` each chain of several targets, so that the chains of
+a whole scan share one fork. The trace is bit-identical either way. The
+workers have ended before ``fork_map`` returns or raises, and on Linux the
+kernel kills them if the calling process is killed. The trace holds draws,
+sampler statistics and each chain's gradient count only; what is derived
+from the draws, such as WAIC, is computed afterwards.
 
 The target is any object with a ``dim`` attribute and a
 ``value_and_grad(z) -> (logp, grad)`` method in unconstrained coordinates,
@@ -82,7 +84,7 @@ from typing import Callable, NamedTuple, Union
 
 import numpy as np
 
-from .errors import AdaptationFailedError, DomainError
+from .errors import AdaptationFailedError, DomainError, GainLossError
 
 __all__ = [
     "SamplerConfig",
@@ -93,6 +95,8 @@ __all__ = [
     "nuts_draw",
     "run_chain",
     "run_chains",
+    "run_chains_each",
+    "fork_map",
     "trace_to_csv",
     "trace_summary",
 ]
@@ -650,79 +654,162 @@ def run_chain(target, cfg: SamplerConfig, z_center: np.ndarray, chain: int) -> C
                       "unit" if laplace is None else "laplace")
 
 
-# The target and start centre of the run a pool worker serves. The worker is
-# forked, so they arrive by inheritance and are never pickled.
-_worker_run = None
-
-
-def _adopt_run(target, z_center, parent: int):
-    global _worker_run
-    _worker_run = (target, z_center)
-    # A worker whose caller is killed would finish its chain and then wait on
-    # the pool's queue forever; on Linux the kernel kills it with the caller.
-    if sys.platform.startswith("linux"):
-        import ctypes
-        import signal
-
-        ctypes.CDLL(None).prctl(_PR_SET_PDEATHSIG, signal.SIGKILL)
-    if os.getppid() != parent:  # the caller died before the prctl
-        os._exit(1)
-
-
-def _run_adopted_chain(cfg: SamplerConfig, chain: int) -> ChainDraws:
-    target, z_center = _worker_run
-    return run_chain(target, cfg, z_center, chain)
-
-
 def _usable_cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 
-def run_chains(target, cfg: SamplerConfig) -> Trace:
-    """Run ``cfg.n_chains`` independent NUTS chains on ``target``.
+# True in a forked fork_map worker, whose own fork_map calls run in-process
+_in_worker = False
 
-    Each chain is one :func:`run_chain` call, started from the target's
-    preferred initial point (or the origin). The chains run in forked worker
-    processes, one per usable CPU up to the chain count, or in this process
-    when that count is 1 or the platform cannot fork; the trace is the same
-    either way. Raises the error of the lowest failing chain, such as
-    :class:`AdaptationFailedError` if its warmup stalls.
+
+def _serve(task, indices: range, fd: int, parent: int):
+    """Run ``task`` on ``indices`` in a forked worker, write ``(results,
+    error)`` pickled to ``fd`` and exit; never returns. The tasks stop at
+    the first that raises, whose index and error make up ``error``."""
+    global _in_worker
+    code = 1
+    try:
+        _in_worker = True
+        # A worker whose caller is killed would run to the end of its tasks
+        # for nobody; on Linux the kernel kills it with the caller.
+        if sys.platform.startswith("linux"):
+            import ctypes
+            import signal
+
+            ctypes.CDLL(None).prctl(_PR_SET_PDEATHSIG, signal.SIGKILL)
+        if os.getppid() != parent:  # the caller died before the prctl
+            return
+        import pickle
+
+        results, error = [], None
+        for i in indices:
+            try:
+                results.append(task(i))
+            except Exception as exc:
+                error = (i, exc)
+                break
+        with open(fd, "wb") as fh:
+            pickle.dump((results, error), fh, pickle.HIGHEST_PROTOCOL)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def fork_map(task: Callable[[int], object], n: int) -> list:
+    """``[task(0), ..., task(n - 1)]``, computed by forked worker processes.
+
+    ``W = min(n, usable CPUs)`` workers are forked with bare ``os.fork``;
+    worker ``w`` runs tasks ``w, w + W, ...`` and sends their results back
+    pickled through a pipe. A worker inherits ``task`` from the fork, so the
+    task, and whatever it reads, is never pickled. Where ``W`` is 1, where
+    the platform cannot fork, or inside a worker, the tasks run in this
+    process, in order. Either way the error of the lowest failing task is
+    raised; a worker that ends without sending its results raises
+    :class:`RuntimeError`. Every worker has ended when ``fork_map`` returns
+    or raises, and on Linux the kernel kills the workers if the calling
+    process is killed.
     """
-    dim = target.dim
-    names = tuple(getattr(target, "param_names",
-                          tuple(f"param_{k}" for k in range(dim))))
-    if hasattr(target, "initial_unconstrained"):
-        z_center = np.asarray(target.initial_unconstrained(), dtype=np.float64)
-    else:
-        z_center = np.zeros(dim)
+    workers = min(n, _usable_cpus())
+    if workers <= 1 or _in_worker or not hasattr(os, "fork"):
+        return [task(i) for i in range(n)]
+    import pickle
+    import signal
 
-    workers = min(cfg.n_chains, _usable_cpus())
-    if workers == 1 or not hasattr(os, "fork"):
-        chains = [run_chain(target, cfg, z_center, c) for c in range(cfg.n_chains)]
-    else:
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
+    parent = os.getpid()
+    children = []  # (pid, read end of its pipe), in worker order
+    try:
+        for w in range(workers):
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read)
+                os.close(write)
+                raise
+            if pid == 0:
+                _serve(task, range(w, n, workers), write, parent)
+            os.close(write)
+            children.append((pid, read))
+        # errors by task index; a worker that sent nothing fails at its first, w
+        results, errors = [None] * n, {}
+        for w, (pid, read) in enumerate(children):
+            with open(read, "rb", closefd=False) as fh:
+                data = fh.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            children[w] = (None, read)  # reaped
+            if code != 0 or not data:
+                errors[w] = RuntimeError(f"fork_map worker {w} (pid {pid}) ended with "
+                                         f"exit code {code} before sending its results")
+                continue
+            done, error = pickle.loads(data)
+            results[w:w + workers * len(done):workers] = done
+            if error is not None:
+                errors[error[0]] = error[1]
+        if errors:
+            raise errors[min(errors)]
+        return results
+    finally:
+        for pid, read in children:
+            os.close(read)
+            if pid is not None:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
 
-        # On fork the executor forks every worker at the first submit, before
-        # it starts its own thread, so no Python thread is copied mid-step.
-        pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                                   initializer=_adopt_run,
-                                   initargs=(target, z_center, os.getpid()))
+
+def run_chains_each(targets, cfg: SamplerConfig) -> list:
+    """One :func:`run_chains` trace per target, each of ``cfg.n_chains``
+    chains, all drawn by one :func:`fork_map` with a task per (target,
+    chain). A target whose chain raises a :class:`GainLossError` gets, in
+    place of its trace, the error of its lowest failing chain. The traces
+    are the same whatever the number of workers. Chains start from the
+    target's preferred initial point, or the origin.
+    """
+    starts = [np.asarray(target.initial_unconstrained(), dtype=np.float64)
+              if hasattr(target, "initial_unconstrained") else np.zeros(target.dim)
+              for target in targets]
+
+    def chain(k: int):
+        t, c = divmod(k, cfg.n_chains)
         try:
-            futures = [pool.submit(_run_adopted_chain, cfg, c)
-                       for c in range(cfg.n_chains)]
-            # in chain order, so the first error raised is the lowest chain's
-            chains = [f.result() for f in futures]
-        finally:
-            pool.shutdown(cancel_futures=True)
+            return run_chain(targets[t], cfg, starts[t], c)
+        except GainLossError as exc:
+            return exc
 
-    # one [n_chains, ...] array per ChainDraws field, in chain order
+    chains = fork_map(chain, len(targets) * cfg.n_chains)
+    out = []
+    for t, target in enumerate(targets):
+        mine = chains[t * cfg.n_chains:(t + 1) * cfg.n_chains]
+        failed = [c for c in mine if isinstance(c, GainLossError)]
+        out.append(failed[0] if failed else _stack(target, cfg, mine))
+    return out
+
+
+def _stack(target, cfg: SamplerConfig, chains: list) -> Trace:
+    """The trace of ``target`` from its chains' :class:`ChainDraws`, in chain order."""
+    names = tuple(getattr(target, "param_names",
+                          tuple(f"param_{k}" for k in range(target.dim))))
+    # one [n_chains, ...] array per ChainDraws field
     columns = dict(zip(ChainDraws._fields, zip(*chains)))
     init_metric = columns.pop("init_metric")
     return Trace(param_names=names, init_metric=init_metric, config=cfg,
                  **{name: np.stack(column) for name, column in columns.items()})
+
+
+def run_chains(target, cfg: SamplerConfig) -> Trace:
+    """Run ``cfg.n_chains`` independent NUTS chains on ``target``.
+
+    Each chain is one :func:`run_chain` call and one :func:`fork_map` task
+    (see :func:`run_chains_each`), so the chains run in forked workers, one
+    per usable CPU up to the chain count, or in this process; the trace is
+    the same either way. Raises the error of the lowest failing chain, such as
+    :class:`AdaptationFailedError` if its warmup stalls.
+    """
+    trace = run_chains_each([target], cfg)[0]
+    if isinstance(trace, GainLossError):
+        raise trace
+    return trace
 
 
 def trace_to_csv(trace: Trace, out_dir: Union[str, Path], prefix: str = "trace") -> list[Path]:

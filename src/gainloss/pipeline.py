@@ -1,7 +1,10 @@
 """End-to-end orchestration: series -> detrend -> hitting times -> fits.
 
 Every fit runs :func:`fit_log_sample`: one posterior per model, whose spec
-holds the model and its side priors, and one report read off it.
+holds the model and its side priors, and one report read off it. Where there
+are several fits, as in a scan, :func:`draw_fits` first draws the chains of
+all of them in one set of forked workers, so the CPUs stay busy across fits;
+the reports are then built in the calling process, one fit at a time.
 
 Also hosts the three sensitivity scans (filter size, barrier scale, rolling
 window) and a synthetic geometric-Brownian price generator used by the
@@ -32,7 +35,7 @@ from .errors import (
 )
 from .hitting import HittingSample, LogHittingSample, hitting_times, log_sample
 from .models import FAMILIES, ModelKind, ModelSpec, Posterior
-from .nuts import SamplerConfig, Trace, run_chains
+from .nuts import SamplerConfig, Trace, run_chains, run_chains_each
 from .series import PriceSeries, SeriesStats, log_prices, slice_window, summary_stats
 
 __all__ = [
@@ -43,6 +46,7 @@ __all__ = [
     "DEFAULT_WINDOW_RHO",
     "RHAT_FAIL",
     "prepare_sample",
+    "draw_fits",
     "fit_log_sample",
     "fit_series",
     "ScanPoint",
@@ -103,6 +107,43 @@ def prepare_sample(
     return filtered, rho, sample, log_sample(sample)
 
 
+def _outcome(make, *args):
+    """``make(*args)``, or the :class:`GainLossError` it raises."""
+    try:
+        return make(*args)
+    except GainLossError as exc:
+        return exc
+
+
+def _posterior(logs: LogHittingSample, kind: ModelKind) -> Posterior:
+    """The posterior of one model on the observations of a log hitting-time
+    sample that lie inside the family's data support."""
+    x_low = FAMILIES[kind].data_low
+    x_plus, x_minus = logs.x_plus[logs.x_plus > x_low], logs.x_minus[logs.x_minus > x_low]
+    return Posterior(ModelSpec.from_data(kind, x_plus, x_minus), x_plus, x_minus)
+
+
+def draw_fits(fits: Sequence[tuple[LogHittingSample, ModelKind]],
+              sampler: SamplerConfig) -> list:
+    """Draw the traces of several fits, each a ``(logs, kind)`` pair, before
+    any report: the posteriors are built here, then every chain of every fit
+    runs in one :func:`run_chains_each`.
+
+    Returns, per fit, its ``(posterior, trace)``, or the
+    :class:`GainLossError` that stopped it: building its posterior, or its
+    lowest failing chain. Each is the ``drawn`` of that fit's
+    :func:`fit_log_sample`.
+    """
+    posteriors = [_outcome(_posterior, logs, kind) for logs, kind in fits]
+    traces = iter(run_chains_each(
+        [p for p in posteriors if not isinstance(p, GainLossError)], sampler))
+    drawn = []
+    for posterior in posteriors:
+        trace = posterior if isinstance(posterior, GainLossError) else next(traces)
+        drawn.append(trace if isinstance(trace, GainLossError) else (posterior, trace))
+    return drawn
+
+
 def fit_log_sample(
     logs: LogHittingSample,
     kind: ModelKind,
@@ -111,6 +152,7 @@ def fit_log_sample(
     index_id: str = "",
     filter_size: int = 0,
     hdi_mass: float = HDI_MASS,
+    drawn=None,
 ) -> tuple[FitReport, Trace]:
     """Fit one model to a log hitting-time sample and summarize it.
 
@@ -118,12 +160,18 @@ def fit_log_sample(
     fit and counted on the report: the Inverse-Gamma likelihood lives on
     x > 0, so it drops single-step hits (tau = 1, x = 0); the Student-t fit
     uses the full sample. The report records the sample's own barrier.
+
+    The chains run here, by :func:`run_chains`, unless ``drawn``, this fit's
+    entry of :func:`draw_fits`, holds them already: its posterior and trace,
+    or the error that stopped the fit, raised here.
     """
-    x_low = FAMILIES[kind].data_low
-    keep_p, keep_m = logs.x_plus > x_low, logs.x_minus > x_low
-    x_plus, x_minus = logs.x_plus[keep_p], logs.x_minus[keep_m]
-    posterior = Posterior(ModelSpec.from_data(kind, x_plus, x_minus), x_plus, x_minus)
-    trace = run_chains(posterior, sampler)
+    if drawn is None:
+        posterior = _posterior(logs, kind)
+        trace = run_chains(posterior, sampler)
+    elif isinstance(drawn, GainLossError):
+        raise drawn
+    else:
+        posterior, trace = drawn
     report = build_report(
         trace,
         posterior,
@@ -131,8 +179,8 @@ def fit_log_sample(
         rho=logs.rho,
         filter_size=filter_size,
         hdi_mass=hdi_mass,
-        n_dropped_plus=int(np.count_nonzero(~keep_p)),
-        n_dropped_minus=int(np.count_nonzero(~keep_m)),
+        n_dropped_plus=logs.x_plus.size - posterior.x_plus.size,
+        n_dropped_minus=logs.x_minus.size - posterior.x_minus.size,
     )
     return report, trace
 
@@ -148,11 +196,14 @@ def fit_series(
 ) -> tuple[list[FitReport], list[Trace]]:
     """Full pipeline for one price series; both models share the same sample.
 
-    Returns one report and one trace per kind, in the order of ``kinds``.
+    Returns one report and one trace per kind, in the order of ``kinds``;
+    the chains of every kind are drawn by :func:`draw_fits` before any report.
     """
     logs = prepare_sample(series, filter_size, rho)[3]
+    drawn = draw_fits([(logs, kind) for kind in kinds], sampler)
     fits = [fit_log_sample(logs, kind, sampler, index_id=series.name,
-                           filter_size=filter_size, hdi_mass=hdi_mass) for kind in kinds]
+                           filter_size=filter_size, hdi_mass=hdi_mass, drawn=fit)
+            for kind, fit in zip(kinds, drawn)]
     return [report for report, _ in fits], [trace for _, trace in fits]
 
 
@@ -307,10 +358,10 @@ def _rows(scan, label, index_id, kinds, filter_size, rho, make) -> list[ScanPoin
         ) for kind in kinds]
 
 
-def _fit_point(scan, label, logs, kind, sampler, index_id, filter_size):
+def _fit_point(scan, label, logs, kind, sampler, index_id, filter_size, drawn=None):
     def make():
         report, _ = fit_log_sample(
-            logs, kind, sampler, index_id=index_id, filter_size=filter_size,
+            logs, kind, sampler, index_id=index_id, filter_size=filter_size, drawn=drawn,
         )
         return [ScanPoint.from_report(scan, label, report)]
     return _rows(scan, label, index_id, (kind,), filter_size, logs.rho, make)[0]
@@ -321,17 +372,25 @@ def _run_grid(scan, index_id, grid, kinds, sampler) -> list[ScanPoint]:
 
     Each entry is ``(label, filter_size, rho, sample)``; ``sample()`` returns
     the entry's :class:`LogHittingSample` or raises :class:`GainLossError`,
-    and ``rho`` is the barrier a failed entry's rows record.
+    and ``rho`` is the barrier a failed entry's rows record. Every sample is
+    taken, and every fit's chains drawn by :func:`draw_fits`, before any
+    report.
     """
-    def fits(label, filter_size, sample):
-        logs = sample()
-        return [_fit_point(scan, label, logs, kind, sampler, index_id, filter_size)
-                for kind in kinds]
+    samples = [_outcome(sample) for *_, sample in grid]
+    drawn = iter(draw_fits([(logs, kind) for logs in samples
+                            if not isinstance(logs, GainLossError) for kind in kinds],
+                           sampler))
+
+    def fits(label, filter_size, logs):
+        if isinstance(logs, GainLossError):
+            raise logs
+        return [_fit_point(scan, label, logs, kind, sampler, index_id, filter_size,
+                           next(drawn)) for kind in kinds]
 
     points = []
-    for label, filter_size, rho, sample in grid:
+    for (label, filter_size, rho, _), logs in zip(grid, samples):
         points += _rows(scan, label, index_id, kinds, filter_size, rho,
-                        partial(fits, label, filter_size, sample))
+                        partial(fits, label, filter_size, logs))
     return points
 
 

@@ -118,9 +118,10 @@ def parse_csv(source: Union[str, Path, TextIO], name: str = "") -> PriceSeries:
     """Read a (date, close) CSV into a :class:`PriceSeries`.
 
     The first column must hold ISO dates (YYYY-MM-DD), the second a positive
-    close price; extra columns are ignored. A single header row is skipped if
-    its first row does not parse as a date. Rows may arrive in any order; the
-    result is sorted by date.
+    close price; extra columns are ignored. A leading UTF-8 byte-order mark
+    is dropped. The first non-blank row is skipped as a header if its date
+    field does not parse. Rows may arrive in any order; the result is sorted
+    by date.
 
     Raises
     ------
@@ -134,16 +135,19 @@ def parse_csv(source: Union[str, Path, TextIO], name: str = "") -> PriceSeries:
             name = path.stem
     else:
         text = source.read()
+    text = text.removeprefix("\ufeff")  # a UTF-8 byte-order mark
     reader = csv.reader(io.StringIO(text))
     # plain Python per row; one conversion to numpy at the end
     dates: list[_date] = []
     closes: list[float] = []
+    header_checked = False
     for line_no, row in enumerate(reader, start=1):
         if not "".join(row).strip():  # blank: no cells, or only whitespace
             continue
-        if line_no == 1:
-            # Header detection: skip the first row only if its date field
-            # does not parse.
+        if not header_checked:
+            # Header detection: skip the first non-blank row only if its date
+            # field does not parse.
+            header_checked = True
             try:
                 _date.fromisoformat(row[0].strip())
             except (ValueError, IndexError):

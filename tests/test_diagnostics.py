@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy import signal, stats
 
-from gainloss import diagnostics
+from gainloss import diagnostics, nuts
 from gainloss.diagnostics import (
     FitReport,
     REPORT_CSV_HEADER,
@@ -310,6 +310,22 @@ class TestWaic:
         assert np.array_equal(terms[0], terms[1]) and np.array_equal(terms[0], terms[2])
         if source == "loglik_matrix":
             assert results[2] == waic(dense, counts)
+
+    def test_workers_change_nothing(self, monkeypatch):
+        # 30 rows of 1000 draws a block: 2049 rows make 69 blocks
+        rng = np.random.default_rng(77)
+        xp, xm = rng.normal(3.0, 1.0, 1200), rng.normal(3.3, 1.2, 849)
+        post = Posterior(ModelSpec.from_data(ModelKind.STUDENT_T, xp, xm), xp, xm)
+        z = post.initial_unconstrained() + rng.normal(0.0, 0.3, (1000, post.dim))
+        ll = LoglikMatrix(post, np.array([post.constrain(row) for row in z]))
+        monkeypatch.setattr(diagnostics, "LOGLIK_BLOCK", 30 * 1000)
+        results, terms = [], []
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(nuts, "_usable_cpus", lambda: cpus)
+            results.append(waic(ll, post.counts))
+            terms.append(np.concatenate(diagnostics._column_terms(ll)))
+        assert results[0] == results[1] == results[2]
+        assert np.array_equal(terms[0], terms[1]) and np.array_equal(terms[0], terms[2])
 
     def test_needs_two_draws_and_one_observation(self):
         with pytest.raises(TooFewSamplesError):

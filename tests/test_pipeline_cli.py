@@ -11,11 +11,12 @@ import numpy as np
 import pytest
 
 from conftest import source_env
-from gainloss import cli
+from gainloss import cli, nuts
 from gainloss.cli import EXIT_CONVERGENCE, EXIT_INPUT, EXIT_OK, EXIT_PARTIAL, main
 from gainloss.detrend import detrend, threshold_from_std
 from gainloss.diagnostics import REPORT_CSV_HEADER, FitReport, waic
 from gainloss.errors import (
+    AdaptationFailedError,
     EmptySideError,
     GainLossError,
     MalformedReportError,
@@ -339,6 +340,34 @@ class TestScans:
     def test_window_scan_on_a_short_series_is_empty(self, series):
         assert scan_window(series, (ModelKind.STUDENT_T,), QUICK) == []
 
+    def test_rows_do_not_depend_on_the_worker_count(self, series, monkeypatch):
+        # chains 1 and 2 of the inverse-gamma fit at scale 2 (106 gain times)
+        # stall, and a barrier of 400 stds leaves no gain time at all
+        real = nuts.run_chain
+
+        def run_chain(target, cfg, start, chain):
+            if target.spec.kind is ModelKind.INV_GAMMA and target.x_plus.size < 300 \
+                    and chain > 0:
+                raise AdaptationFailedError(chain, 0.01 * chain)
+            return real(target, cfg, start, chain)
+
+        monkeypatch.setattr(nuts, "run_chain", run_chain)
+        cfg = SamplerConfig(n_chains=3, n_draw=100, n_tune=150, seed=13)
+        rows = {}
+        for cpus in (1, 4):
+            monkeypatch.setattr(nuts, "_usable_cpus", lambda: cpus)
+            rows[cpus] = scan_rho(series, (ModelKind.STUDENT_T, ModelKind.INV_GAMMA), cfg,
+                                  scales=(0.5, 2.0, 400.0), filter_size=100)
+        assert scan_points_json(rows[1]) == scan_points_json(rows[4])
+        assert [(p.label, p.model) for p in rows[4]] == [
+            (label, model) for label in ("0.5", "2", "400")
+            for model in ("student-t", "inv-gamma")]
+        errors = [p.error for p in rows[4]]
+        assert errors[:3] == ["", "", ""]
+        assert errors[3] == ("AdaptationFailedError: chain 1: mean acceptance 0.0100 "
+                             "stayed below 0.1 during warmup")
+        assert all(e.startswith("EmptySideError") for e in errors[4:])
+
 
 # ---------------------------------------------------------------------------
 # command line
@@ -541,6 +570,7 @@ class TestCliFit:
             raise AssertionError("the sampler ran")
 
         monkeypatch.setattr("gainloss.pipeline.run_chains", no_sampling)
+        monkeypatch.setattr("gainloss.pipeline.run_chains_each", no_sampling)
         code, _, err = run_cli(
             ["fit", str(price_file), "--chains", chains, "--draws", draws,
              "--tune", "10", "--seed", seed, "--out-dir", str(tmp_path)], capsys,
@@ -555,6 +585,7 @@ class TestCliFit:
             raise AssertionError("the sampler ran")
 
         monkeypatch.setattr("gainloss.pipeline.run_chains", no_sampling)
+        monkeypatch.setattr("gainloss.pipeline.run_chains_each", no_sampling)
         code, _, err = run_cli(
             ["fit", str(price_file), "--hdi-mass", mass, "--chains", "2",
              "--draws", "100", "--tune", "10", "--out-dir", str(tmp_path)], capsys,
@@ -575,6 +606,7 @@ class TestCliFit:
             raise AssertionError("the sampler ran")
 
         monkeypatch.setattr("gainloss.pipeline.run_chains", no_sampling)
+        monkeypatch.setattr("gainloss.pipeline.run_chains_each", no_sampling)
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({key: value, "out_dir": str(tmp_path / "out")}))
         code, _, err = run_cli(["--config", str(cfg), command, str(price_file)], capsys)
@@ -662,6 +694,7 @@ class TestCliScan:
             raise AssertionError("the sampler ran")
 
         monkeypatch.setattr("gainloss.pipeline.run_chains", no_sampling)
+        monkeypatch.setattr("gainloss.pipeline.run_chains_each", no_sampling)
         code, out, err = run_cli(
             ["scan-window", str(price_file), "--window-years", years,
              "--chains", "2", "--draws", "100", "--tune", "100",
@@ -686,6 +719,7 @@ class TestCliScan:
             raise AssertionError("the sampler ran")
 
         monkeypatch.setattr("gainloss.pipeline.run_chains", no_sampling)
+        monkeypatch.setattr("gainloss.pipeline.run_chains_each", no_sampling)
         code, out, err = run_cli(
             [argv[0], str(price_file), *argv[1:], "--chains", "2", "--draws", "100",
              "--tune", "100", "--out-dir", str(tmp_path)], capsys,

@@ -1,10 +1,9 @@
 """Leapfrog integrator, tree sampler, warmup adaptation, and chain driver."""
 
-import concurrent.futures
 import math
-import multiprocessing
 import os
 import pickle
+import select
 import subprocess
 import sys
 import time
@@ -272,9 +271,10 @@ def running(pid: int) -> bool:
 
 
 # Starts two chain workers on a slow target, prints their pids and kills its
-# own process, the way a timeout or the out-of-memory killer would.
+# own process, the way a timeout or the out-of-memory killer would. The pids
+# are read off os.fork, which fork_map calls.
 KILLED_CALLER_SCRIPT = """
-import multiprocessing, os, threading, time
+import os, threading, time
 import numpy as np
 from gainloss import nuts
 
@@ -285,17 +285,32 @@ class Slow:
         time.sleep(0.001)
         return -0.5 * float(z @ z), (-z).tolist()
 
+pids = []
+fork = os.fork
+def recording_fork():
+    pid = fork()
+    if pid:
+        pids.append(pid)
+    return pid
+
 def kill_when_started():
-    while len(multiprocessing.active_children()) < 2:
+    while len(pids) < 2:
         time.sleep(0.01)
     time.sleep(0.5)
-    print(*(p.pid for p in multiprocessing.active_children()), flush=True)
+    print(*pids, flush=True)
     os.kill(os.getpid(), 9)
 
+os.fork = recording_fork
 nuts._usable_cpus = lambda: 2
 threading.Thread(target=kill_when_started, daemon=True).start()
 nuts.run_chains(Slow(), nuts.SamplerConfig(n_chains=2, n_draw=10**6, n_tune=0, seed=1))
 """
+
+
+def assert_no_children():
+    """This process has no child left, running or waiting to be reaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 class CountingGaussian(GaussianTarget):
@@ -359,7 +374,7 @@ class TestParallelChains:
                 got = getattr(trace, field)[chain]
                 assert np.array_equal(got, np.asarray(getattr(alone, field))), field
         assert trace.n_grad.shape == (n_chains, 2)
-        assert multiprocessing.active_children() == []
+        assert_no_children()
 
     def test_a_target_that_cannot_be_pickled_samples(self, pooled):
         class Local(GaussianTarget):  # a local class does not pickle
@@ -378,7 +393,7 @@ class TestParallelChains:
             run_chains(StallingTarget(), cfg)
         assert err.value.chain == 0
         assert err.value.accept_rate < 0.1
-        assert multiprocessing.active_children() == []
+        assert_no_children()
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"),
                         reason="the kernel ends the workers on Linux only")
@@ -389,6 +404,8 @@ class TestParallelChains:
                                 stderr=subprocess.DEVNULL, text=True)
         pids = []
         try:
+            # a caller that never prints fails the test instead of hanging it
+            assert select.select([proc.stdout], [], [], 60)[0], "no worker pids in 60 s"
             pids = [int(p) for p in proc.stdout.readline().split()]
             assert proc.wait(timeout=60) == -9
             assert len(pids) == 2
@@ -403,14 +420,42 @@ class TestParallelChains:
                 os.kill(pid, 9)
 
     def test_one_usable_cpu_runs_in_process(self, monkeypatch):
-        def no_pool(*args, **kwargs):
-            raise AssertionError("started a worker pool")
+        def no_fork():
+            raise AssertionError("forked a worker")
 
         monkeypatch.setattr(nuts, "_usable_cpus", lambda: 1)
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(os, "fork", no_fork)
         trace = run_chains(GaussianTarget(np.ones(2)),
                            SamplerConfig(n_chains=2, n_draw=40, n_tune=150, seed=24))
         assert trace.draws.shape == (2, 40, 2)
+
+    def test_a_worker_that_exits_without_results_raises(self, pooled):
+        def task(i):
+            if i == 2:
+                os._exit(3)
+            return i
+
+        with pytest.raises(RuntimeError, match="worker 2 .* exit code 3 before sending"):
+            nuts.fork_map(task, 5)
+        assert_no_children()
+
+    def test_the_lowest_failing_task_raises(self, pooled):
+        def task(i):
+            if i in (3, 6):
+                raise DomainError(f"task {i}")
+            return i * i
+
+        assert nuts.fork_map(lambda i: i * i, 7) == [i * i for i in range(7)]
+        with pytest.raises(DomainError, match="task 3"):
+            nuts.fork_map(task, 7)
+        assert_no_children()
+
+    def test_a_worker_runs_nested_calls_in_process(self, pooled):
+        pids = nuts.fork_map(lambda i: (os.getpid(), nuts.fork_map(lambda j: os.getpid(), 3)),
+                             2)
+        for worker, nested in pids:
+            assert worker != os.getpid() and nested == [worker] * 3
+        assert_no_children()
 
     def test_chains_take_no_blas_dot(self, pool_targets, monkeypatch):
         # a BLAS dot or a LAPACK solve sums in an order, and so rounds in a

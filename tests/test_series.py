@@ -43,6 +43,23 @@ class TestParseCsv:
         s = parse_csv(io.StringIO("2020-01-02,100\n2020-01-03,101\n"))
         assert len(s) == 2
 
+    @pytest.mark.parametrize("text", ["2020-01-02,100\n2020-01-03,101\n2020-01-06,102\n",
+                                      "date,close\n2020-01-02,100\n2020-01-03,101\n"
+                                      "2020-01-06,102\n"], ids=["headerless", "header"])
+    def test_a_byte_order_mark_is_dropped(self, tmp_path, text):
+        # the mark once hid the first date, which was then skipped as a header
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        for source in (path, io.StringIO("\ufeff" + text)):
+            s = parse_csv(source)
+            assert len(s) == 3
+            assert s.dates[0] == np.datetime64("2020-01-02")
+
+    def test_a_header_after_blank_lines_is_skipped(self):
+        s = parse_csv(io.StringIO("\n\ndate,close\n2020-01-02,100\n2020-01-03,101\n"))
+        assert len(s) == 2
+        assert s.closes[0] == 100.0
+
     def test_rows_are_sorted_by_date(self):
         text = "2020-01-05,105\n2020-01-02,100\n2020-01-03,101\n"
         s = parse_csv(io.StringIO(text))
