@@ -261,10 +261,7 @@ def _cmd_fit(args, config) -> int:
         f"censored-={sample.censored_minus} rho={rho_used:.10g} filter_size={f}"
     )
     reports = []
-    # several models draw all their chains before the first report; a single
-    # model's chains run in fit_log_sample
-    drawn = draw_fits([(logs, k) for k in kinds], sampler) if len(kinds) > 1 else [None]
-    for kind, fit in zip(kinds, drawn):
+    for kind, fit in zip(kinds, draw_fits([(logs, k) for k in kinds], sampler)):
         report, trace = fit_log_sample(
             logs, kind, sampler, index_id=series.name, filter_size=f, hdi_mass=hdi_mass,
             drawn=fit,

@@ -326,7 +326,7 @@ class FitReport:
 
     def csv_row(self) -> str:
         return (
-            f"{self.index_id},{self.rho:.10g},{self.d_mean:.10g},"
+            f"{self.index_id.replace(',', ';')},{self.rho:.10g},{self.d_mean:.10g},"
             f"{self.d_std:.10g},{self.ess_d:.10g},{self.waic:.10g},"
             f"{self.waic_se:.10g}"
         )
@@ -382,7 +382,6 @@ def build_report(
     rho: float,
     filter_size: int,
     hdi_mass: float = HDI_MASS,
-    ref: float = 0.0,
     n_dropped_plus: int = 0,
     n_dropped_minus: int = 0,
 ) -> FitReport:
@@ -408,8 +407,8 @@ def build_report(
         hdi_low=lo,
         hdi_high=hi,
         hdi_mass=float(hdi_mass),
-        prob_below_ref=prob_below(flat, ref),
-        ref=float(ref),
+        prob_below_ref=prob_below(flat),
+        ref=0.0,
         ess_d=ess(d),
         rhat=rhat,
         waic=w.waic,

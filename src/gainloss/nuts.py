@@ -11,7 +11,8 @@ and multinomial, w_sub / (w_tree + w_sub), inside a subtree. Doubling stops
 when either trajectory end would retrace its path (velocity-based U-turn
 test), when the energy error exceeds ``DIVERGENCE_THRESHOLD``, or at
 ``max_tree_depth`` doublings past the first (so ``max_tree_depth = 0``
-degenerates to a single leapfrog Metropolis step).
+degenerates to a single leapfrog Metropolis step); sampling runs at
+``MAX_TREE_DEPTH``.
 
 Each chain samples ``u`` with ``z = mode + L^-T u``, where ``L L^T = -H`` is
 the Cholesky factor of the negative Hessian of the log posterior at its
@@ -21,8 +22,8 @@ unit metric: the map, not warmup draws, absorbs the posterior's scales and
 correlations, and it puts the chain in the typical set. So warmup only tunes
 the step size: one step-size search, then one depth-0 transition (a single
 leapfrog Metropolis step) per tuning iteration, whose acceptance statistic
-min(1, exp(-dH)) drives dual averaging; the final step size is its averaged
-iterate. Sampling builds trees up to ``max_tree_depth``. The mode is found
+min(1, exp(-dH)) drives dual averaging toward ``TARGET_ACCEPT``; the final
+step size is its averaged iterate. The mode is found
 by damped Newton steps from the unjittered start, with Hessians from central
 differences of the gradient (2 * dim calls each); the nonzero entries of
 ``L^-1`` are listed once per chain (a posterior that factorizes by side has
@@ -91,6 +92,8 @@ __all__ = [
     "Trace",
     "ChainDraws",
     "DIVERGENCE_THRESHOLD",
+    "MAX_TREE_DEPTH",
+    "TARGET_ACCEPT",
     "leapfrog",
     "nuts_draw",
     "run_chain",
@@ -102,6 +105,8 @@ __all__ = [
 ]
 
 DIVERGENCE_THRESHOLD = 1000.0
+MAX_TREE_DEPTH = 10   # doublings past the first in a sampling transition
+TARGET_ACCEPT = 0.8   # mean acceptance statistic that warmup tunes the step size to
 
 # dual-averaging constants
 _DA_GAMMA = 0.05
@@ -126,18 +131,11 @@ class SamplerConfig:
     n_chains: int = 4
     n_draw: int = 4000
     n_tune: int = 2000
-    target_accept: float = 0.8
-    max_tree_depth: int = 10
     seed: int = 0
 
     def __post_init__(self):
         if self.n_chains < 1 or self.n_draw < 1 or self.n_tune < 0:
             raise DomainError("need n_chains >= 1, n_draw >= 1, n_tune >= 0")
-        if not (0.0 < self.target_accept < 1.0):
-            raise DomainError("target_accept must lie in (0, 1)")
-        if self.max_tree_depth < 0:
-            # no doubling at all: every transition would return its start
-            raise DomainError("need max_tree_depth >= 0")
         if self.seed < 0:  # numpy's SeedSequence refuses a negative entropy
             raise DomainError(f"seed must be >= 0, got {self.seed}")
 
@@ -318,7 +316,7 @@ def _momentum(rng, dim: int) -> list[float]:
     return rng.standard_normal(dim).tolist()
 
 
-def nuts_draw(z, value, grad, eps, rng, value_and_grad, max_tree_depth: int = 10):
+def nuts_draw(z, value, grad, eps, rng, value_and_grad, max_tree_depth: int = MAX_TREE_DEPTH):
     """One NUTS transition from (z, value, grad).
 
     Returns ``(z, value, grad, info)`` where info carries ``accept_stat``
@@ -562,7 +560,7 @@ def _warmup_chain(value_and_grad, u, cfg: SamplerConfig, rng, chain: int):
     eps = _find_reasonable_eps(u, value, grad, rng, value_and_grad)
     if cfg.n_tune == 0:
         return u, value, grad, 0.5 * eps
-    da = _DualAveraging(eps, cfg.target_accept)
+    da = _DualAveraging(eps, TARGET_ACCEPT)
     alphas = []
     for _ in range(cfg.n_tune):
         u, value, grad, info = nuts_draw(u, value, grad, eps, rng, value_and_grad, 0)
@@ -597,7 +595,7 @@ def run_chain(target, cfg: SamplerConfig, z_center: np.ndarray, chain: int) -> C
     is no tuning, the map is the identity around ``z_center`` and ``u``
     starts uniform on [-1, 1]. Warmup is one step-size search and dual
     averaging over ``cfg.n_tune`` single leapfrog Metropolis steps, one
-    gradient each; sampling runs NUTS at ``cfg.max_tree_depth``. Draws are mapped back
+    gradient each; sampling runs NUTS at ``MAX_TREE_DEPTH``. Draws are mapped back
     through ``z(u)``, then constrained; ``mass_diag`` is the diagonal of
     ``L^-T L^-1``, the Laplace marginal variances, or ones on fallback. The
     chain is driven by its own counter-based generator keyed on
@@ -642,8 +640,7 @@ def run_chain(target, cfg: SamplerConfig, z_center: np.ndarray, chain: int) -> C
     divergent = np.zeros(cfg.n_draw, dtype=bool)
     depth = np.zeros(cfg.n_draw, dtype=np.int16)
     for it in range(cfg.n_draw):
-        u, value, grad, info = nuts_draw(u, value, grad, eps, rng, pulled_back,
-                                         cfg.max_tree_depth)
+        u, value, grad, info = nuts_draw(u, value, grad, eps, rng, pulled_back)
         z = position(u)
         draws[it] = constrain(z) if constrain is not None else z
         accept[it] = info["accept_stat"]
@@ -840,8 +837,8 @@ def trace_summary(trace: Trace) -> dict:
         "n_draw": trace.n_draw,
         "n_tune": trace.config.n_tune,
         "seed": trace.config.seed,
-        "target_accept": trace.config.target_accept,
-        "max_tree_depth": trace.config.max_tree_depth,
+        "target_accept": TARGET_ACCEPT,
+        "max_tree_depth": MAX_TREE_DEPTH,
         "param_names": list(trace.param_names),
         "step_size": [float(s) for s in trace.step_size],
         "mass_diag": [[float(v) for v in row] for row in trace.mass_diag],

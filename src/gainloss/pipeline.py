@@ -1,18 +1,19 @@
 """End-to-end orchestration: series -> detrend -> hitting times -> fits.
 
 Every fit runs :func:`fit_log_sample`: one posterior per model, whose spec
-holds the model and its side priors, and one report read off it. Where there
-are several fits, as in a scan, :func:`draw_fits` first draws the chains of
-all of them in one set of forked workers, so the CPUs stay busy across fits;
-the reports are then built in the calling process, one fit at a time.
+holds the model and its side priors, and one report read off it. Its chains
+are drawn by :func:`draw_fits`, which draws the chains of every fit it is
+given in one set of forked workers, so the CPUs stay busy across fits; the
+reports are then built in the calling process, one fit at a time.
 
 Also hosts the three sensitivity scans (filter size, barrier scale, rolling
 window) and a synthetic geometric-Brownian price generator used by the
 validation suite and the demos. The scans share one loop: each builds a grid
-of ``(label, filter_size, rho, sample)`` entries, and :func:`_run_grid` fits
-every model to each entry's sample. A failed grid point never aborts a scan; the
-failure is recorded on its row, whose numbers are NaN: ``nan`` in the scan
-CSV and ``null`` in its JSON twin.
+of ``(label, filter_size, rho, logs)`` entries, ``logs`` the entry's
+:class:`LogHittingSample` or the :class:`GainLossError` that stopped it, and
+:func:`_run_grid` fits every model to each entry. A failed grid point never
+aborts a scan; the failure is recorded on its row, whose numbers are NaN:
+``nan`` in the scan CSV and ``null`` in its JSON twin.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass
-from functools import partial
 from typing import Optional, Sequence, get_type_hints
 
 import numpy as np
@@ -35,7 +35,7 @@ from .errors import (
 )
 from .hitting import HittingSample, LogHittingSample, hitting_times, log_sample
 from .models import FAMILIES, ModelKind, ModelSpec, Posterior
-from .nuts import SamplerConfig, Trace, run_chains, run_chains_each
+from .nuts import SamplerConfig, Trace, run_chains_each
 from .series import PriceSeries, SeriesStats, log_prices, slice_window, summary_stats
 
 __all__ = [
@@ -123,18 +123,19 @@ def _posterior(logs: LogHittingSample, kind: ModelKind) -> Posterior:
     return Posterior(ModelSpec.from_data(kind, x_plus, x_minus), x_plus, x_minus)
 
 
-def draw_fits(fits: Sequence[tuple[LogHittingSample, ModelKind]],
+def draw_fits(fits: Sequence[tuple[LogHittingSample | GainLossError, ModelKind]],
               sampler: SamplerConfig) -> list:
     """Draw the traces of several fits, each a ``(logs, kind)`` pair, before
     any report: the posteriors are built here, then every chain of every fit
     runs in one :func:`run_chains_each`.
 
     Returns, per fit, its ``(posterior, trace)``, or the
-    :class:`GainLossError` that stopped it: building its posterior, or its
-    lowest failing chain. Each is the ``drawn`` of that fit's
-    :func:`fit_log_sample`.
+    :class:`GainLossError` that stopped it: its ``logs``, when that is one,
+    building its posterior, or its lowest failing chain. Each is the
+    ``drawn`` of that fit's :func:`fit_log_sample`.
     """
-    posteriors = [_outcome(_posterior, logs, kind) for logs, kind in fits]
+    posteriors = [logs if isinstance(logs, GainLossError) else _outcome(_posterior, logs, kind)
+                  for logs, kind in fits]
     traces = iter(run_chains_each(
         [p for p in posteriors if not isinstance(p, GainLossError)], sampler))
     drawn = []
@@ -161,17 +162,15 @@ def fit_log_sample(
     x > 0, so it drops single-step hits (tau = 1, x = 0); the Student-t fit
     uses the full sample. The report records the sample's own barrier.
 
-    The chains run here, by :func:`run_chains`, unless ``drawn``, this fit's
-    entry of :func:`draw_fits`, holds them already: its posterior and trace,
-    or the error that stopped the fit, raised here.
+    ``drawn`` is this fit's entry of :func:`draw_fits`, which draws it here
+    when it is None: its posterior and trace, or the error that stopped the
+    fit, raised here.
     """
     if drawn is None:
-        posterior = _posterior(logs, kind)
-        trace = run_chains(posterior, sampler)
-    elif isinstance(drawn, GainLossError):
+        drawn = draw_fits([(logs, kind)], sampler)[0]
+    if isinstance(drawn, GainLossError):
         raise drawn
-    else:
-        posterior, trace = drawn
+    posterior, trace = drawn
     report = build_report(
         trace,
         posterior,
@@ -243,7 +242,7 @@ class ScanPoint:
         def num(v: float) -> str:
             return "nan" if isinstance(v, float) and math.isnan(v) else f"{v:.10g}"
         fields = [
-            self.scan, self.label, self.index_id, self.model,
+            self.scan, self.label, self.index_id.replace(",", ";"), self.model,
             str(self.filter_size), num(self.rho), str(self.n_plus),
             str(self.n_minus), num(self.d_mean), num(self.d_std),
             num(self.hdi_low), num(self.hdi_high), num(self.ess),
@@ -341,56 +340,28 @@ def scan_points_from_json(text: str) -> list[ScanPoint]:
     return [_point_from_json(row) for row in payload]
 
 
-def _rows(scan, label, index_id, kinds, filter_size, rho, make) -> list[ScanPoint]:
-    """The rows ``make()`` builds, or one error row per kind when it fails.
-
-    The only place a scan turns a :class:`GainLossError` into rows:
-    :func:`_run_grid` wraps each grid entry in it, and :func:`_fit_point`
-    each fit.
-    """
-    try:
-        return make()
-    except GainLossError as exc:
-        return [ScanPoint(
-            scan=scan, label=label, index_id=index_id, model=str(kind),
-            filter_size=filter_size, rho=rho if rho is not None else math.nan,
-            error=f"{type(exc).__name__}: {exc}",
-        ) for kind in kinds]
-
-
-def _fit_point(scan, label, logs, kind, sampler, index_id, filter_size, drawn=None):
-    def make():
-        report, _ = fit_log_sample(
-            logs, kind, sampler, index_id=index_id, filter_size=filter_size, drawn=drawn,
-        )
-        return [ScanPoint.from_report(scan, label, report)]
-    return _rows(scan, label, index_id, (kind,), filter_size, logs.rho, make)[0]
-
-
 def _run_grid(scan, index_id, grid, kinds, sampler) -> list[ScanPoint]:
     """Run a scan grid: one row per model for each entry, in grid order.
 
-    Each entry is ``(label, filter_size, rho, sample)``; ``sample()`` returns
-    the entry's :class:`LogHittingSample` or raises :class:`GainLossError`,
-    and ``rho`` is the barrier a failed entry's rows record. Every sample is
-    taken, and every fit's chains drawn by :func:`draw_fits`, before any
-    report.
+    Each entry is ``(label, filter_size, rho, logs)``; ``logs`` is the
+    entry's :class:`LogHittingSample` or the :class:`GainLossError` that
+    stopped it, and ``rho`` is the barrier a failed row records. Every fit's
+    chains are drawn by :func:`draw_fits` before any report. This is the only
+    place a scan turns a :class:`GainLossError` into a row.
     """
-    samples = [_outcome(sample) for *_, sample in grid]
-    drawn = iter(draw_fits([(logs, kind) for logs in samples
-                            if not isinstance(logs, GainLossError) for kind in kinds],
-                           sampler))
-
-    def fits(label, filter_size, logs):
-        if isinstance(logs, GainLossError):
-            raise logs
-        return [_fit_point(scan, label, logs, kind, sampler, index_id, filter_size,
-                           next(drawn)) for kind in kinds]
-
+    fits = [(entry, kind) for entry in grid for kind in kinds]
+    drawn = draw_fits([(logs, kind) for (*_, logs), kind in fits], sampler)
     points = []
-    for (label, filter_size, rho, _), logs in zip(grid, samples):
-        points += _rows(scan, label, index_id, kinds, filter_size, rho,
-                        partial(fits, label, filter_size, logs))
+    for ((label, filter_size, rho, logs), kind), fit in zip(fits, drawn):
+        try:
+            report, _ = fit_log_sample(logs, kind, sampler, index_id=index_id,
+                                       filter_size=filter_size, drawn=fit)
+        except GainLossError as exc:
+            points.append(ScanPoint(
+                scan=scan, label=label, index_id=index_id, model=str(kind),
+                filter_size=filter_size, rho=rho, error=f"{type(exc).__name__}: {exc}"))
+        else:
+            points.append(ScanPoint.from_report(scan, label, report))
     return points
 
 
@@ -406,10 +377,6 @@ def _window_logs(series: PriceSeries, start: np.datetime64, end: np.datetime64,
 
 def _barrier_logs(values: np.ndarray, rho: float) -> LogHittingSample:
     return log_sample(hitting_times(values, rho))
-
-
-def _raise(exc: GainLossError, *_) -> LogHittingSample:
-    raise exc
 
 
 def _refuse_fixed_inputs(filter_sizes: Sequence[int], rho: Optional[float]) -> None:
@@ -438,13 +405,14 @@ def scan_filter(
     fails with it. A size below 1 or a given ``rho <= 0`` is refused first.
     """
     _refuse_fixed_inputs(filter_sizes, rho)
-    sample = partial(_prepared_logs, series)
+    failed = None
     if rho is None:
         try:
             rho = threshold_from_std(detrend(series, reference_filter))
         except GainLossError as exc:
-            sample = partial(_raise, exc)
-    grid = [(str(f), f, rho, partial(sample, f, rho)) for f in filter_sizes]
+            rho, failed = math.nan, exc
+    grid = [(str(f), f, rho, failed or _outcome(_prepared_logs, series, f, rho))
+            for f in filter_sizes]
     return _run_grid("filter", series.name, grid, kinds, sampler)
 
 
@@ -465,7 +433,7 @@ def scan_rho(
     filtered = detrend(series, filter_size)
     base = threshold_from_std(filtered)
     grid = [(f"{scale:g}", filter_size, scale * base,
-             partial(_barrier_logs, filtered.values, scale * base))
+             _outcome(_barrier_logs, filtered.values, scale * base))
             for scale in scales]
     return _run_grid("rho", series.name, grid, kinds, sampler)
 
@@ -495,7 +463,7 @@ def scan_window(
     _refuse_fixed_inputs([filter_size], rho)
     first = _year(series.dates[0])
     last = _year(series.dates[-1])
-    grid = [(str(y), filter_size, rho, partial(
+    grid = [(str(y), filter_size, rho, _outcome(
                 _window_logs, series,
                 np.datetime64(f"{y - window_years}-01-01", "D"),
                 np.datetime64(f"{y - 1}-12-31", "D"), filter_size, rho))

@@ -1,8 +1,9 @@
 """Static SVG renderings of fit reports and scan results.
 
 The SVG is assembled directly from strings with fixed number formatting, so
-the same inputs always produce byte-identical files. Two renderings exist:
-a posterior summary of the effect size (histogram, mean, HDI bar, reference
+the same inputs always produce byte-identical files; text is XML-escaped, so
+a series name such as ``S&P500`` stays well-formed. Two renderings exist: a
+posterior summary of the effect size (histogram, mean, HDI bar, reference
 line, tail probabilities) and a scan overview (effect size with HDI whiskers
 against the scanned grid, one series per model).
 """
@@ -25,6 +26,12 @@ _MODEL_COLORS = {
     "student-t": "#1f6fb4",
     "inv-gamma": "#c23b22",
 }
+
+
+def _escape(text: str) -> str:
+    # imported late: xml.sax.saxutils loads urllib.request, 30 ms on every command
+    from xml.sax.saxutils import escape
+    return escape(text)
 
 
 def _fmt(v: float) -> str:
@@ -58,7 +65,7 @@ class _Canvas:
             f'viewBox="0 0 {_W} {_H}">',
             f'<rect width="{_W}" height="{_H}" fill="white"/>',
             f'<text x="{_W / 2:.1f}" y="24" font-family="sans-serif" font-size="15" '
-            f'text-anchor="middle">{title}</text>',
+            f'text-anchor="middle">{_escape(title)}</text>',
         ]
 
     def line(self, x1, y1, x2, y2, color="#333", width=1.0, dash=""):
@@ -80,7 +87,7 @@ class _Canvas:
     def text(self, x, y, s, size=11, anchor="middle", color="#222"):
         self.parts.append(
             f'<text x="{x:.2f}" y="{y:.2f}" font-family="sans-serif" '
-            f'font-size="{size}" text-anchor="{anchor}" fill="{color}">{s}</text>'
+            f'font-size="{size}" text-anchor="{anchor}" fill="{color}">{_escape(s)}</text>'
         )
 
     def polyline(self, pts, color, width=1.5, dash=""):
@@ -111,7 +118,7 @@ def _axes(cv: _Canvas, x_lo, x_hi, y_lo, y_hi, x_label, y_label):
     cv.parts.append(
         f'<text x="16" y="{(_MT + _H - _MB) / 2:.2f}" font-family="sans-serif" '
         f'font-size="12" text-anchor="middle" '
-        f'transform="rotate(-90 16 {(_MT + _H - _MB) / 2:.2f})">{y_label}</text>'
+        f'transform="rotate(-90 16 {(_MT + _H - _MB) / 2:.2f})">{_escape(y_label)}</text>'
     )
     return px, py
 
@@ -145,7 +152,7 @@ def posterior_svg(report: FitReport) -> str:
     below = report.prob_below_ref
     cv.line(px(report.ref), py(0.0), px(report.ref), _MT, "#c23b22", 1.2, dash="5,4")
     cv.text(px(report.ref), _MT - 6,
-            f"{below * 100:.1f}% &lt; {_fmt(report.ref)} &lt; {(1 - below) * 100:.1f}%",
+            f"{below * 100:.1f}% < {_fmt(report.ref)} < {(1 - below) * 100:.1f}%",
             size=11, color="#c23b22")
     # HDI bar just above the x axis
     y_bar = py(0.0) - 12
@@ -157,7 +164,7 @@ def posterior_svg(report: FitReport) -> str:
     cv.text(px(report.d_mean), _MT + 26, f"mean {_fmt(report.d_mean)}",
             size=10, color="#1f3f8f")
     cv.text(_W - _MR, _H - 14,
-            f"ESS {report.ess_d:.0f} | max R&#770; {_fmt(report.max_rhat)} | "
+            f"ESS {report.ess_d:.0f} | max R\u0302 {_fmt(report.max_rhat)} | "
             f"WAIC {_fmt(report.waic)}", size=10, anchor="end", color="#555")
     return cv.render()
 

@@ -3,6 +3,7 @@
 import json
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -393,6 +394,9 @@ class TestBuildReport:
         assert len(cells) == len(REPORT_CSV_HEADER.split(","))
         assert cells[0] == "csv"
         assert float(cells[2]) == pytest.approx(report.d_mean, rel=1e-9)
+        cells = replace(report, index_id="S&P 500, daily").csv_row().split(",")
+        assert len(cells) == len(REPORT_CSV_HEADER.split(","))
+        assert cells[0] == "S&P 500; daily"
 
     def test_memory_stays_bounded_on_many_distinct_values(self):
         # 4 x 4000 draws of an IG posterior on 2 x 1000 distinct values: the

@@ -5,7 +5,8 @@ import json
 import math
 import subprocess
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from gainloss.nuts import SamplerConfig
 from gainloss.pipeline import (
     SCAN_CSV_HEADER,
     ScanPoint,
-    _fit_point,
+    _run_grid,
     fit_log_sample,
     fit_series,
     parse_model_choice,
@@ -44,6 +45,7 @@ from gainloss.pipeline import (
     summarize_series,
     synthetic_gbm_series,
 )
+from gainloss.plots import posterior_svg, scan_svg
 from gainloss.series import write_price_csv
 
 QUICK = SamplerConfig(n_chains=2, n_draw=150, n_tune=150, seed=11)
@@ -188,7 +190,8 @@ class TestFitLogSample:
         with pytest.raises(ZeroVarianceError):
             fit_log_sample(logs, ModelKind.STUDENT_T,
                            SamplerConfig(n_chains=2, n_draw=50, n_tune=50))
-        point = _fit_point("rho", "1", logs, ModelKind.STUDENT_T, QUICK, "flat", 100)
+        [point] = _run_grid("rho", "flat", [("1", 100, 0.1, logs)],
+                            (ModelKind.STUDENT_T,), QUICK)
         assert point.error.startswith("ZeroVarianceError")
         assert point.rho == 0.1
         assert math.isnan(point.d_mean)
@@ -249,14 +252,16 @@ class TestScanPointSerialization:
         assert scan_points_json(back) == text
 
     def test_error_rows_survive_with_commas_softened(self):
-        p = ScanPoint(
-            scan="filter", label="300", index_id="x", model="student-t",
-            filter_size=300, rho=0.02, error="EmptySideError: no up, crossings",
-        )
-        back = scan_points_from_csv(scan_points_csv([p]))[0]
-        assert back.error == "EmptySideError: no up; crossings"
-        assert math.isnan(back.d_mean)
-        assert back.n_plus == 0
+        for index_id, read_back in (("x", "x"), ("S&P 500, daily", "S&P 500; daily")):
+            p = ScanPoint(
+                scan="filter", label="300", index_id=index_id, model="student-t",
+                filter_size=300, rho=0.02, error="EmptySideError: no up, crossings",
+            )
+            back = scan_points_from_csv(scan_points_csv([p]))[0]
+            assert back.error == "EmptySideError: no up; crossings"
+            assert back.index_id == read_back
+            assert math.isnan(back.d_mean)
+            assert back.n_plus == 0
 
     def test_header_mismatch_is_rejected(self):
         with pytest.raises(MalformedReportError):
@@ -493,6 +498,16 @@ class TestCliFit:
         header = (out / "synth_student-t_chain0.csv").read_text().splitlines()[0]
         assert header.startswith("chain,draw,mu_plus,")
 
+    def test_one_model_fit_writes_the_report_of_both(self, fit_out, price_file, tmp_path):
+        code = main([
+            "fit", str(price_file), "--out-dir", str(tmp_path), "--chains", "2",
+            "--draws", "300", "--tune", "300", "--seed", "3",
+            "--filter-size", "100", "--model", "student-t",
+        ])
+        assert code == EXIT_OK
+        name = "synth_student-t_report.json"
+        assert (tmp_path / name).read_bytes() == (fit_out[1] / name).read_bytes()
+
     def test_convergence_gate_and_override(self, price_file, tmp_path, capsys,
                                            monkeypatch):
         # every rhat exceeds 0.9, so the patched gate must trip
@@ -569,7 +584,6 @@ class TestCliFit:
         def no_sampling(*args, **kwargs):
             raise AssertionError("the sampler ran")
 
-        monkeypatch.setattr("gainloss.pipeline.run_chains", no_sampling)
         monkeypatch.setattr("gainloss.pipeline.run_chains_each", no_sampling)
         code, _, err = run_cli(
             ["fit", str(price_file), "--chains", chains, "--draws", draws,
@@ -584,7 +598,6 @@ class TestCliFit:
         def no_sampling(*args, **kwargs):
             raise AssertionError("the sampler ran")
 
-        monkeypatch.setattr("gainloss.pipeline.run_chains", no_sampling)
         monkeypatch.setattr("gainloss.pipeline.run_chains_each", no_sampling)
         code, _, err = run_cli(
             ["fit", str(price_file), "--hdi-mass", mass, "--chains", "2",
@@ -605,7 +618,6 @@ class TestCliFit:
         def no_sampling(*args, **kwargs):
             raise AssertionError("the sampler ran")
 
-        monkeypatch.setattr("gainloss.pipeline.run_chains", no_sampling)
         monkeypatch.setattr("gainloss.pipeline.run_chains_each", no_sampling)
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({key: value, "out_dir": str(tmp_path / "out")}))
@@ -693,7 +705,6 @@ class TestCliScan:
         def no_sampling(*args, **kwargs):
             raise AssertionError("the sampler ran")
 
-        monkeypatch.setattr("gainloss.pipeline.run_chains", no_sampling)
         monkeypatch.setattr("gainloss.pipeline.run_chains_each", no_sampling)
         code, out, err = run_cli(
             ["scan-window", str(price_file), "--window-years", years,
@@ -718,7 +729,6 @@ class TestCliScan:
         def no_sampling(*args, **kwargs):
             raise AssertionError("the sampler ran")
 
-        monkeypatch.setattr("gainloss.pipeline.run_chains", no_sampling)
         monkeypatch.setattr("gainloss.pipeline.run_chains_each", no_sampling)
         code, out, err = run_cli(
             [argv[0], str(price_file), *argv[1:], "--chains", "2", "--draws", "100",
@@ -891,6 +901,14 @@ class TestCliPlot:
         assert "HDI" in first
         run_cli(["plot", str(report_path), "--out-dir", str(tmp_path)], capsys)
         assert svg_path.read_text() == first
+
+    def test_svgs_of_a_name_with_markup_are_xml(self, fit_out):
+        report = FitReport.load(fit_out[1] / "synth_student-t_report.json")
+        title = "{http://www.w3.org/2000/svg}text"
+        svg = ElementTree.fromstring(posterior_svg(replace(report, index_id="S&P<500>")))
+        assert svg.find(title).text == "S&P<500> / student-t: effect size posterior"
+        svg = ElementTree.fromstring(scan_svg([full_point(index_id="S&P<500>")]))
+        assert svg.find(title).text == "S&P<500>: effect size across rho grid"
 
     def test_scan_plot_from_csv_and_json(self, tmp_path, capsys):
         points = [full_point(label="1"), full_point(label="2", d_mean=-0.4)]

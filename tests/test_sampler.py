@@ -182,11 +182,18 @@ class TestRunChains:
 
     def test_tree_depth_dtype_and_bounds(self):
         target = GaussianTarget(np.ones(2))
-        cfg = SamplerConfig(n_chains=1, n_draw=200, n_tune=300, seed=14, max_tree_depth=6)
+        cfg = SamplerConfig(n_chains=1, n_draw=200, n_tune=300, seed=14)
         trace = run_chains(target, cfg)
         assert trace.tree_depth.dtype == np.int16
-        assert trace.tree_depth.max() <= 6
+        assert trace.tree_depth.max() <= nuts.MAX_TREE_DEPTH
         assert trace.divergent.dtype == bool
+        # at a step this small no trajectory turns within 2**3 steps, so the cap binds
+        rng = np.random.default_rng(14)
+        z, value, grad = [0.5, -0.5], *target.value_and_grad([0.5, -0.5])
+        for _ in range(20):
+            z, value, grad, info = nuts_draw(z, value, grad, 1e-3, rng,
+                                             target.value_and_grad, max_tree_depth=2)
+            assert info["depth"] == 2
 
     def test_param_name_helpers(self):
         target = GaussianTarget(np.ones(2))
@@ -221,12 +228,7 @@ class TestRunChains:
         with pytest.raises(DomainError):
             SamplerConfig(n_tune=-1)
         with pytest.raises(DomainError):
-            SamplerConfig(target_accept=1.0)
-        with pytest.raises(DomainError):
-            SamplerConfig(max_tree_depth=-1)
-        with pytest.raises(DomainError):
             SamplerConfig(seed=-1)
-        assert SamplerConfig(max_tree_depth=0).max_tree_depth == 0
 
 
 class TestFloatingPointErrors:
