@@ -30,10 +30,12 @@ are the constants ``SIGMA_LOW``, ``SIGMA_HIGH``, ``NU_RATE`` and ``NU_SHIFT``.
 
 Hitting times are integers, so each side holds few distinct values. A side is
 stored once as (distinct value, count) pairs, and a family's ``prepare``
-reduces them to what its likelihood reads: the pairs themselves for the
-Student-t, (n, sum c ln x, sum c / x) for the Inverse-Gamma, whose gradient is
-then O(1) in the data. WAIC reads the same pairs, through a
-:class:`LoglikMatrix` and ``counts``.
+reduces both sides' pairs to what its likelihood reads: for the Student-t,
+the pairs of both sides laid end to end with work buffers for the kernel
+below; for the Inverse-Gamma, (n, sum c ln x, sum c / x) per side, whose
+gradient is then O(1) in the data. A family's ``value_grad`` takes both
+sides at once. WAIC reads the same pairs, through a :class:`LoglikMatrix`
+and ``counts``.
 
 Log-gamma and digamma are only ever taken of one float, so they come from
 the ``math`` module and not from scipy, whose import would take most of the
@@ -53,14 +55,19 @@ one coordinate at a time, from (index, low, width) specs that
 ``Posterior.__init__`` lists once; the one transform serves
 ``value_and_grad`` and ``constrain``. ``value_and_grad`` takes and returns
 float lists, the sampler's protocol, so a gradient builds no array beyond
-the two small numpy calls named next and the Student-t's one [3, k] buffer
-of c log(a^2 + s2), q a and q a^2 (a = x - mu, s2 = nu sigma^2 and q =
-c / (a^2 + s2)), filled and summed by nine array calls a side. The map
-rounds exactly as elementwise numpy does: the logistic function is
-1 / (1 + exp(-z)) with ``math.exp``, as scipy's ``expit`` computes it,
-while the shifted log's exp and the log Jacobian's sum of logs stay numpy
-calls, whose vectorized results can differ from ``math.exp`` and
-``math.log`` in the last bit.
+the small numpy calls named next and the Student-t kernel. That kernel
+fills one [3, k] buffer, k the distinct values of both sides, with
+c log(a^2 + s2), q a and q a^2 (a = x - mu, s2 = nu sigma^2 and q =
+c / (a^2 + s2)), by ten array calls for both sides, four of them on one
+side's columns, where mu and s2 differ; then one ``np.add.reduce`` a side
+sums that side's columns, so each sum rounds as on its side alone. The
+buffers are allocated once per posterior, which therefore serves one caller
+at a time. The map rounds exactly as elementwise numpy does: the logistic
+function is 1 / (1 + exp(-z)) with ``math.exp``, as scipy's ``expit``
+computes it, while the shifted log's exp and the log Jacobian's sum of logs
+stay numpy calls, whose vectorized results can differ from ``math.exp`` and
+``math.log`` in the last bit. The exp is one call a coordinate: on a Python
+float numpy takes a scalar path that costs less than one array call on two.
 
 The report's log likelihoods are computed per side and vectorized over
 draws: a family's ``loglik`` takes each draw's constants (log-gamma and
@@ -247,38 +254,68 @@ def _initial_scale(p: SidePrior) -> float:
     return float(np.clip(p.s, SIGMA_LOW * 1.05, SIGMA_HIGH * 0.95))
 
 
-def _student_prepare(values: np.ndarray, counts: np.ndarray):
-    return values, counts, float(counts.sum())
+def _student_prepare(sides):
+    """Both sides' (value, count) pairs laid end to end, and the kernel over them.
+
+    Returns ``(sums, n)``: ``n`` holds each side's observation count, and
+    ``sums(mu_plus, s2_plus, mu_minus, s2_minus)`` returns, per side, the
+    sums of c log(a^2 + s2), q a and q a^2 over its pairs, with a = x - mu
+    and q = c / (a^2 + s2). The work buffers are allocated here, once, and
+    overwritten by every call. Each side is reduced by its own
+    ``np.add.reduce`` over its own pairs, so every sum rounds as on that
+    side alone.
+    """
+    k = sides[0][0].size
+    x = np.concatenate([values for values, _ in sides])
+    c = np.concatenate([counts for _, counts in sides])
+    a, q, rows = np.empty(x.size), np.empty(x.size), np.empty((3, x.size))
+    log, qa, qa2 = rows
+    (x_p, a_p, log_p, qa2_p, rows_p), (x_m, a_m, log_m, qa2_m, rows_m) = (
+        (x[cut], a[cut], log[cut], qa2[cut], rows[:, cut])
+        for cut in (slice(0, k), slice(k, None)))
+
+    def sums(mu_p, s2_p, mu_m, s2_m):
+        np.subtract(x_p, mu_p, out=a_p)
+        np.subtract(x_m, mu_m, out=a_m)
+        np.multiply(a, a, out=qa2)
+        np.add(qa2_p, s2_p, out=log_p)
+        np.add(qa2_m, s2_m, out=log_m)
+        np.divide(c, log, out=q)
+        np.multiply(np.log(log, out=log), c, out=log)
+        np.multiply(q, a, out=qa)
+        np.multiply(q, qa2, out=qa2)
+        # numpy's own summation, not a BLAS dot, whose rounding follows the CPU
+        return np.add.reduce(rows_p, axis=1).tolist(), np.add.reduce(rows_m, axis=1).tolist()
+
+    return sums, tuple(float(counts.sum()) for _, counts in sides)
 
 
-def _student_value_grad(theta, stats, p: SidePrior):
-    x, c, n = stats
-    mu, sigma, nu = theta
-    s2 = nu * sigma * sigma
+def _student_value_grad(theta, data, priors):
+    sums, n_sides = data
+    mu_p, sigma_p, nu_p, mu_m, sigma_m, nu_m = theta
+    s2_sides = nu_p * sigma_p * sigma_p, nu_m * sigma_m * sigma_m
     # the only array arithmetic of a gradient: far out, it overflows
     with np.errstate(over="ignore", invalid="ignore"):
-        rows = np.empty((3, x.shape[0]))
-        a = np.subtract(x, mu)
-        a2 = np.multiply(a, a, out=rows[2])
-        q = np.divide(c, np.add(a2, s2, out=rows[0]))
-        np.multiply(np.log(rows[0], out=rows[0]), c, out=rows[0])
-        np.multiply(q, a, out=rows[1])
-        np.multiply(q, a2, out=rows[2])
-        # numpy's own summation, not a BLAS dot, whose rounding follows the CPU
-        sum_log, sum_qa, sum_qa2 = np.add.reduce(rows, axis=1).tolist()
-    # sum c log1p(t^2 / nu) and sum c (nu + 1) t^2 / (nu + t^2), t = a / sigma
-    sum_lu, sum_wt2 = sum_log - n * math.log(s2), (nu + 1.0) * sum_qa2
-    value = n * (
-        _lgamma((nu + 1.0) / 2.0) - _lgamma(nu / 2.0)
-        - 0.5 * math.log(math.pi * nu) - math.log(sigma)
-    ) - 0.5 * (nu + 1.0) * sum_lu
-    d_nu = (
-        0.5 * n * (_digamma((nu + 1.0) / 2.0) - _digamma(nu / 2.0))
-        - 0.5 * n / nu - 0.5 * sum_lu + sum_wt2 / (2.0 * nu)
-    )
-    prior, d_loc = _loc_scale_prior(mu, p)
-    value += prior + math.log(NU_RATE) - NU_RATE * (nu - NU_SHIFT)
-    return value, [(nu + 1.0) * sum_qa + d_loc, (sum_wt2 - n) / sigma, d_nu - NU_RATE]
+        kernel = sums(mu_p, s2_sides[0], mu_m, s2_sides[1])
+    values, grad = [], []
+    for side in 0, 1:  # indexing, not zip, which costs more for two items
+        mu, sigma, nu = theta[3 * side:3 * side + 3]
+        sum_log, sum_qa, sum_qa2 = kernel[side]
+        s2, n, p = s2_sides[side], n_sides[side], priors[side]
+        # sum c log1p(t^2 / nu) and sum c (nu + 1) t^2 / (nu + t^2), t = a / sigma
+        sum_lu, sum_wt2 = sum_log - n * math.log(s2), (nu + 1.0) * sum_qa2
+        value = n * (
+            _lgamma((nu + 1.0) / 2.0) - _lgamma(nu / 2.0)
+            - 0.5 * math.log(math.pi * nu) - math.log(sigma)
+        ) - 0.5 * (nu + 1.0) * sum_lu
+        d_nu = (
+            0.5 * n * (_digamma((nu + 1.0) / 2.0) - _digamma(nu / 2.0))
+            - 0.5 * n / nu - 0.5 * sum_lu + sum_wt2 / (2.0 * nu)
+        )
+        prior, d_loc = _loc_scale_prior(mu, p)
+        values.append(value + (prior + math.log(NU_RATE) - NU_RATE * (nu - NU_SHIFT)))
+        grad += [(nu + 1.0) * sum_qa + d_loc, (sum_wt2 - n) / sigma, d_nu - NU_RATE]
+    return values, grad
 
 
 def _student_loglik(theta: np.ndarray):
@@ -297,33 +334,37 @@ def _student_loglik(theta: np.ndarray):
     return lambda x: const - half_nu1 * np.log1p(((x[:, None] - mu) / sigma) ** 2 / nu)
 
 
-def _ig_prepare(values: np.ndarray, counts: np.ndarray):
-    return (float(counts.sum()), float((counts * np.log(values)).sum()),
-            float((counts / values).sum()))
+def _ig_prepare(sides):
+    return tuple((float(counts.sum()), float((counts * np.log(values)).sum()),
+                  float((counts / values).sum())) for values, counts in sides)
 
 
-def _ig_value_grad(theta, stats, p: SidePrior):
-    n, sum_ln, sum_inv = stats
-    m, s = theta
-    if m <= 0.0:  # the location map can underflow to the bound
-        return -math.inf, [0.0, 0.0]
-    s2 = s * s
-    alpha = 2.0 + (m * m) / s2
-    beta = m * (alpha - 1.0)
-    log_beta = math.log(beta)
-    # Python floats from here on: numpy scalar arithmetic rounds the same
-    # but costs several times more per operation
-    value = n * (alpha * log_beta - _lgamma(alpha)) \
-        - (alpha + 1.0) * sum_ln - beta * sum_inv
-    d_alpha = n * (log_beta - _digamma(alpha)) - sum_ln
-    d_beta = n * alpha / beta - sum_inv
-    da_dm = 2.0 * m / s2
-    da_ds = -2.0 * m * m / (s2 * s)
-    db_dm = 1.0 + 3.0 * m * m / s2
-    db_ds = -2.0 * m * m * m / (s2 * s)
-    prior, d_loc = _loc_scale_prior(m, p)
-    return value + prior, [d_alpha * da_dm + d_beta * db_dm + d_loc,
-                           d_alpha * da_ds + d_beta * db_ds]
+def _ig_value_grad(theta, data, priors):
+    values, grad = [], []
+    for side in 0, 1:  # indexing, not zip, which costs more for two items
+        m, s = theta[2 * side:2 * side + 2]
+        n, sum_ln, sum_inv = data[side]
+        p = priors[side]
+        if m <= 0.0:  # the location map can underflow to the bound
+            return [-math.inf, -math.inf], [0.0] * 4
+        s2 = s * s
+        alpha = 2.0 + (m * m) / s2
+        beta = m * (alpha - 1.0)
+        log_beta = math.log(beta)
+        # Python floats from here on: numpy scalar arithmetic rounds the same
+        # but costs several times more per operation
+        value = n * (alpha * log_beta - _lgamma(alpha)) \
+            - (alpha + 1.0) * sum_ln - beta * sum_inv
+        d_alpha = n * (log_beta - _digamma(alpha)) - sum_ln
+        d_beta = n * alpha / beta - sum_inv
+        da_dm = 2.0 * m / s2
+        da_ds = -2.0 * m * m / (s2 * s)
+        db_dm = 1.0 + 3.0 * m * m / s2
+        db_ds = -2.0 * m * m * m / (s2 * s)
+        prior, d_loc = _loc_scale_prior(m, p)
+        values.append(value + prior)
+        grad += [d_alpha * da_dm + d_beta * db_dm + d_loc, d_alpha * da_ds + d_beta * db_ds]
+    return values, grad
 
 
 def _ig_loglik(theta: np.ndarray):
@@ -347,10 +388,14 @@ class Family:
     """One per-side model family; :data:`FAMILIES` holds the two instances.
 
     ``support`` holds the (low, high) bounds of each per-side parameter,
-    the same for every data set; ``value_grad(theta, stats, prior)`` takes
-    one side's parameters as a list of floats and returns the log likelihood
-    of the prepared data plus the side's log prior, and its gradient as a
-    list; ``logpdf(x, theta)`` is the density at each value of ``x``, and
+    the same for every data set. ``prepare(sides)`` reduces both sides'
+    (distinct value, count) pairs, gain side first, to what the likelihood
+    reads; ``value_grad(theta, data, priors)`` takes both sides' parameters
+    as one list of floats, gain side first, and returns each side's log
+    likelihood of the prepared data plus its log prior, as a list of two
+    floats, and the gradient as one list; the two side values are returned
+    apart so that the posterior adds them in the order it always has.
+    ``logpdf(x, theta)`` is one side's density at each value of ``x``, and
     ``loglik(thetas)`` its batched form over the rows of a [draws, p] array:
     it computes the per-draw constants once and returns the map from values
     x [k] to the [k, draws] log densities.
@@ -361,8 +406,9 @@ class Family:
     scale: int
     data_low: float  # observations must exceed this
     support: tuple[tuple[float, ...], tuple[float, ...]]
-    prepare: Callable[[np.ndarray, np.ndarray], tuple]
-    value_grad: Callable[[list[float], tuple, SidePrior], tuple[float, list[float]]]
+    prepare: Callable[[list[tuple[np.ndarray, np.ndarray]]], object]
+    value_grad: Callable[[list[float], object, tuple[SidePrior, SidePrior]],
+                         tuple[list[float], list[float]]]
     logpdf: Callable[[np.ndarray, np.ndarray], np.ndarray]
     loglik: Callable[[np.ndarray], Callable[[np.ndarray], np.ndarray]]
     initial: Callable[[SidePrior], tuple[float, ...]]
@@ -441,12 +487,8 @@ class Posterior:
         unique = [np.unique(x, return_counts=True) for x in (self.x_plus, self.x_minus)]
         self._values = tuple(values for values, _ in unique)
         self.counts = np.concatenate([counts for _, counts in unique])
-        k = self.dim // 2
-        self._sides = tuple(
-            (sl, family.prepare(values, counts.astype(np.float64)), prior)
-            for (values, counts), sl, prior
-            in zip(unique, (slice(0, k), slice(k, None)), spec.priors)
-        )
+        self._data = family.prepare([(values, counts.astype(np.float64))
+                                     for values, counts in unique])
 
         low, high = family.support
         self._low, self._high = low + low, high + high
@@ -512,11 +554,9 @@ class Posterior:
         theta, dtheta, dlog_jac = self._transform(z)
         if 0.0 in dtheta:  # a map rounded onto its bound: the log slope is -inf
             return -math.inf, [0.0] * self.dim
-        value, grad_theta = float(np.log(dtheta).sum()), []
-        for sl, stats, prior in self._sides:
-            side_value, side_grad = self._value_grad(theta[sl], stats, prior)
-            value += side_value
-            grad_theta += side_grad
+        (value_plus, value_minus), grad_theta = self._value_grad(theta, self._data,
+                                                                 self.spec.priors)
+        value = float(np.add.reduce(np.log(dtheta))) + value_plus + value_minus
         # chain rule through the transform, plus the Jacobian term
         grad = [g * d + j for g, d, j in zip(grad_theta, dtheta, dlog_jac)]
         if not (math.isfinite(value) and all(map(math.isfinite, grad))):
@@ -556,8 +596,8 @@ class LoglikMatrix:
     def __init__(self, posterior: Posterior, draws: np.ndarray):
         draws = np.asarray(draws, dtype=np.float64)
         family = posterior.family
-        self._sides, offset = [], 0
-        for values, (sl, _, _) in zip(posterior._values, posterior._sides):
+        self._sides, offset, k = [], 0, posterior.dim // 2
+        for values, sl in zip(posterior._values, (slice(0, k), slice(k, None))):
             self._sides.append((offset, values, family.loglik(draws[:, sl])))
             offset += values.size
         self.shape = (offset, draws.shape[0])

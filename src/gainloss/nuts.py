@@ -23,11 +23,13 @@ correlations, and it puts the chain in the typical set. So warmup only tunes
 the step size: one step-size search, then one depth-0 transition (a single
 leapfrog Metropolis step) per tuning iteration, whose acceptance statistic
 min(1, exp(-dH)) drives dual averaging toward ``TARGET_ACCEPT``; the final
-step size is its averaged iterate. The mode is found
-by damped Newton steps from the unjittered start, with Hessians from central
-differences of the gradient (2 * dim calls each); the nonzero entries of
-``L^-1`` are listed once per chain (a posterior that factorizes by side has
-exact zeros across the sides). The chain starts within ``_LAPLACE_JITTER``
+step size is its averaged iterate. The mode is found by damped Newton
+steps from the unjittered start, with Hessians from central differences of
+the gradient (2 * dim calls each). The map and the gradient pull-back are
+compiled once per chain as straight-line float code, with the mode and the
+nonzero entries of ``L^-1`` written in as constants (a posterior that
+factorizes by side has exact zeros across the sides), so a leapfrog step
+runs no Python loop over them. The chain starts within ``_LAPLACE_JITTER``
 whitened units of the mode: from a unit box around the unjittered start it
 would sit hundreds of sds out on a narrow coordinate. The search draws no
 random numbers, so every chain finds the same map, and it solves in Python
@@ -57,15 +59,17 @@ taking a list of ``dim`` Python floats and returning a float and a float list
 (off-support points must return ``-inf``, not raise). The sampler calls it
 once per leapfrog step, and at each chain's start a few times plus some
 tens of times for the mode search, so counting its calls counts gradients,
-which each chain does in its own process.
+which each chain does in its own process: the pull-back counts its own
+calls, and a wrapper counts the mode search's.
 Optional methods ``constrain``, ``param_names`` and
 ``initial_unconstrained`` refine what the trace records.
 
 Position, momentum and gradient are float lists throughout a chain, so no
 ndarray is built per leapfrog step: the kinetic energy, the U-turn test and
-the whitening map are summed left to right in Python, which also keeps them
-off a BLAS dot, whose summation order, and so whose rounding, follows the
-CPU. Only the momentum draw of each transition calls numpy.
+the whitening map are summed left to right in Python, each sum from 0.0,
+which also keeps them off a BLAS dot, whose summation order, and so whose
+rounding, follows the CPU. Only the momentum draw of each transition calls
+numpy.
 
 An exploding trajectory overflows; its leaves come out divergent. Python
 floats overflow without a warning, and numpy's floating-point errors are
@@ -505,47 +509,51 @@ def _lower_inverse(low: list[list[float]]) -> list[list[float]]:
     return inv
 
 
+def _dot(terms) -> str:
+    """Source of ``0.0 + w * x + ...`` over the (weight, name) pairs with a
+    nonzero weight, which Python sums left to right from 0.0. A weight is
+    its ``repr``, which reads back as the same float."""
+    return " + ".join(["0.0"] + [f"{w!r} * {x}" for w, x in terms if w != 0.0])
+
+
 def _whitening(value_and_grad, mode: list[float], low: list[list[float]]):
     """The map ``z(u) = mode + L^-T u`` and the target pulled back through it.
 
     Returns ``(position, pulled_back, variances)``: ``position(u)`` is z(u);
     ``pulled_back(u)`` is ``(logp(z(u)), L^-1 grad)``, the log density in
     ``u`` up to the constant log |det L^-T|; ``variances`` is the diagonal of
-    L^-T L^-1. The nonzero entries of L^-1 are listed once, its rows for the
-    gradient and its columns for the position, and summed left to right.
-    A position that overflows is off the support.
+    L^-T L^-1. Both functions are straight-line float code, compiled here
+    once, with the mode and the nonzero entries of L^-1 (its columns for the
+    position, its rows for the gradient) written in as constants; each sum
+    starts at 0.0 and adds left to right. A position that overflows is off
+    the support and calls nothing; ``pulled_back.calls[0]`` counts the calls
+    of ``value_and_grad``.
     """
     inv = _lower_inverse(low)
     dim = len(mode)
-    rows = [[(j, inv[i][j]) for j in range(i + 1) if inv[i][j] != 0.0]
-            for i in range(dim)]
-    cols = [[(i, inv[i][k]) for i in range(k, dim) if inv[i][k] != 0.0]
-            for k in range(dim)]
-    centred = list(zip(mode, cols))
-
-    def position(u):
-        z = []
-        for mk, col in centred:
-            s = 0.0
-            for i, w in col:
-                s += w * u[i]
-            z.append(mk + s)
-        return z
-
-    def pulled_back(u):
-        z = position(u)
-        if not all(map(math.isfinite, z)):
-            return -math.inf, [0.0] * dim
-        value, g = value_and_grad(z)
-        grad = []
-        for row in rows:
-            s = 0.0
-            for j, w in row:
-                s += w * g[j]
-            grad.append(s)
-        return value, grad
-
-    variances = [math.fsum(w * w for _, w in col) for col in cols]
+    u, z, g = ([f"{name}{k}" for k in range(dim)] for name in "uzg")
+    names = ", ".join
+    z_of_u = [f"{mode[k]!r} + ({_dot((inv[i][k], u[i]) for i in range(k, dim))})"
+              for k in range(dim)]
+    source = "\n".join([
+        "def position(u):",
+        f"    {names(u)}, = u",
+        f"    return [{names(z_of_u)}]",
+        "def pulled_back(u):",
+        f"    {names(u)}, = u",
+        *(f"    {zk} = {expr}" for zk, expr in zip(z, z_of_u)),
+        "    if not (" + " and ".join(f"-inf < {zk} < inf" for zk in z) + "):",
+        f"        return -inf, [0.0] * {dim}",
+        "    calls[0] += 1",
+        f"    value, ({names(g)},) = value_and_grad([{names(z)}])",
+        "    return value, [" + names(_dot((inv[i][j], g[j]) for j in range(i + 1))
+                                  for i in range(dim)) + "]",
+    ])
+    scope = {"value_and_grad": value_and_grad, "calls": [0], "inf": math.inf, "nan": math.nan}
+    exec(compile(source, "<whitening>", "exec"), scope)
+    position, pulled_back = scope["position"], scope["pulled_back"]
+    pulled_back.calls = scope["calls"]
+    variances = [math.fsum(inv[i][k] * inv[i][k] for i in range(k, dim)) for k in range(dim)]
     return position, pulled_back, variances
 
 
@@ -603,11 +611,11 @@ def run_chain(target, cfg: SamplerConfig, z_center: np.ndarray, chain: int) -> C
     it or on what ran before.
     """
     target_value_and_grad = target.value_and_grad
-    n_calls = 0
+    n_search = 0
 
-    def value_and_grad(z):
-        nonlocal n_calls
-        n_calls += 1
+    def search_value_and_grad(z):
+        nonlocal n_search
+        n_search += 1
         return target_value_and_grad(z)
 
     dim = z_center.shape[0]
@@ -617,13 +625,14 @@ def run_chain(target, cfg: SamplerConfig, z_center: np.ndarray, chain: int) -> C
     laplace = None
     if cfg.n_tune:
         with np.errstate(over="ignore", invalid="ignore"):
-            laplace = _laplace(value_and_grad, z_center.tolist())
+            laplace = _laplace(search_value_and_grad, z_center.tolist())
     if laplace is None:
         identity = [[float(i == j) for j in range(dim)] for i in range(dim)]
         mode, low, spread = z_center.tolist(), identity, 1.0
     else:
         (mode, low), spread = laplace, _LAPLACE_JITTER
-    position, pulled_back, variances = _whitening(value_and_grad, mode, low)
+    position, pulled_back, variances = _whitening(target_value_and_grad, mode, low)
+    calls = pulled_back.calls
     seq = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(chain,))
     rng = np.random.Generator(np.random.Philox(seq))
     u0 = spread * rng.uniform(-1.0, 1.0, dim)
@@ -633,7 +642,7 @@ def run_chain(target, cfg: SamplerConfig, z_center: np.ndarray, chain: int) -> C
             break
         u0 = 0.5 * u0
     u, value, grad, eps = _warmup_chain(pulled_back, u0.tolist(), cfg, rng, chain)
-    n_warmup = n_calls
+    n_warmup = n_search + calls[0]
 
     draws = np.empty((cfg.n_draw, dim))
     accept = np.empty(cfg.n_draw)
@@ -647,7 +656,7 @@ def run_chain(target, cfg: SamplerConfig, z_center: np.ndarray, chain: int) -> C
         divergent[it] = info["divergent"]
         depth[it] = info["depth"]
     return ChainDraws(draws, accept, divergent, depth, eps, np.array(variances),
-                      np.array((n_warmup, n_calls - n_warmup), dtype=np.int64),
+                      np.array((n_warmup, n_search + calls[0] - n_warmup), dtype=np.int64),
                       "unit" if laplace is None else "laplace")
 
 

@@ -46,7 +46,8 @@ def side_prior(m=1.0, s=1.3):
 def log_prior(family, theta, prior):
     """Log prior of one side's parameters; -inf off the support.
 
-    The prior is the side's ``value_grad`` on no data.
+    The prior is the gain side's value from ``value_grad`` on no data, with
+    both sides at ``theta`` under ``prior``.
     """
     theta = np.asarray(theta, dtype=np.float64)
     if np.any(np.isnan(theta)):
@@ -54,8 +55,8 @@ def log_prior(family, theta, prior):
     low, high = family.support
     if not np.all((np.asarray(low) < theta) & (theta < np.asarray(high))):
         return -math.inf
-    stats = family.prepare(np.empty(0), np.empty(0))
-    return float(family.value_grad(theta.tolist(), stats, prior)[0])
+    data = family.prepare([(np.empty(0), np.empty(0))] * 2)
+    return float(family.value_grad(theta.tolist() * 2, data, (prior, prior))[0][0])
 
 
 def log_jacobian(post, z):
@@ -521,21 +522,21 @@ def oracle_forward(post, z):
     return theta, dtheta, float(np.log(dtheta).sum()), dlog_jac
 
 
+def distinct_pairs(post):
+    """Each side's (distinct value, float count) pairs, gain side first."""
+    return [(values, counts.astype(np.float64)) for values, counts
+            in (np.unique(x, return_counts=True) for x in (post.x_plus, post.x_minus))]
+
+
 def oracle_value_and_grad(post, z):
     """Log posterior and gradient through :func:`oracle_forward`."""
-    k = post.dim // 2
-    sides = []
-    for x, sl, prior in zip((post.x_plus, post.x_minus), (slice(0, k), slice(k, None)),
-                            post.spec.priors):
-        values, counts = np.unique(x, return_counts=True)
-        sides.append((sl, post.family.prepare(values, counts.astype(np.float64)), prior))
+    data = post.family.prepare(distinct_pairs(post))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         theta, dtheta, value, dlog_jac = oracle_forward(post, z)
-        params, grad_theta = theta.tolist(), []
-        for sl, stats_, prior in sides:
-            side_value, side_grad = post.family.value_grad(params[sl], stats_, prior)
+        side_values, grad_theta = post.family.value_grad(theta.tolist(), data,
+                                                         post.spec.priors)
+        for side_value in side_values:
             value += side_value
-            grad_theta += side_grad
         grad = np.array(grad_theta) * dtheta + dlog_jac
     if not (math.isfinite(value) and np.isfinite(grad).all()):
         return -math.inf, np.zeros(post.dim)
@@ -746,8 +747,29 @@ def scipy_ig_value_grad(theta, stats, p):
                            d_alpha * da_ds + d_beta * db_ds]
 
 
-SCIPY_VALUE_GRAD = {ModelKind.STUDENT_T: scipy_student_value_grad,
-                    ModelKind.INV_GAMMA: scipy_ig_value_grad}
+def both_sides(side_value_grad, k):
+    """A family's ``value_grad`` over both sides from one side's, which
+    takes that side's ``k`` parameters, data and prior."""
+    def value_grad(theta, data, priors):
+        values, grad = [], []
+        for side in (0, 1):
+            value, side_grad = side_value_grad(theta[k * side:k * (side + 1)], data[side],
+                                               priors[side])
+            values.append(value)
+            grad += side_grad
+        return values, grad
+    return value_grad
+
+
+def student_pairs(sides):
+    """Per-side Student-t data: the (value, count) pairs and the count."""
+    return [(values, counts, float(counts.sum())) for values, counts in sides]
+
+
+SCIPY_VALUE_GRAD = {ModelKind.STUDENT_T: both_sides(scipy_student_value_grad, 3),
+                    ModelKind.INV_GAMMA: both_sides(scipy_ig_value_grad, 2)}
+SCIPY_PREPARE = {ModelKind.STUDENT_T: student_pairs,
+                 ModelKind.INV_GAMMA: IG.prepare}
 
 
 @pytest.fixture(scope="module")
@@ -763,7 +785,8 @@ def posterior_pairs():
             xm = logs.x_minus[logs.x_minus > family.data_low]
             spec = ModelSpec.from_data(kind, xp, xm)
             post = Posterior(spec, xp, xm)
-            oracle = dataclasses.replace(family, value_grad=SCIPY_VALUE_GRAD[kind])
+            oracle = dataclasses.replace(family, prepare=SCIPY_PREPARE[kind],
+                                         value_grad=SCIPY_VALUE_GRAD[kind])
             FAMILIES[kind] = oracle
             try:
                 twin = Posterior(spec, xp, xm)
@@ -793,3 +816,125 @@ class TestPosteriorMatchesScipyOracle:
         for _, post, twin in posterior_pairs:
             assert twin._value_grad in SCIPY_VALUE_GRAD.values()
             assert post._value_grad is post.family.value_grad
+
+
+# ---------------------------------------------------------------------------
+# the per-side Student-t kernel that the both-sides one replaced, kept as an
+# oracle
+
+
+def per_side_sums(x, c, mu, s2):
+    """Sums of c log(a^2 + s2), q a and q a^2 over one side, a = x - mu and
+    q = c / (a^2 + s2), as one side's own [3, k] buffer summed them."""
+    rows = np.empty((3, x.shape[0]))
+    a = np.subtract(x, mu)
+    a2 = np.multiply(a, a, out=rows[2])
+    q = np.divide(c, np.add(a2, s2, out=rows[0]))
+    np.multiply(np.log(rows[0], out=rows[0]), c, out=rows[0])
+    np.multiply(q, a, out=rows[1])
+    np.multiply(q, a2, out=rows[2])
+    return np.add.reduce(rows, axis=1).tolist()
+
+
+def per_side_student_value_grad(theta, stats, p):
+    x, c, n = stats
+    mu, sigma, nu = theta
+    s2 = nu * sigma * sigma
+    with np.errstate(over="ignore", invalid="ignore"):
+        sum_log, sum_qa, sum_qa2 = per_side_sums(x, c, mu, s2)
+    sum_lu, sum_wt2 = sum_log - n * math.log(s2), (nu + 1.0) * sum_qa2
+    value = n * (
+        _lgamma((nu + 1.0) / 2.0) - _lgamma(nu / 2.0)
+        - 0.5 * math.log(math.pi * nu) - math.log(sigma)
+    ) - 0.5 * (nu + 1.0) * sum_lu
+    d_nu = (
+        0.5 * n * (_digamma((nu + 1.0) / 2.0) - _digamma(nu / 2.0))
+        - 0.5 * n / nu - 0.5 * sum_lu + sum_wt2 / (2.0 * nu)
+    )
+    prior, d_loc = _loc_scale_prior(mu, p)
+    value += prior + math.log(NU_RATE) - NU_RATE * (nu - NU_SHIFT)
+    return value, [(nu + 1.0) * sum_qa + d_loc, (sum_wt2 - n) / sigma, d_nu - NU_RATE]
+
+
+def per_side_twin(post):
+    """``post`` rebuilt on the per-side Student-t kernel."""
+    family = dataclasses.replace(STUDENT, prepare=student_pairs,
+                                 value_grad=both_sides(per_side_student_value_grad, 3))
+    FAMILIES[ModelKind.STUDENT_T] = family
+    try:
+        return Posterior(post.spec, post.x_plus, post.x_minus)
+    finally:
+        FAMILIES[ModelKind.STUDENT_T] = STUDENT
+
+
+def kernel_posteriors():
+    """Student-t posteriors whose sides differ in layout: on 25k GBM days;
+    with 1000 distinct values against 3; with one distinct value on either
+    side (a spec of fixed priors, since one value has no spread)."""
+    series = synthetic_gbm_series(25_000, 0.012, lam=3e-4, seed=25)
+    logs = prepare_sample(series, 252)[3]
+    rng = np.random.default_rng(60)
+    wide = rng.normal(1.2, 0.8, 1000)
+    narrow = np.log(np.array([3.0, 3.0, 5.0, 8.0, 8.0, 8.0]))
+    single = np.log(np.full(7, 12.0))
+    return [
+        Posterior(ModelSpec.from_data(ModelKind.STUDENT_T, logs.x_plus, logs.x_minus),
+                  logs.x_plus, logs.x_minus),
+        Posterior(ModelSpec.from_data(ModelKind.STUDENT_T, wide, narrow), wide, narrow),
+        Posterior(ModelSpec.from_data(ModelKind.STUDENT_T, narrow, wide), narrow, wide),
+        Posterior(student_spec(), single, wide),
+        Posterior(student_spec(), narrow, single),
+    ]
+
+
+class TestBothSidesKernelMatchesPerSide:
+    """The Student-t sums of both sides in one pass round as each side alone.
+
+    Results are compared by ``repr``, which tells -0.0 from 0.0.
+    """
+
+    @pytest.fixture(scope="class")
+    def posts(self):
+        return kernel_posteriors()
+
+    def test_layouts(self, posts):
+        sizes = [tuple(np.unique(x).size for x in (post.x_plus, post.x_minus))
+                 for post in posts]
+        assert sizes[0][0] > 1000 and sizes[0][1] > 1000
+        assert sizes[1:] == [(1000, 3), (3, 1000), (1, 1000), (3, 1)]
+
+    def test_the_sums_are_bit_identical(self, posts):
+        rng = np.random.default_rng(61)
+        for post in posts:
+            sums, n = post._data
+            pairs = distinct_pairs(post)
+            assert n == tuple(float(c.sum()) for _, c in pairs)
+            for _ in range(50):
+                mus = rng.normal(1.5, 2.0, 2).tolist()
+                s2s = np.exp(rng.uniform(-3.0, 8.0, 2)).tolist()
+                got = sums(mus[0], s2s[0], mus[1], s2s[1])
+                assert repr(got) == repr(tuple(per_side_sums(x, c, mu, s2) for (x, c), mu, s2
+                                               in zip(pairs, mus, s2s)))
+
+    def test_value_and_gradient_are_bit_identical(self, posts):
+        rng = np.random.default_rng(62)
+        for post in posts:
+            twin = per_side_twin(post)
+            z0 = post.initial_unconstrained()
+            for z in [z0 + rng.normal(0.0, 1.0, post.dim) for _ in range(100)] \
+                    + [rng.uniform(-40.0, 40.0, post.dim) for _ in range(20)] \
+                    + guard_points(post):
+                assert repr(post.value_and_grad(z.tolist())) \
+                    == repr(twin.value_and_grad(z.tolist()))
+
+    def test_reused_buffers_carry_nothing_between_calls(self, posts):
+        rng = np.random.default_rng(63)
+        for post in posts:
+            z0 = post.initial_unconstrained()
+            z1, z2 = (z0 + rng.normal(0.0, 1.0, post.dim) for _ in range(2))
+            z1, z2 = z1.tolist(), z2.tolist()
+            got = [post.value_and_grad(z) for z in (z1, z2, z1, z2)]
+            fresh = [Posterior(post.spec, post.x_plus, post.x_minus).value_and_grad(z)
+                     for z in (z1, z2)]
+            assert repr(got) == repr(fresh * 2)
+            assert got[0] != got[1]

@@ -1048,3 +1048,14 @@ class TestCliImportFootprint:
         # the chain pool's modules load only when a fit runs chains
         assert seen == {"import": [EXIT_OK, []], "pool": [], "fit": [EXIT_OK, []],
                         "scan-rho": [EXIT_OK, []]}
+
+    def test_the_import_loads_no_numpy_random(self):
+        # numpy.random loads where the chains run, in forked workers when
+        # there are several CPUs; loaded by the import, it would add about
+        # 5 MB to the CLI process's peak RSS
+        script = ("import json, sys, gainloss.cli; print(json.dumps(sorted("
+                  "m for m in sys.modules if m.split('.')[:2] == ['numpy', 'random'])))")
+        proc = subprocess.run([sys.executable, "-c", script], env=source_env(),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout.splitlines()[-1]) == []
