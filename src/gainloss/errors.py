@@ -12,6 +12,14 @@ class GainLossError(Exception):
     """Base class for all errors raised by this package."""
 
 
+def outcome(make, *args):
+    """``make(*args)``, or the :class:`GainLossError` it raises."""
+    try:
+        return make(*args)
+    except GainLossError as exc:
+        return exc
+
+
 class InputError(GainLossError):
     """Bad user-supplied data or configuration (CLI exit code 2)."""
 

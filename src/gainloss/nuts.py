@@ -23,44 +23,45 @@ correlations, and it puts the chain in the typical set. So warmup only tunes
 the step size: one step-size search, then one depth-0 transition (a single
 leapfrog Metropolis step) per tuning iteration, whose acceptance statistic
 min(1, exp(-dH)) drives dual averaging toward ``TARGET_ACCEPT``; the final
-step size is its averaged iterate. The mode is found by damped Newton
-steps from the unjittered start, with Hessians from central differences of
-the gradient (2 * dim calls each). The map and the gradient pull-back are
-compiled once per chain as straight-line float code, with the mode and the
-nonzero entries of ``L^-1`` written in as constants (a posterior that
-factorizes by side has exact zeros across the sides), so a leapfrog step
-runs no Python loop over them. The chain starts within ``_LAPLACE_JITTER``
-whitened units of the mode: from a unit box around the unjittered start it
-would sit hundreds of sds out on a narrow coordinate. The search draws no
-random numbers, so every chain finds the same map, and it solves in Python
-floats, not by LAPACK, whose rounding follows the CPU. Where it fails (zero
-density on its path, a Hessian that is not negative definite, no convergence
-within a fixed number of steps), or where there is no tuning, the map is the
-identity around the unjittered start, jittered by [-1, 1]. The trace records
-which map each chain used.
+step size is its averaged iterate. ``whitening_map`` finds each target's map
+once, before its chains run; the search draws no random numbers, so they can
+share it. It finds the mode by damped Newton steps from the unjittered
+start, with Hessians from central differences of the gradient (2 * dim calls
+each), solved in Python floats, not by LAPACK, whose rounding follows the
+CPU. The map and the gradient pull-back are compiled as straight-line float
+code, with the mode and the nonzero entries of ``L^-1`` written in as
+constants (a posterior that factorizes by side has exact zeros across the
+sides), so a leapfrog step runs no Python loop over them. A chain starts
+within ``_LAPLACE_JITTER`` whitened units of the mode: from a unit box
+around the unjittered start it would sit hundreds of sds out on a narrow
+coordinate. Where the search fails (zero density on its path, a Hessian that
+is not negative definite, no convergence within a fixed number of steps), or
+where there is no tuning, the map is the identity around the unjittered
+start, jittered by [-1, 1]. The trace records which map the chains used.
 
 Chains are independent: chain ``c`` of a run seeded with ``seed`` draws from
 a counter-based generator keyed by ``(seed, c)``, so results do not depend on
 execution order. ``fork_map`` runs numbered tasks in workers forked with bare
 ``os.fork``, one per usable CPU up to the task count, and in its own process
-when that count is 1 or the platform cannot fork; a worker inherits the tasks
-from the fork, so nothing goes out to it, and only its results come back,
-pickled through a pipe. ``run_chains`` makes each chain of one target a task,
-and ``run_chains_each`` each chain of several targets, so that the chains of
-a whole scan share one fork. The trace is bit-identical either way. The
-workers have ended before ``fork_map`` returns or raises, and on Linux the
-kernel kills them if the calling process is killed. The trace holds draws,
-sampler statistics and each chain's gradient count only; what is derived
-from the draws, such as WAIC, is computed afterwards.
+when that count is 1 or the platform cannot fork; a worker inherits the
+tasks, and the maps they read, from the fork, so nothing goes out to it, and
+only its results come back, pickled through a pipe. ``run_chains`` makes
+each chain of one target a task, and ``run_chains_each`` each chain of
+several targets, so that the chains of a whole scan share one fork. The
+trace is bit-identical either way. The workers have ended before
+``fork_map`` returns or raises, and on Linux the kernel kills them if the
+calling process is killed. The trace holds draws, sampler statistics and
+each chain's gradient count only; what is derived from the draws, such as
+WAIC, is computed afterwards.
 
 The target is any object with a ``dim`` attribute and a
 ``value_and_grad(z) -> (logp, grad)`` method in unconstrained coordinates,
 taking a list of ``dim`` Python floats and returning a float and a float list
 (off-support points must return ``-inf``, not raise). The sampler calls it
-once per leapfrog step, and at each chain's start a few times plus some
-tens of times for the mode search, so counting its calls counts gradients,
-which each chain does in its own process: the pull-back counts its own
-calls, and a wrapper counts the mode search's.
+once per leapfrog step, a few times at each chain's start and some tens of
+times in each target's mode search, so counting its calls counts gradients:
+the pull-back counts a chain's, in the process that runs it, and a wrapper
+the search's, which chain 0's warmup count includes.
 Optional methods ``constrain``, ``param_names`` and
 ``initial_unconstrained`` refine what the trace records.
 
@@ -89,7 +90,7 @@ from typing import Callable, NamedTuple, Union
 
 import numpy as np
 
-from .errors import AdaptationFailedError, DomainError, GainLossError
+from .errors import AdaptationFailedError, DomainError, GainLossError, outcome
 
 __all__ = [
     "SamplerConfig",
@@ -100,6 +101,7 @@ __all__ = [
     "TARGET_ACCEPT",
     "leapfrog",
     "nuts_draw",
+    "whitening_map",
     "run_chain",
     "run_chains",
     "run_chains_each",
@@ -580,6 +582,42 @@ def _warmup_chain(value_and_grad, u, cfg: SamplerConfig, rng, chain: int):
     return u, value, grad, da.adapted
 
 
+class WhiteningMap(NamedTuple):
+    """One target's map ``z(u) = mode + L^-T u``, found once and shared by its chains."""
+
+    position: Callable[[list[float]], list[float]]  # z(u)
+    pulled_back: Callable  # u -> (logp(z(u)), L^-1 grad); its calls[0] counts gradients
+    mass_diag: np.ndarray  # [dim] Laplace marginal variances, or ones on fallback
+    init_metric: str       # "laplace", or "unit" where the mode search fell back
+    n_search: int          # gradient calls of the mode search
+
+
+def whitening_map(target, cfg: SamplerConfig) -> WhiteningMap:
+    """The map through which every chain of ``cfg`` on ``target`` samples.
+
+    The mode search climbs from the target's preferred initial point, or the
+    origin; where it fails, or with no tuning, the map is the identity
+    around that point. The search draws no random numbers, so one map
+    serves every chain.
+    """
+    start = (np.asarray(target.initial_unconstrained(), dtype=np.float64).tolist()
+             if hasattr(target, "initial_unconstrained") else [0.0] * target.dim)
+    n_search = 0
+
+    def search_value_and_grad(z):
+        nonlocal n_search
+        n_search += 1
+        return target.value_and_grad(z)
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        laplace = _laplace(search_value_and_grad, start) if cfg.n_tune else None
+    mode, low = laplace or (start, [[float(i == j) for j in range(len(start))]
+                                    for i in range(len(start))])
+    position, pulled_back, variances = _whitening(target.value_and_grad, mode, low)
+    return WhiteningMap(position, pulled_back, np.array(variances),
+                        "unit" if laplace is None else "laplace", n_search)
+
+
 class ChainDraws(NamedTuple):
     """What one chain returns: its retained draws, their statistics, and its cost."""
 
@@ -588,53 +626,30 @@ class ChainDraws(NamedTuple):
     divergent: np.ndarray    # [n_draw] bool
     tree_depth: np.ndarray   # [n_draw] int16
     step_size: float
-    mass_diag: np.ndarray    # [dim] Laplace marginal variances, or ones on fallback
     n_grad: np.ndarray       # [2] int64 gradient calls: warmup, sampling
-    init_metric: str         # "laplace", or "unit" where the mode search fell back
 
 
-def run_chain(target, cfg: SamplerConfig, z_center: np.ndarray, chain: int) -> ChainDraws:
-    """Warm up and sample chain ``chain`` of ``cfg`` on ``target``.
+def run_chain(target, cfg: SamplerConfig, whitening: WhiteningMap, chain: int) -> ChainDraws:
+    """Warm up and sample chain ``chain`` of ``cfg`` on ``target`` in the
+    coordinates ``u`` of ``whitening``, the target's :func:`whitening_map`.
 
-    The chain samples whitened coordinates ``u`` with ``z = mode + L^-T u``,
-    ``L`` the Cholesky factor of the negative Hessian at the posterior mode,
-    on the unit metric; it starts at ``u`` uniform on ``[-_LAPLACE_JITTER,
-    _LAPLACE_JITTER]`` per coordinate. Where the mode search fails or there
-    is no tuning, the map is the identity around ``z_center`` and ``u``
-    starts uniform on [-1, 1]. Warmup is one step-size search and dual
-    averaging over ``cfg.n_tune`` single leapfrog Metropolis steps, one
-    gradient each; sampling runs NUTS at ``MAX_TREE_DEPTH``. Draws are mapped back
-    through ``z(u)``, then constrained; ``mass_diag`` is the diagonal of
-    ``L^-T L^-1``, the Laplace marginal variances, or ones on fallback. The
-    chain is driven by its own counter-based generator keyed on
+    The chain starts at ``u`` uniform on ``[-_LAPLACE_JITTER,
+    _LAPLACE_JITTER]`` per coordinate, or on [-1, 1] on the identity map.
+    Warmup is one step-size search and dual averaging over ``cfg.n_tune``
+    single leapfrog Metropolis steps, one gradient each; sampling runs NUTS
+    at ``MAX_TREE_DEPTH`` on the unit metric. Draws are mapped back through
+    ``z(u)``, then constrained. Chain 0's warmup count includes the map's
+    search. The chain is driven by its own counter-based generator keyed on
     ``(cfg.seed, chain)``, so its draws do not depend on which process runs
     it or on what ran before.
     """
-    target_value_and_grad = target.value_and_grad
-    n_search = 0
-
-    def search_value_and_grad(z):
-        nonlocal n_search
-        n_search += 1
-        return target_value_and_grad(z)
-
-    dim = z_center.shape[0]
+    pulled_back, calls = whitening.pulled_back, whitening.pulled_back.calls
+    counted = calls[0] - (whitening.n_search if chain == 0 else 0)
+    dim = whitening.mass_diag.shape[0]
     constrain = getattr(target, "constrain", None)
-    # the same for every chain: the search starts from the unjittered centre
-    # and draws no random numbers
-    laplace = None
-    if cfg.n_tune:
-        with np.errstate(over="ignore", invalid="ignore"):
-            laplace = _laplace(search_value_and_grad, z_center.tolist())
-    if laplace is None:
-        identity = [[float(i == j) for j in range(dim)] for i in range(dim)]
-        mode, low, spread = z_center.tolist(), identity, 1.0
-    else:
-        (mode, low), spread = laplace, _LAPLACE_JITTER
-    position, pulled_back, variances = _whitening(target_value_and_grad, mode, low)
-    calls = pulled_back.calls
     seq = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(chain,))
     rng = np.random.Generator(np.random.Philox(seq))
+    spread = _LAPLACE_JITTER if whitening.init_metric == "laplace" else 1.0
     u0 = spread * rng.uniform(-1.0, 1.0, dim)
     # jittered start may fall off the support; pull it back toward the centre
     for _ in range(30):
@@ -642,7 +657,7 @@ def run_chain(target, cfg: SamplerConfig, z_center: np.ndarray, chain: int) -> C
             break
         u0 = 0.5 * u0
     u, value, grad, eps = _warmup_chain(pulled_back, u0.tolist(), cfg, rng, chain)
-    n_warmup = n_search + calls[0]
+    n_warmup = calls[0] - counted
 
     draws = np.empty((cfg.n_draw, dim))
     accept = np.empty(cfg.n_draw)
@@ -650,14 +665,13 @@ def run_chain(target, cfg: SamplerConfig, z_center: np.ndarray, chain: int) -> C
     depth = np.zeros(cfg.n_draw, dtype=np.int16)
     for it in range(cfg.n_draw):
         u, value, grad, info = nuts_draw(u, value, grad, eps, rng, pulled_back)
-        z = position(u)
+        z = whitening.position(u)
         draws[it] = constrain(z) if constrain is not None else z
         accept[it] = info["accept_stat"]
         divergent[it] = info["divergent"]
         depth[it] = info["depth"]
-    return ChainDraws(draws, accept, divergent, depth, eps, np.array(variances),
-                      np.array((n_warmup, n_search + calls[0] - n_warmup), dtype=np.int64),
-                      "unit" if laplace is None else "laplace")
+    return ChainDraws(draws, accept, divergent, depth, eps,
+                      np.array((n_warmup, calls[0] - counted - n_warmup), dtype=np.int64))
 
 
 def _usable_cpus() -> int:
@@ -767,50 +781,45 @@ def fork_map(task: Callable[[int], object], n: int) -> list:
 def run_chains_each(targets, cfg: SamplerConfig) -> list:
     """One :func:`run_chains` trace per target, each of ``cfg.n_chains``
     chains, all drawn by one :func:`fork_map` with a task per (target,
-    chain). A target whose chain raises a :class:`GainLossError` gets, in
-    place of its trace, the error of its lowest failing chain. The traces
-    are the same whatever the number of workers. Chains start from the
-    target's preferred initial point, or the origin.
+    chain), after each target's :func:`whitening_map` is found here. A
+    target whose map or chain raises a :class:`GainLossError` gets that
+    error, or its lowest failing chain's, in place of its trace. The traces
+    are the same whatever the number of workers.
     """
-    starts = [np.asarray(target.initial_unconstrained(), dtype=np.float64)
-              if hasattr(target, "initial_unconstrained") else np.zeros(target.dim)
-              for target in targets]
-
-    def chain(k: int):
-        t, c = divmod(k, cfg.n_chains)
-        try:
-            return run_chain(targets[t], cfg, starts[t], c)
-        except GainLossError as exc:
-            return exc
-
-    chains = fork_map(chain, len(targets) * cfg.n_chains)
-    out = []
-    for t, target in enumerate(targets):
-        mine = chains[t * cfg.n_chains:(t + 1) * cfg.n_chains]
+    maps = [outcome(whitening_map, target, cfg) for target in targets]
+    tasks = [(target, cfg, whitening, c) for target, whitening in zip(targets, maps)
+             if not isinstance(whitening, GainLossError) for c in range(cfg.n_chains)]
+    chains = iter(fork_map(lambda k: outcome(run_chain, *tasks[k]), len(tasks)))
+    traces = []
+    for target, whitening in zip(targets, maps):
+        if isinstance(whitening, GainLossError):
+            traces.append(whitening)
+            continue
+        mine = [next(chains) for _ in range(cfg.n_chains)]
         failed = [c for c in mine if isinstance(c, GainLossError)]
-        out.append(failed[0] if failed else _stack(target, cfg, mine))
-    return out
+        traces.append(failed[0] if failed else _stack(target, cfg, whitening, mine))
+    return traces
 
 
-def _stack(target, cfg: SamplerConfig, chains: list) -> Trace:
+def _stack(target, cfg: SamplerConfig, whitening: WhiteningMap, chains: list) -> Trace:
     """The trace of ``target`` from its chains' :class:`ChainDraws`, in chain order."""
     names = tuple(getattr(target, "param_names",
                           tuple(f"param_{k}" for k in range(target.dim))))
     # one [n_chains, ...] array per ChainDraws field
-    columns = dict(zip(ChainDraws._fields, zip(*chains)))
-    init_metric = columns.pop("init_metric")
-    return Trace(param_names=names, init_metric=init_metric, config=cfg,
-                 **{name: np.stack(column) for name, column in columns.items()})
+    columns = zip(ChainDraws._fields, zip(*chains))
+    return Trace(param_names=names, config=cfg,
+                 mass_diag=np.stack([whitening.mass_diag] * len(chains)),
+                 init_metric=(whitening.init_metric,) * len(chains),
+                 **{name: np.stack(column) for name, column in columns})
 
 
 def run_chains(target, cfg: SamplerConfig) -> Trace:
     """Run ``cfg.n_chains`` independent NUTS chains on ``target``.
 
-    Each chain is one :func:`run_chain` call and one :func:`fork_map` task
-    (see :func:`run_chains_each`), so the chains run in forked workers, one
-    per usable CPU up to the chain count, or in this process; the trace is
-    the same either way. Raises the error of the lowest failing chain, such as
-    :class:`AdaptationFailedError` if its warmup stalls.
+    The trace is :func:`run_chains_each`'s, whose chains run in forked
+    workers, one per usable CPU up to the chain count, or in this process,
+    with the same result. Raises the error of the map or of the lowest
+    failing chain, such as :class:`AdaptationFailedError` if its warmup stalls.
     """
     trace = run_chains_each([target], cfg)[0]
     if isinstance(trace, GainLossError):
@@ -839,8 +848,8 @@ def trace_to_csv(trace: Trace, out_dir: Union[str, Path], prefix: str = "trace")
 
 
 def trace_summary(trace: Trace) -> dict:
-    """JSON-ready run summary (config, adaptation results, divergences); its
-    ``mass_diag`` is each chain's Laplace marginal variances, or ones on fallback."""
+    """JSON-ready run summary (config, adaptation results, divergences); each
+    ``mass_diag`` row is the Laplace variances of the chains' map, or ones."""
     return {
         "n_chains": trace.n_chains,
         "n_draw": trace.n_draw,

@@ -32,6 +32,7 @@ from .errors import (
     MalformedReportError,
     NonPositiveRhoError,
     WindowTooLargeError,
+    outcome,
 )
 from .hitting import HittingSample, LogHittingSample, hitting_times, log_sample
 from .models import FAMILIES, ModelKind, ModelSpec, Posterior
@@ -107,14 +108,6 @@ def prepare_sample(
     return filtered, rho, sample, log_sample(sample)
 
 
-def _outcome(make, *args):
-    """``make(*args)``, or the :class:`GainLossError` it raises."""
-    try:
-        return make(*args)
-    except GainLossError as exc:
-        return exc
-
-
 def _posterior(logs: LogHittingSample, kind: ModelKind) -> Posterior:
     """The posterior of one model on the observations of a log hitting-time
     sample that lie inside the family's data support."""
@@ -131,10 +124,10 @@ def draw_fits(fits: Sequence[tuple[LogHittingSample | GainLossError, ModelKind]]
 
     Returns, per fit, its ``(posterior, trace)``, or the
     :class:`GainLossError` that stopped it: its ``logs``, when that is one,
-    building its posterior, or its lowest failing chain. Each is the
-    ``drawn`` of that fit's :func:`fit_log_sample`.
+    building its posterior or its map, or its lowest failing chain. Each is
+    the ``drawn`` of that fit's :func:`fit_log_sample`.
     """
-    posteriors = [logs if isinstance(logs, GainLossError) else _outcome(_posterior, logs, kind)
+    posteriors = [logs if isinstance(logs, GainLossError) else outcome(_posterior, logs, kind)
                   for logs, kind in fits]
     traces = iter(run_chains_each(
         [p for p in posteriors if not isinstance(p, GainLossError)], sampler))
@@ -411,7 +404,7 @@ def scan_filter(
             rho = threshold_from_std(detrend(series, reference_filter))
         except GainLossError as exc:
             rho, failed = math.nan, exc
-    grid = [(str(f), f, rho, failed or _outcome(_prepared_logs, series, f, rho))
+    grid = [(str(f), f, rho, failed or outcome(_prepared_logs, series, f, rho))
             for f in filter_sizes]
     return _run_grid("filter", series.name, grid, kinds, sampler)
 
@@ -433,7 +426,7 @@ def scan_rho(
     filtered = detrend(series, filter_size)
     base = threshold_from_std(filtered)
     grid = [(f"{scale:g}", filter_size, scale * base,
-             _outcome(_barrier_logs, filtered.values, scale * base))
+             outcome(_barrier_logs, filtered.values, scale * base))
             for scale in scales]
     return _run_grid("rho", series.name, grid, kinds, sampler)
 
@@ -463,7 +456,7 @@ def scan_window(
     _refuse_fixed_inputs([filter_size], rho)
     first = _year(series.dates[0])
     last = _year(series.dates[-1])
-    grid = [(str(y), filter_size, rho, _outcome(
+    grid = [(str(y), filter_size, rho, outcome(
                 _window_logs, series,
                 np.datetime64(f"{y - window_years}-01-01", "D"),
                 np.datetime64(f"{y - 1}-12-31", "D"), filter_size, rho))

@@ -350,11 +350,11 @@ class TestScans:
         # stall, and a barrier of 400 stds leaves no gain time at all
         real = nuts.run_chain
 
-        def run_chain(target, cfg, start, chain):
+        def run_chain(target, cfg, whitening, chain):
             if target.spec.kind is ModelKind.INV_GAMMA and target.x_plus.size < 300 \
                     and chain > 0:
                 raise AdaptationFailedError(chain, 0.01 * chain)
-            return real(target, cfg, start, chain)
+            return real(target, cfg, whitening, chain)
 
         monkeypatch.setattr(nuts, "run_chain", run_chain)
         cfg = SamplerConfig(n_chains=3, n_draw=100, n_tune=150, seed=13)
@@ -1036,6 +1036,23 @@ print(json.dumps(seen))
 """
 
 
+# hand-written log hitting times: synthetic_gbm_series loads numpy.random itself
+NO_NUMPY_RANDOM_SCRIPT = """
+import json, sys
+import numpy as np
+import gainloss.cli
+from gainloss.models import ModelKind, ModelSpec, Posterior
+from gainloss.nuts import SamplerConfig, whitening_map
+
+x_plus = np.log([2.0, 3.0, 3.0, 5.0, 8.0, 4.0, 13.0, 2.0, 6.0, 21.0, 7.0, 3.0])
+x_minus = np.log([3.0, 2.0, 9.0, 4.0, 4.0, 11.0, 2.0, 5.0, 17.0, 6.0, 3.0, 2.0])
+for kind in ModelKind:
+    post = Posterior(ModelSpec.from_data(kind, x_plus, x_minus), x_plus, x_minus)
+    assert whitening_map(post, SamplerConfig(n_tune=10)).init_metric == "laplace", kind
+print(json.dumps(sorted(m for m in sys.modules if m.split('.')[:2] == ['numpy', 'random'])))
+"""
+
+
 class TestCliImportFootprint:
     def test_fits_and_scans_load_no_scipy(self, price_csv_factory, tmp_path):
         csv = price_csv_factory(n_days=600, sigma=0.012, seed=4)
@@ -1051,11 +1068,10 @@ class TestCliImportFootprint:
 
     def test_the_import_loads_no_numpy_random(self):
         # numpy.random loads where the chains run, in forked workers when
-        # there are several CPUs; loaded by the import, it would add about
-        # 5 MB to the CLI process's peak RSS
-        script = ("import json, sys, gainloss.cli; print(json.dumps(sorted("
-                  "m for m in sys.modules if m.split('.')[:2] == ['numpy', 'random'])))")
-        proc = subprocess.run([sys.executable, "-c", script], env=source_env(),
+        # there are several CPUs; loaded by the import, or by the whitening
+        # maps found in the caller before the fork, it would add about 5 MB
+        # to the CLI process's peak RSS
+        proc = subprocess.run([sys.executable, "-c", NO_NUMPY_RANDOM_SCRIPT], env=source_env(),
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout.splitlines()[-1]) == []

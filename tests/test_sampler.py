@@ -17,7 +17,8 @@ from gainloss import errors, nuts
 from gainloss.diagnostics import ess, gelman_rubin
 from gainloss.errors import AdaptationFailedError, DomainError
 from gainloss.models import FAMILIES, ModelKind, ModelSpec, Posterior
-from gainloss.nuts import SamplerConfig, leapfrog, nuts_draw, run_chain, run_chains
+from gainloss.nuts import (SamplerConfig, leapfrog, nuts_draw, run_chain, run_chains,
+                           whitening_map)
 from gainloss.pipeline import prepare_sample, synthetic_gbm_series
 
 UNIT_1D = GaussianTarget([1.0])
@@ -356,8 +357,7 @@ def assert_stacked_types(trace):
     assert all(type(metric) is str for metric in trace.init_metric)
 
 
-TRACE_ARRAYS = ("draws", "accept_stat", "divergent", "tree_depth", "step_size",
-                "mass_diag", "n_grad", "init_metric")
+TRACE_ARRAYS = ("draws", "accept_stat", "divergent", "tree_depth", "step_size", "n_grad")
 
 
 class TestParallelChains:
@@ -368,14 +368,49 @@ class TestParallelChains:
         target = pool_targets[name]
         cfg = SamplerConfig(n_chains=n_chains, n_draw=30, n_tune=150, seed=21)
         trace = run_chains(target, cfg)
-        center = (np.asarray(target.initial_unconstrained(), dtype=np.float64)
-                  if hasattr(target, "initial_unconstrained") else np.zeros(target.dim))
+        whitening = whitening_map(target, cfg)
         for chain in range(n_chains):
-            alone = run_chain(target, cfg, center, chain)
+            alone = run_chain(target, cfg, whitening, chain)
             for field in TRACE_ARRAYS:
                 got = getattr(trace, field)[chain]
                 assert np.array_equal(got, np.asarray(getattr(alone, field))), field
+            assert np.array_equal(trace.mass_diag[chain], whitening.mass_diag)
+            assert trace.init_metric[chain] == whitening.init_metric
         assert trace.n_grad.shape == (n_chains, 2)
+        assert_no_children()
+
+    @pytest.mark.parametrize("pool", [False, True], ids=["in-process", "pooled"])
+    def test_each_target_finds_its_map_once(self, pool_targets, monkeypatch, request, pool):
+        monkeypatch.setattr(nuts, "_usable_cpus", lambda: 1)
+        if pool:
+            request.getfixturevalue("pooled")
+        # the caller's pid for each call that reaches the caller's spies
+        reached = {"_laplace": [], "_whitening": []}
+        for name in reached:
+            def spy(*args, real=getattr(nuts, name), calls=reached[name]):
+                calls.append(os.getpid())
+                return real(*args)
+
+            monkeypatch.setattr(nuts, name, spy)
+        targets = [pool_targets["student-t"], pool_targets["gaussian"]]
+        cfg = SamplerConfig(n_chains=3, n_draw=20, n_tune=150, seed=31)
+        traces = nuts.run_chains_each(targets, cfg)
+        assert [trace.n_chains for trace in traces] == [3, 3]
+        assert reached == {"_laplace": [os.getpid()] * 2, "_whitening": [os.getpid()] * 2}
+        assert_no_children()
+
+    def test_a_target_whose_map_fails_gets_its_error(self, pooled):
+        class Undefined(GaussianTarget):
+            def value_and_grad(self, z):
+                raise DomainError("no density here")
+
+        cfg = SamplerConfig(n_chains=2, n_draw=20, n_tune=150, seed=32)
+        failed, drawn = nuts.run_chains_each([Undefined(np.ones(2)), GaussianTarget(np.ones(2))],
+                                             cfg)
+        assert type(failed) is DomainError and str(failed) == "no density here"
+        assert drawn.draws.shape == (2, 20, 2) and np.all(np.isfinite(drawn.draws))
+        with pytest.raises(DomainError, match="no density here"):
+            run_chains(Undefined(np.ones(2)), cfg)
         assert_no_children()
 
     def test_a_target_that_cannot_be_pickled_samples(self, pooled):
@@ -472,13 +507,12 @@ class TestParallelChains:
             monkeypatch.setattr(np.linalg, name, forbidden(f"linalg.{name}"))
         cfg = SamplerConfig(n_chains=1, n_draw=30, n_tune=150, seed=27)
         for target in pool_targets.values():
-            center = (np.asarray(target.initial_unconstrained(), dtype=np.float64)
-                      if hasattr(target, "initial_unconstrained") else np.zeros(target.dim))
-            chain = run_chain(target, cfg, center, 0)
+            whitening = whitening_map(target, cfg)
+            chain = run_chain(target, cfg, whitening, 0)
             assert np.all(np.isfinite(chain.draws))
-            assert chain.init_metric == "laplace"
+            assert whitening.init_metric == "laplace"
 
-    def test_gradient_counts_split_warmup_from_sampling(self):
+    def test_gradient_counts_split_warmup_from_sampling(self, monkeypatch):
         target = CountingGaussian(np.ones(3))
         cfg = SamplerConfig(n_chains=1, n_draw=60, n_tune=150, seed=25)
         trace = run_chains(target, cfg)
@@ -489,6 +523,11 @@ class TestParallelChains:
         assert warmup > cfg.n_tune
         assert nuts.trace_summary(trace)["n_grad"] == [[int(warmup), int(sampling)]]
         assert_stacked_types(trace)
+        # chains run in process share the map, whose search counts once
+        monkeypatch.setattr(nuts, "_usable_cpus", lambda: 1)
+        target = CountingGaussian(np.ones(3))
+        trace = run_chains(target, SamplerConfig(n_chains=3, n_draw=60, n_tune=150, seed=25))
+        assert trace.n_grad.sum() == target.calls
 
 
 class Saddle:
@@ -562,7 +601,8 @@ class TestLaplaceMetric:
         # on the identity map around the start
         target = DoubleWell()
         cfg = SamplerConfig(n_chains=1, n_draw=50, n_tune=150, seed=28)
-        searched = run_chain(target, cfg, np.zeros(2), 0)
+        searched_map = whitening_map(target, cfg)
+        searched = run_chain(target, cfg, searched_map, 0)
         maps = []
         whitening = nuts._whitening
 
@@ -572,16 +612,18 @@ class TestLaplaceMetric:
 
         monkeypatch.setattr(nuts, "_whitening", spy)
         monkeypatch.setattr(nuts, "_laplace", lambda *args: None)
-        unsearched = run_chain(target, cfg, np.zeros(2), 0)
+        unsearched_map = whitening_map(target, cfg)
+        unsearched = run_chain(target, cfg, unsearched_map, 0)
         assert maps == [([0.0, 0.0], [[1.0, 0.0], [0.0, 1.0]])]
-        assert searched.init_metric == unsearched.init_metric == "unit"
-        assert np.array_equal(searched.mass_diag, np.ones(2))
+        assert searched_map.init_metric == unsearched_map.init_metric == "unit"
+        assert np.array_equal(searched_map.mass_diag, np.ones(2))
         for field in TRACE_ARRAYS:
             if field != "n_grad":
                 assert np.array_equal(np.asarray(getattr(searched, field)),
                                       np.asarray(getattr(unsearched, field))), field
         # the failed search's gradients count as warmup
-        assert searched.n_grad[0] > unsearched.n_grad[0]
+        assert searched_map.n_search > 0 and unsearched_map.n_search == 0
+        assert searched.n_grad[0] == unsearched.n_grad[0] + searched_map.n_search
         assert searched.n_grad[1] == unsearched.n_grad[1]
 
     def test_chains_start_within_a_few_laplace_sds_of_the_mode(self, pool_targets,
@@ -602,10 +644,11 @@ class TestLaplaceMetric:
 
         monkeypatch.setattr(nuts, "_warmup_chain", spy)
         cfg = SamplerConfig(n_chains=2, n_draw=10, n_tune=80, seed=30)
+        whitening = whitening_map(target, cfg)
+        assert np.allclose(whitening.mass_diag, np.diag(laplace_covariance(low)),
+                           rtol=1e-12, atol=0.0)
         for chain in range(2):
-            chain_draws = run_chain(target, cfg, target.initial_unconstrained(), chain)
-            assert np.allclose(chain_draws.mass_diag, np.diag(laplace_covariance(low)),
-                               rtol=1e-12, atol=0.0)
+            run_chain(target, cfg, whitening, chain)
         assert np.all(np.abs(starts) <= nuts._LAPLACE_JITTER)
         assert not np.array_equal(starts[0], starts[1])
 
@@ -631,12 +674,13 @@ class TestLaplaceMetric:
         cfg = SamplerConfig(n_chains=1, n_draw=50, n_tune=300, seed=5)
         for name in ("student-t", "inv-gamma"):
             target = pool_targets[name]
-            center = target.initial_unconstrained()
-            laplace = run_chain(target, cfg, center, 0)
+            searched = whitening_map(target, cfg)
+            laplace = run_chain(target, cfg, searched, 0)
             with monkeypatch.context() as patch:
                 patch.setattr(nuts, "_laplace", lambda *args: None)
-                unit = run_chain(target, cfg, center, 0)
-            assert laplace.init_metric == "laplace" and unit.init_metric == "unit"
+                unsearched = whitening_map(target, cfg)
+            unit = run_chain(target, cfg, unsearched, 0)
+            assert searched.init_metric == "laplace" and unsearched.init_metric == "unit"
             assert laplace.n_grad.sum() < 0.6 * unit.n_grad.sum(), name
 
     @pytest.mark.parametrize("name", ["student-t", "inv-gamma"])
@@ -644,10 +688,10 @@ class TestLaplaceMetric:
         # one leapfrog Metropolis step per tuning iteration, whatever the
         # tree depth sampling may reach
         target = pool_targets[name]
-        center = target.initial_unconstrained()
-        warmup = [run_chain(target, SamplerConfig(n_chains=1, n_draw=10, n_tune=tune,
-                                                  seed=5), center, 0).n_grad[0]
-                  for tune in (150, 300)]
+        warmup = []
+        for tune in (150, 300):
+            cfg = SamplerConfig(n_chains=1, n_draw=10, n_tune=tune, seed=5)
+            warmup.append(run_chain(target, cfg, whitening_map(target, cfg), 0).n_grad[0])
         assert warmup[1] - warmup[0] == 150
 
 
