@@ -64,7 +64,7 @@ from .models import (
     invgamma_logpdf,
     student_logpdf,
 )
-from .nuts import SamplerConfig, Trace, leapfrog, nuts_draw, run_chains, save_trace
+from .nuts import SamplerConfig, Trace, nuts_draw, run_chains, save_trace
 from .pipeline import (
     DEFAULT_FILTER_GRID,
     DEFAULT_RHO_SCALES,

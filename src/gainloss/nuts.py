@@ -2,17 +2,17 @@
 
 One transition builds a trajectory by repeated binary doubling. Each doubling
 builds a subtree of 2^depth leapfrog steps from one end of the trajectory, in
-a uniformly random direction. A leaf is one leapfrog step weighted by
-exp(-(H - H0)); the step-size search reads its acceptance ratio off the same
-leaf. One merge rule extends a tree by a subtree, both for the trajectory
-and inside the subtree recursion; only its pick of the proposal differs:
-biased toward the fresh subtree, min(1, w_sub / w_tree), at the top level,
-and multinomial, w_sub / (w_tree + w_sub), inside a subtree. Doubling stops
-when either trajectory end would retrace its path (velocity-based U-turn
-test), when the energy error exceeds ``DIVERGENCE_THRESHOLD``, or at
-``max_tree_depth`` doublings past the first (so ``max_tree_depth = 0``
-degenerates to a single leapfrog Metropolis step); sampling runs at
-``MAX_TREE_DEPTH``.
+a uniformly random direction. A leaf is one leapfrog step, taken by the
+map's compiled ``leaf``, weighted by exp(-(H - H0)); the step-size search
+and warmup read their acceptance ratios off the same leaf. One merge rule
+extends a tree by a subtree, both for the trajectory and inside the subtree
+recursion; only its pick of the proposal differs: biased toward the fresh
+subtree, min(1, w_sub / w_tree), at the top level, and multinomial, w_sub /
+(w_tree + w_sub), inside a subtree. Doubling stops when either trajectory
+end would retrace its path (velocity-based U-turn test), when the energy
+error exceeds ``DIVERGENCE_THRESHOLD``, or at ``max_tree_depth`` doublings
+past the first (so ``max_tree_depth = 0`` degenerates to a single leapfrog
+Metropolis step); sampling runs at ``MAX_TREE_DEPTH``.
 
 Each chain samples ``u`` with ``z = mode + L^-T u``, where ``L L^T = -H`` is
 the Cholesky factor of the negative Hessian of the log posterior at its
@@ -20,18 +20,21 @@ mode, and pulls gradients back as ``L^-1 g``. Under the Laplace
 approximation ``u`` is standard normal, so the sampler always runs on the
 unit metric: the map, not warmup draws, absorbs the posterior's scales and
 correlations, and it puts the chain in the typical set. So warmup only tunes
-the step size: one step-size search, then one depth-0 transition (a single
-leapfrog Metropolis step) per tuning iteration, whose acceptance statistic
+the step size: one step-size search, then a flat loop of single leapfrog
+Metropolis steps, one per tuning iteration, whose acceptance statistic
 min(1, exp(-dH)) drives dual averaging toward ``TARGET_ACCEPT``; the final
-step size is its averaged iterate. ``whitening_map`` finds each target's map
-once, before its chains run; the search draws no random numbers, so they can
-share it. It finds the mode by damped Newton steps from the unjittered
+step size is its averaged iterate. A step draws and returns exactly what a
+depth-0 transition would, without building its tree. ``whitening_map``
+finds each target's map once, before its chains run; the search draws no
+random numbers, so they can share it. It finds the mode by damped Newton steps from the unjittered
 start, with Hessians from central differences of the gradient (2 * dim calls
 each), solved in Python floats, not by LAPACK, whose rounding follows the
-CPU. The map and the gradient pull-back are compiled as straight-line float
-code, with the mode and the nonzero entries of ``L^-1`` written in as
-constants (a posterior that factorizes by side has exact zeros across the
-sides), so a leapfrog step runs no Python loop over them. A chain starts
+CPU. The map, the gradient pull-back, the leapfrog leaf, the U-turn test and
+the kinetic energy are compiled with the map, once per target, as
+straight-line float code unrolled over ``dim``, with the mode and the
+nonzero entries of ``L^-1`` written in as constants (a posterior that
+factorizes by side has exact zeros across the sides), so a leaf runs no
+Python loop and the chains inherit the code through the fork. A chain starts
 within ``_LAPLACE_JITTER`` whitened units of the mode: from a unit box
 around the unjittered start it would sit hundreds of sds out on a narrow
 coordinate. Where the search fails (zero density on its path, a Hessian that
@@ -74,8 +77,9 @@ numpy.
 
 An exploding trajectory overflows; its leaves come out divergent. Python
 floats overflow without a warning, and numpy's floating-point errors are
-silenced once per transition (and once per step-size or mode search), not
-once per step; that covers the target's own arithmetic too.
+silenced once per warmup (its step-size search included), once per sampling
+transition and once per mode search, not once per step; that covers the
+target's own arithmetic too.
 """
 
 from __future__ import annotations
@@ -99,7 +103,6 @@ __all__ = [
     "DIVERGENCE_THRESHOLD",
     "MAX_TREE_DEPTH",
     "TARGET_ACCEPT",
-    "leapfrog",
     "nuts_draw",
     "whitening_map",
     "run_chain",
@@ -108,6 +111,7 @@ __all__ = [
     "fork_map",
     "trace_to_csv",
     "trace_summary",
+    "save_trace",
 ]
 
 DIVERGENCE_THRESHOLD = 1000.0
@@ -184,40 +188,6 @@ class Trace:
         return self.draws[:, :, self.param_index(name)]
 
 
-def leapfrog(
-    z: list[float],
-    p: list[float],
-    grad: list[float],
-    eps: float,
-    value_and_grad: Callable[[list[float]], tuple[float, list[float]]],
-) -> tuple[list[float], list[float], float, list[float]]:
-    """One unit-metric half-kick / drift / half-kick step; grad is d(logp)/dz at z.
-
-    Every argument and result is a list of Python floats, which overflow to
-    inf without a warning and round like numpy's elementwise operations.
-    """
-    half = 0.5 * eps
-    p_half = [pk + half * gk for pk, gk in zip(p, grad)]
-    z_new = [zk + eps * pk for zk, pk in zip(z, p_half)]
-    if not all(map(math.isfinite, z_new)):
-        # Exploding trajectory: surface as a divergent leaf, never as NaN math.
-        return z, p, -math.inf, [0.0] * len(z)
-    value_new, grad_new = value_and_grad(z_new)
-    p_new = [pk + half * gk for pk, gk in zip(p_half, grad_new)]
-    return z_new, p_new, value_new, grad_new
-
-
-def _kinetic(p: list[float]) -> float:
-    # Summed left to right: a BLAS dot's order, and so its rounding, follows
-    # the CPU. Momenta can blow up on unstable trajectories; report inf so the
-    # caller treats the leaf as divergent.
-    k = 0.0
-    for pk in p:
-        k += pk * pk
-    k *= 0.5
-    return k if math.isfinite(k) else math.inf
-
-
 def _logaddexp(a: float, b: float) -> float:
     if a == -math.inf:
         return b
@@ -227,15 +197,11 @@ def _logaddexp(a: float, b: float) -> float:
     return m + math.log(math.exp(a - m) + math.exp(b - m))
 
 
-def _turned(left_edge, right_edge) -> bool:
-    """U-turn test on velocities: would either end start moving back inward?"""
-    (z_left, p_left, _), (z_right, p_right, _) = left_edge, right_edge
-    left = right = 0.0
-    for zl, pl, zr, pr in zip(z_left, p_left, z_right, p_right):
-        dz = zr - zl
-        left += dz * pl
-        right += dz * pr
-    return left < 0.0 or right < 0.0
+def _energy_error(value: float, kinetic: float, h0: float) -> float:
+    """H - H0 at a leaf of log density ``value`` and kinetic energy
+    ``kinetic``; a non-finite error counts as +inf."""
+    delta_h = (-value + kinetic if math.isfinite(value) else math.inf) - h0
+    return delta_h if math.isfinite(delta_h) else math.inf
 
 
 class _TreeState:
@@ -256,7 +222,7 @@ class _TreeState:
         self.turned = False
 
 
-def _merge(tree, sub, direction, rng, biased):
+def _merge(tree, sub, direction, rng, biased, turned):
     """Extend ``tree`` by ``sub``, built from its edge in ``direction``; returns ``tree``.
 
     The acceptance sums always add up. A divergent or turned ``sub`` stops
@@ -265,7 +231,8 @@ def _merge(tree, sub, direction, rng, biased):
     ``biased`` (the top level of a transition, favouring the fresh subtree)
     or w_sub / (w_tree + w_sub) (inside a subtree), the uniform drawn only
     where the total weight is positive; the far edge moves to ``sub``'s, and
-    the tree has turned if its new ends would move back inward.
+    the tree has turned if its new ends would move back inward, by the
+    map's compiled U-turn test ``turned``.
     """
     tree.sum_alpha += sub.sum_alpha
     tree.n_alpha += sub.n_alpha
@@ -282,64 +249,58 @@ def _merge(tree, sub, direction, rng, biased):
         tree.right = sub.right
     else:
         tree.left = sub.left
-    tree.turned = _turned(tree.left, tree.right)
+    tree.turned = turned(tree.left, tree.right)
     return tree
 
 
-def _build_subtree(edge, direction, depth, eps, h0, value_and_grad, rng):
-    """Build a subtree of 2**depth leaves from a trajectory edge ``(z, p, grad)``.
+def _build_subtree(edge, direction, depth, eps, h0, whitening, rng):
+    """Build a subtree of 2**depth leaves from a trajectory edge ``(u, p, grad)``.
 
-    A leaf is one leapfrog step. Its log weight is -(H - H0), its acceptance
-    statistic min(1, exp(H0 - H)), and it is divergent where H - H0 exceeds
-    ``DIVERGENCE_THRESHOLD``; a non-finite energy error counts as +inf, so
-    the log weight is finite or -inf. A leaf draws no random numbers. A
-    deeper subtree merges its two halves with a multinomial pick.
+    A leaf is one call of the map's compiled ``leaf``. Its log weight is
+    -(H - H0), its acceptance statistic min(1, exp(H0 - H)), and it is
+    divergent where H - H0 exceeds ``DIVERGENCE_THRESHOLD``; a non-finite
+    energy error counts as +inf, so the log weight is finite or -inf. A leaf
+    draws no random numbers. A deeper subtree merges its two halves with a
+    multinomial pick.
     """
     if depth == 0:
-        z, p, g = edge
-        z1, p1, v1, g1 = leapfrog(z, p, g, direction * eps, value_and_grad)
-        h1 = -v1 + _kinetic(p1) if math.isfinite(v1) else math.inf
-        delta_h = h1 - h0
-        if not math.isfinite(delta_h):
-            delta_h = math.inf
-        leaf = _TreeState(z1, p1, g1, v1)
+        u1, p1, v1, g1, k1 = whitening.leaf(*edge, direction * eps)
+        delta_h = _energy_error(v1, k1, h0)
+        leaf = _TreeState(u1, p1, g1, v1)
         leaf.log_weight = -delta_h
         leaf.sum_alpha = math.exp(-delta_h) if delta_h > 0.0 else 1.0
         leaf.n_alpha = 1
         leaf.divergent = delta_h > DIVERGENCE_THRESHOLD
         return leaf
 
-    tree = _build_subtree(edge, direction, depth - 1, eps, h0, value_and_grad, rng)
+    tree = _build_subtree(edge, direction, depth - 1, eps, h0, whitening, rng)
     if tree.divergent or tree.turned:
         return tree
     sub = _build_subtree(tree.right if direction > 0 else tree.left, direction,
-                         depth - 1, eps, h0, value_and_grad, rng)
-    return _merge(tree, sub, direction, rng, False)
+                         depth - 1, eps, h0, whitening, rng)
+    return _merge(tree, sub, direction, rng, False, whitening.turned)
 
 
-def _momentum(rng, dim: int) -> list[float]:
-    """A draw p ~ N(0, I): the sampler's one numpy call per transition."""
-    return rng.standard_normal(dim).tolist()
+def nuts_draw(u, value, grad, eps, rng, whitening, max_tree_depth: int = MAX_TREE_DEPTH):
+    """One NUTS transition from (u, value, grad) in the coordinates of
+    ``whitening``, a :func:`whitening_map`, whose ``pulled_back`` gave
+    ``value`` and ``grad`` at ``u``.
 
-
-def nuts_draw(z, value, grad, eps, rng, value_and_grad, max_tree_depth: int = MAX_TREE_DEPTH):
-    """One NUTS transition from (z, value, grad).
-
-    Returns ``(z, value, grad, info)`` where info carries ``accept_stat``
+    Returns ``(u, value, grad, info)`` where info carries ``accept_stat``
     (mean Metropolis statistic over evaluated leaves, in (0, 1]),
     ``divergent``, and ``depth`` (number of doublings performed).
     """
     # silence overflow on exploding trajectories once for the transition
     with np.errstate(over="ignore", invalid="ignore"):
-        p0 = _momentum(rng, len(z))
-        h0 = -value + _kinetic(p0)
-        tree = _TreeState(z, p0, grad, value)  # the start enters with weight exp(0)
+        p0 = rng.standard_normal(len(u)).tolist()
+        h0 = -value + whitening.kinetic(p0)
+        tree = _TreeState(u, p0, grad, value)  # the start enters with weight exp(0)
         depth = 0
         for depth in range(max_tree_depth + 1):
             direction = 1 if rng.random() < 0.5 else -1
             sub = _build_subtree(tree.right if direction > 0 else tree.left, direction,
-                                 depth, eps, h0, value_and_grad, rng)
-            _merge(tree, sub, direction, rng, True)
+                                 depth, eps, h0, whitening, rng)
+            _merge(tree, sub, direction, rng, True, whitening.turned)
             if tree.divergent or tree.turned:
                 break
 
@@ -373,23 +334,21 @@ class _DualAveraging:
         return math.exp(self.log_eps_bar)
 
 
-def _find_reasonable_eps(z, value, grad, rng, value_and_grad) -> float:
-    """Double or halve eps from 1 until one leapfrog step's acceptance ratio
-    crosses 1/2, or eps reaches 1e-10 or 1e7."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        p = _momentum(rng, len(z))
-        h0 = -value + _kinetic(p)
-        eps, direction = 1.0, 0.0
-        while True:
-            # a one-leaf subtree's log weight is the step's log acceptance ratio
-            log_ratio = _build_subtree((z, p, grad), 1, 0, eps, h0, value_and_grad,
-                                       rng).log_weight
-            direction = direction or (1.0 if log_ratio > math.log(0.5) else -1.0)
-            if direction * log_ratio <= direction * math.log(0.5):
-                return eps
-            eps *= 2.0 ** direction
-            if not (1e-10 < eps < 1e7):
-                return min(max(eps, 1e-10), 1e7)
+def _find_reasonable_eps(u, value, grad, rng, whitening) -> float:
+    """Double or halve eps from 1 until one leaf's acceptance ratio crosses
+    1/2, or eps reaches 1e-10 or 1e7."""
+    p = rng.standard_normal(len(u)).tolist()
+    h0 = -value + whitening.kinetic(p)
+    eps, direction = 1.0, 0.0
+    while True:
+        _, _, v1, _, k1 = whitening.leaf(u, p, grad, eps)
+        log_ratio = -_energy_error(v1, k1, h0)
+        direction = direction or (1.0 if log_ratio > math.log(0.5) else -1.0)
+        if direction * log_ratio <= direction * math.log(0.5):
+            return eps
+        eps *= 2.0 ** direction
+        if not (1e-10 < eps < 1e7):
+            return min(max(eps, 1e-10), 1e7)
 
 
 def _cholesky(a: list[list[float]]) -> Union[list[list[float]], None]:
@@ -519,63 +478,144 @@ def _dot(terms) -> str:
 
 
 def _whitening(value_and_grad, mode: list[float], low: list[list[float]]):
-    """The map ``z(u) = mode + L^-T u`` and the target pulled back through it.
+    """The map ``z(u) = mode + L^-T u``, the target pulled back through it,
+    and the leapfrog leaf, U-turn test and kinetic energy in ``u``.
 
-    Returns ``(position, pulled_back, variances)``: ``position(u)`` is z(u);
-    ``pulled_back(u)`` is ``(logp(z(u)), L^-1 grad)``, the log density in
-    ``u`` up to the constant log |det L^-T|; ``variances`` is the diagonal of
-    L^-T L^-1. Both functions are straight-line float code, compiled here
-    once, with the mode and the nonzero entries of L^-1 (its columns for the
-    position, its rows for the gradient) written in as constants; each sum
-    starts at 0.0 and adds left to right. A position that overflows is off
-    the support and calls nothing; ``pulled_back.calls[0]`` counts the calls
-    of ``value_and_grad``.
+    Returns ``(position, pulled_back, leaf, turned, kinetic, variances)``:
+
+    - ``position(u)`` is z(u);
+    - ``pulled_back(u)`` is ``(logp(z(u)), L^-1 grad)``, the log density in
+      ``u`` up to the constant log |det L^-T|;
+    - ``leaf(u, p, g, eps)`` is one unit-metric leapfrog step from ``u``,
+      momentum ``p`` and pulled-back gradient ``g``: a half-kick, the drift,
+      ``pulled_back`` at the new ``u`` and a second half-kick. It returns
+      ``(u', p', value, g', kinetic(p'))``; a drift that overflows returns
+      ``(u, p, -inf, zeros, kinetic(p))`` and calls nothing;
+    - ``turned(left, right)`` is the U-turn test on two trajectory edges
+      ``(u, p, g)``: whether either end would move back inward;
+    - ``kinetic(p)`` is p.p / 2, or inf where that is not finite;
+    - ``variances`` is the diagonal of L^-T L^-1.
+
+    The functions are straight-line float code, compiled here once and
+    unrolled over ``dim``, with the mode and the nonzero entries of L^-1
+    (its columns for the position, its rows for the gradient) written in as
+    constants; each sum starts at 0.0 and adds left to right, so no BLAS
+    dot, whose order follows the CPU, rounds it. A position that overflows
+    is off the support, has log density -inf and zero gradient, and calls
+    nothing; ``pulled_back.calls[0]`` counts the calls of
+    ``value_and_grad``, the leaf's included.
     """
     inv = _lower_inverse(low)
     dim = len(mode)
-    u, z, g = ([f"{name}{k}" for k in range(dim)] for name in "uzg")
+    # u, p, g: the leaf's arguments; q, w: its momentum and position; z, y:
+    # the target's position and gradient; r: the pulled-back gradient; a, b
+    # and c, e: the position and momentum of the left and right edges
+    u, p, g, q, w, z, y, r, a, b, c, e = ([f"{name}{k}" for k in range(dim)]
+                                          for name in "upgqwzyrabce")
     names = ", ".join
-    z_of_u = [f"{mode[k]!r} + ({_dot((inv[i][k], u[i]) for i in range(k, dim))})"
-              for k in range(dim)]
+
+    def finite(xs):
+        return " and ".join(f"-inf < {x} < inf" for x in xs)
+
+    def z_of(xs):  # z(x) = mode + L^-T x
+        return [f"{mode[k]!r} + ({_dot((inv[i][k], xs[i]) for i in range(k, dim))})"
+                for k in range(dim)]
+
+    def pull_back(xs):  # L^-1 x
+        return [_dot((inv[i][j], xs[j]) for j in range(i + 1)) for i in range(dim)]
+
+    def dot(xs, ys):
+        return " + ".join(["0.0"] + [f"{x} * {y}" for x, y in zip(xs, ys)])
+
+    dz = [f"({ck} - {ak})" for ak, ck in zip(a, c)]
+
     source = "\n".join([
         "def position(u):",
         f"    {names(u)}, = u",
-        f"    return [{names(z_of_u)}]",
+        f"    return [{names(z_of(u))}]",
         "def pulled_back(u):",
         f"    {names(u)}, = u",
-        *(f"    {zk} = {expr}" for zk, expr in zip(z, z_of_u)),
-        "    if not (" + " and ".join(f"-inf < {zk} < inf" for zk in z) + "):",
+        *(f"    {zk} = {expr}" for zk, expr in zip(z, z_of(u))),
+        f"    if not ({finite(z)}):",
         f"        return -inf, [0.0] * {dim}",
         "    calls[0] += 1",
         f"    value, ({names(g)},) = value_and_grad([{names(z)}])",
-        "    return value, [" + names(_dot((inv[i][j], g[j]) for j in range(i + 1))
-                                  for i in range(dim)) + "]",
+        f"    return value, [{names(pull_back(g))}]",
+        "def kinetic(p):",
+        f"    {names(p)}, = p",
+        f"    k = 0.5 * ({dot(p, p)})",
+        "    return k if k < inf else inf",
+        "def turned(left, right):",
+        f"    ({names(a)},), ({names(b)},), _ = left",
+        f"    ({names(c)},), ({names(e)},), _ = right",
+        f"    return {dot(dz, b)} < 0.0 or {dot(dz, e)} < 0.0",
+        "def leaf(u, p, g, eps):",
+        f"    {names(u)}, = u",
+        f"    {names(p)}, = p",
+        f"    {names(g)}, = g",
+        "    half = 0.5 * eps",
+        *(f"    {qk} = {pk} + half * {gk}" for qk, pk, gk in zip(q, p, g)),
+        *(f"    {wk} = {uk} + eps * {qk}" for wk, uk, qk in zip(w, u, q)),
+        f"    if not ({finite(w)}):",
+        f"        return u, p, -inf, [0.0] * {dim}, kinetic(p)",
+        *(f"    {zk} = {expr}" for zk, expr in zip(z, z_of(w))),
+        f"    if {finite(z)}:",
+        "        calls[0] += 1",
+        f"        value, ({names(y)},) = value_and_grad([{names(z)}])",
+        *(f"        {rk} = {expr}" for rk, expr in zip(r, pull_back(y))),
+        "    else:",
+        "        value = -inf",
+        f"        {' = '.join(r)} = 0.0",
+        *(f"    {qk} = {qk} + half * {rk}" for qk, rk in zip(q, r)),
+        f"    k = 0.5 * ({dot(q, q)})",
+        f"    return [{names(w)}], [{names(q)}], value, [{names(r)}], k if k < inf else inf",
     ])
     scope = {"value_and_grad": value_and_grad, "calls": [0], "inf": math.inf, "nan": math.nan}
     exec(compile(source, "<whitening>", "exec"), scope)
-    position, pulled_back = scope["position"], scope["pulled_back"]
-    pulled_back.calls = scope["calls"]
+    scope["pulled_back"].calls = scope["calls"]
     variances = [math.fsum(inv[i][k] * inv[i][k] for i in range(k, dim)) for k in range(dim)]
-    return position, pulled_back, variances
+    return (*(scope[name] for name in ("position", "pulled_back", "leaf", "turned", "kinetic")),
+            variances)
 
 
-def _warmup_chain(value_and_grad, u, cfg: SamplerConfig, rng, chain: int):
+def _metropolis_step(u, value, grad, eps, rng, whitening):
+    """One leapfrog Metropolis step from (u, value, grad): returns ``(u,
+    value, grad, accept_stat)``, as ``nuts_draw(..., max_tree_depth=0)``
+    returns them with ``info["accept_stat"]``, without building its tree.
+
+    It draws what that transition draws, in its order: the momentum, the
+    direction's uniform, then, unless the leaf is divergent, the uniform
+    that accepts it. The caller silences floating-point errors.
+    """
+    p = rng.standard_normal(len(u)).tolist()
+    h0 = -value + whitening.kinetic(p)
+    u1, _, v1, g1, k1 = whitening.leaf(u, p, grad, eps if rng.random() < 0.5 else -eps)
+    delta_h = _energy_error(v1, k1, h0)
+    alpha = math.exp(-delta_h) if delta_h > 0.0 else 1.0
+    if delta_h <= DIVERGENCE_THRESHOLD and math.log(rng.random()) < -delta_h:
+        return u1, v1, g1, alpha
+    return u, value, grad, alpha
+
+
+def _warmup_chain(whitening, u, cfg: SamplerConfig, rng, chain: int):
     """One step-size search from ``u``, then ``cfg.n_tune`` single leapfrog
-    Metropolis steps (depth-0 transitions) on the unit metric, each feeding
-    its acceptance statistic min(1, exp(-dH)) to dual averaging of the step
-    size; returns (u, value, grad, eps)."""
-    value, grad = value_and_grad(u)
+    Metropolis steps on the unit metric, each feeding its acceptance
+    statistic min(1, exp(-dH)) to dual averaging of the step size; returns
+    (u, value, grad, eps)."""
+    value, grad = whitening.pulled_back(u)
     if not math.isfinite(value):
         raise DomainError(f"chain {chain}: initial point has zero posterior density")
-    eps = _find_reasonable_eps(u, value, grad, rng, value_and_grad)
-    if cfg.n_tune == 0:
-        return u, value, grad, 0.5 * eps
-    da = _DualAveraging(eps, TARGET_ACCEPT)
-    alphas = []
-    for _ in range(cfg.n_tune):
-        u, value, grad, info = nuts_draw(u, value, grad, eps, rng, value_and_grad, 0)
-        alphas.append(info["accept_stat"])
-        eps = da.update(alphas[-1])
+    # silence overflow on exploding trajectories once for the whole warmup
+    with np.errstate(over="ignore", invalid="ignore"):
+        eps = _find_reasonable_eps(u, value, grad, rng, whitening)
+        if cfg.n_tune == 0:
+            return u, value, grad, 0.5 * eps
+        da = _DualAveraging(eps, TARGET_ACCEPT)
+        alphas = []
+        for _ in range(cfg.n_tune):
+            u, value, grad, alpha = _metropolis_step(u, value, grad, eps, rng, whitening)
+            alphas.append(alpha)
+            eps = da.update(alpha)
     mean_tail = float(np.mean(alphas[-100:]))
     if mean_tail < _MIN_ACCEPT:
         raise AdaptationFailedError(chain, mean_tail)
@@ -583,10 +623,14 @@ def _warmup_chain(value_and_grad, u, cfg: SamplerConfig, rng, chain: int):
 
 
 class WhiteningMap(NamedTuple):
-    """One target's map ``z(u) = mode + L^-T u``, found once and shared by its chains."""
+    """One target's map ``z(u) = mode + L^-T u``, found once and shared by its
+    chains, with the leapfrog step compiled for it (see :func:`_whitening`)."""
 
     position: Callable[[list[float]], list[float]]  # z(u)
     pulled_back: Callable  # u -> (logp(z(u)), L^-1 grad); its calls[0] counts gradients
+    leaf: Callable         # (u, p, g, eps) -> (u', p', logp, g', kinetic): one leapfrog step
+    turned: Callable       # (left, right) edges (u, p, g) -> whether the trajectory turned
+    kinetic: Callable      # p -> p.p / 2
     mass_diag: np.ndarray  # [dim] Laplace marginal variances, or ones on fallback
     init_metric: str       # "laplace", or "unit" where the mode search fell back
     n_search: int          # gradient calls of the mode search
@@ -613,8 +657,8 @@ def whitening_map(target, cfg: SamplerConfig) -> WhiteningMap:
         laplace = _laplace(search_value_and_grad, start) if cfg.n_tune else None
     mode, low = laplace or (start, [[float(i == j) for j in range(len(start))]
                                     for i in range(len(start))])
-    position, pulled_back, variances = _whitening(target.value_and_grad, mode, low)
-    return WhiteningMap(position, pulled_back, np.array(variances),
+    *compiled, variances = _whitening(target.value_and_grad, mode, low)
+    return WhiteningMap(*compiled, np.array(variances),
                         "unit" if laplace is None else "laplace", n_search)
 
 
@@ -656,7 +700,7 @@ def run_chain(target, cfg: SamplerConfig, whitening: WhiteningMap, chain: int) -
         if math.isfinite(pulled_back(u0.tolist())[0]):
             break
         u0 = 0.5 * u0
-    u, value, grad, eps = _warmup_chain(pulled_back, u0.tolist(), cfg, rng, chain)
+    u, value, grad, eps = _warmup_chain(whitening, u0.tolist(), cfg, rng, chain)
     n_warmup = calls[0] - counted
 
     draws = np.empty((cfg.n_draw, dim))
@@ -664,7 +708,7 @@ def run_chain(target, cfg: SamplerConfig, whitening: WhiteningMap, chain: int) -
     divergent = np.zeros(cfg.n_draw, dtype=bool)
     depth = np.zeros(cfg.n_draw, dtype=np.int16)
     for it in range(cfg.n_draw):
-        u, value, grad, info = nuts_draw(u, value, grad, eps, rng, pulled_back)
+        u, value, grad, info = nuts_draw(u, value, grad, eps, rng, whitening)
         z = whitening.position(u)
         draws[it] = constrain(z) if constrain is not None else z
         accept[it] = info["accept_stat"]

@@ -17,51 +17,61 @@ from gainloss import errors, nuts
 from gainloss.diagnostics import ess, gelman_rubin
 from gainloss.errors import AdaptationFailedError, DomainError
 from gainloss.models import FAMILIES, ModelKind, ModelSpec, Posterior
-from gainloss.nuts import (SamplerConfig, leapfrog, nuts_draw, run_chain, run_chains,
-                           whitening_map)
+from gainloss.nuts import SamplerConfig, nuts_draw, run_chain, run_chains, whitening_map
 from gainloss.pipeline import prepare_sample, synthetic_gbm_series
+from nuts_oracle import kinetic, leapfrog, turned
 
 UNIT_1D = GaussianTarget([1.0])
 
 
+def unit_map(target):
+    """The identity map around the origin, in whose coordinates the compiled
+    leaf is a leapfrog step on ``target`` itself."""
+    return whitening_map(target, SamplerConfig(n_tune=0))
+
+
 class TestLeapfrog:
+    """The compiled leaf on the identity map."""
+
     def test_harmonic_oscillator_hand_expansion(self):
         # from rest at q0: q1 = q0 (1 - eps^2/2), p1 = -eps q0 (1 - eps^2/4)
         eps = 0.1
         z0, p0 = [1.0], [0.0]
         grad0 = UNIT_1D.value_and_grad(z0)[1]
-        z1, p1, v1, g1 = leapfrog(z0, p0, grad0, eps, UNIT_1D.value_and_grad)
+        z1, p1, v1, g1, k1 = unit_map(UNIT_1D).leaf(z0, p0, grad0, eps)
         assert z1[0] == 1.0 - eps**2 / 2.0
         assert p1[0] == -eps * (1.0 - eps**2 / 4.0)
         assert v1 == UNIT_1D.value_and_grad(z1)[0]
         assert g1[0] == -z1[0]
+        assert k1 == 0.5 * (p1[0] * p1[0])
 
     def test_single_step_reversibility(self):
         rng = np.random.default_rng(50)
         cov = np.array([[2.0, 0.7, 0.0], [0.7, 1.0, 0.3], [0.0, 0.3, 0.5]])
         target = CorrelatedGaussianTarget(cov)
+        leaf = unit_map(target).leaf
         z0 = rng.standard_normal(3).tolist()
         p0 = rng.standard_normal(3).tolist()
         g0 = target.value_and_grad(z0)[1]
-        z1, p1, _, g1 = leapfrog(z0, p0, g0, 0.2, target.value_and_grad)
-        z2, p2, _, _ = leapfrog(z1, [-v for v in p1], g1, 0.2, target.value_and_grad)
+        z1, p1, _, g1, _ = leaf(z0, p0, g0, 0.2)
+        z2, p2, _, _, _ = leaf(z1, [-v for v in p1], g1, 0.2)
         assert np.allclose(z2, z0, atol=1e-10)
         assert np.allclose(np.negative(p2), p0, atol=1e-10)
 
     def test_energy_drift_stays_small(self):
         eps = 0.01
+        leaf = unit_map(UNIT_1D).leaf
         z, p = [1.0], [0.5]
         value, grad = UNIT_1D.value_and_grad(z)
         h0 = -value + 0.5 * p[0] * p[0]
         for _ in range(100):
-            z, p, value, grad = leapfrog(z, p, grad, eps, UNIT_1D.value_and_grad)
-        h1 = -value + 0.5 * p[0] * p[0]
-        assert abs(h1 - h0) < 1e-3
+            z, p, value, grad, k = leaf(z, p, grad, eps)
+        assert abs(-value + k - h0) < 1e-3
 
     def test_exploding_step_returns_divergent_leaf(self):
         z, p = [1.0], [1.0]
         grad = UNIT_1D.value_and_grad(z)[1]
-        z1, p1, value, grad1 = leapfrog(z, p, grad, 1e200, UNIT_1D.value_and_grad)
+        z1, p1, value, grad1, _ = unit_map(UNIT_1D).leaf(z, p, grad, 1e200)
         assert value == -np.inf
         assert np.all(np.isfinite(z1)) and np.all(np.isfinite(p1))
         assert np.array_equal(grad1, np.zeros(1))
@@ -72,6 +82,7 @@ class TestNutsDraw:
         # replay each transition from a twin generator: the momentum, the
         # direction, one leapfrog step, then the uniform of the pick
         rng, twin = np.random.default_rng(51), np.random.default_rng(51)
+        whitening = unit_map(UNIT_1D)
         eps, z = 1.2, [0.3]
         value, grad = UNIT_1D.value_and_grad(z)
         moved = []
@@ -82,7 +93,7 @@ class TestNutsDraw:
             log_ratio = (-value + 0.5 * (p0[0] * p0[0])) - (-v1 + 0.5 * (p1[0] * p1[0]))
             moved.append(math.log(twin.random()) < log_ratio)
             z_new, v_new, g_new, info = nuts_draw(
-                z, value, grad, eps, rng, UNIT_1D.value_and_grad, max_tree_depth=0
+                z, value, grad, eps, rng, whitening, max_tree_depth=0
             )
             assert info["depth"] == 0
             assert info["accept_stat"] == min(1.0, math.exp(log_ratio))
@@ -95,11 +106,9 @@ class TestNutsDraw:
         target = GaussianTarget(np.ones(4))
         z = rng.standard_normal(4).tolist()
         value, grad = target.value_and_grad(z)
-        depths = []
+        depths, whitening = [], unit_map(target)
         for _ in range(50):
-            z, value, grad, info = nuts_draw(
-                z, value, grad, 0.4, rng, target.value_and_grad
-            )
+            z, value, grad, info = nuts_draw(z, value, grad, 0.4, rng, whitening)
             assert set(info) == {"accept_stat", "divergent", "depth"}
             assert 0.0 <= info["accept_stat"] <= 1.0
             depths.append(info["depth"])
@@ -110,11 +119,9 @@ class TestNutsDraw:
         target = GaussianTarget([1e-6])  # extremely narrow
         z = [0.0]
         value, grad = target.value_and_grad(z)
-        flags = []
+        flags, whitening = [], unit_map(target)
         for _ in range(20):
-            _, _, _, info = nuts_draw(
-                z, value, grad, 50.0, rng, target.value_and_grad
-            )
+            _, _, _, info = nuts_draw(z, value, grad, 50.0, rng, whitening)
             flags.append(info["divergent"])
         assert any(flags)
 
@@ -191,9 +198,10 @@ class TestRunChains:
         # at a step this small no trajectory turns within 2**3 steps, so the cap binds
         rng = np.random.default_rng(14)
         z, value, grad = [0.5, -0.5], *target.value_and_grad([0.5, -0.5])
+        whitening = unit_map(target)
         for _ in range(20):
-            z, value, grad, info = nuts_draw(z, value, grad, 1e-3, rng,
-                                             target.value_and_grad, max_tree_depth=2)
+            z, value, grad, info = nuts_draw(z, value, grad, 1e-3, rng, whitening,
+                                             max_tree_depth=2)
             assert info["depth"] == 2
 
     def test_param_name_helpers(self):
@@ -239,9 +247,10 @@ class TestFloatingPointErrors:
     def test_exploding_leapfrog_step_warns_nothing(self):
         z, p = [1.0], [1.0]
         grad = UNIT_1D.value_and_grad(z)[1]
+        leaf = unit_map(UNIT_1D).leaf
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            _, _, value, _ = leapfrog(z, p, grad, 1e200, UNIT_1D.value_and_grad)
+            _, _, value, _, _ = leaf(z, p, grad, 1e200)
         assert value == -np.inf
 
     @pytest.mark.parametrize("eps", [1e2, 1e5, 1e200])
@@ -636,11 +645,11 @@ class TestLaplaceMetric:
         starts = []
         warmup = nuts._warmup_chain
 
-        def spy(value_and_grad, u0, cfg, rng, chain):
+        def spy(whitening, u0, cfg, rng, chain):
             starts.append(u0)
             # the whitened origin is the mode
-            assert value_and_grad([0.0] * len(u0))[0] == target.value_and_grad(mode)[0]
-            return warmup(value_and_grad, u0, cfg, rng, chain)
+            assert whitening.pulled_back([0.0] * len(u0))[0] == target.value_and_grad(mode)[0]
+            return warmup(whitening, u0, cfg, rng, chain)
 
         monkeypatch.setattr(nuts, "_warmup_chain", spy)
         cfg = SamplerConfig(n_chains=2, n_draw=10, n_tune=80, seed=30)
@@ -706,8 +715,9 @@ class TestWhitening:
             start = (target.initial_unconstrained().tolist()
                      if hasattr(target, "initial_unconstrained") else [0.5] * target.dim)
             mode, low = nuts._laplace(target.value_and_grad, start)
-            out[name] = (target, mode, low,
-                         *nuts._whitening(target.value_and_grad, mode, low))
+            position, pulled_back, *_, variances = nuts._whitening(target.value_and_grad,
+                                                                   mode, low)
+            out[name] = (target, mode, low, position, pulled_back, variances)
         return out
 
     @pytest.mark.parametrize("name", ["student-t", "inv-gamma", "gaussian"])
@@ -742,7 +752,7 @@ class TestWhitening:
         # a finite u can map past the largest float where L^-1 has entries above 1
         target = CorrelatedGaussianTarget([[4.0, 3.8], [3.8, 4.0]])
         mode, low = nuts._laplace(target.value_and_grad, [0.0, 0.0])
-        position, pulled_back, _ = nuts._whitening(target.value_and_grad, mode, low)
+        position, pulled_back, *_ = nuts._whitening(target.value_and_grad, mode, low)
         huge = [1e308, -1e308]
         assert not all(map(math.isfinite, position(huge)))
         assert pulled_back(huge) == (-math.inf, [0.0, 0.0])
@@ -771,6 +781,138 @@ class TestWhitening:
         target = pool_targets["inv-gamma"]
         trace = run_chains(target, SamplerConfig(n_chains=1, n_draw=300, n_tune=300, seed=5))
         assert trace.n_grad.sum() < 3000
+
+
+def bits(x):
+    """``x`` with every float as its hex form, so that == compares floats bit
+    for bit, the sign of zero and NaN included."""
+    if isinstance(x, float):
+        return x.hex()
+    if isinstance(x, (list, tuple)):
+        return [bits(v) for v in x]
+    return x
+
+
+def ci_posteriors():
+    """The posteriors of CI's gradient-cost step: IG on 25k days at barrier
+    scale 2, and Student-t on 3.3k days."""
+    posts = {}
+    for kind, days, scale in ((ModelKind.INV_GAMMA, 25000, 2.0), (ModelKind.STUDENT_T, 3300, 1.0)):
+        series = synthetic_gbm_series(days, 0.012, lam=3e-4, seed=7)
+        rho = prepare_sample(series, 252)[1]
+        logs = prepare_sample(series, 252, rho=scale * rho)[3]
+        low = FAMILIES[kind].data_low
+        xp, xm = logs.x_plus[logs.x_plus > low], logs.x_minus[logs.x_minus > low]
+        posts[f"{kind}-{days}"] = Posterior(ModelSpec.from_data(kind, xp, xm), xp, xm)
+    return posts
+
+
+class TestCompiledLeaf:
+    """Each map's compiled leaf, U-turn test and kinetic energy against the
+    generic oracles in ``nuts_oracle``, bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def maps(self):
+        targets = {**ci_posteriors(),
+                   "gaussian": CorrelatedGaussianTarget([[2.0, 0.9, 0.3], [0.9, 1.0, -0.2],
+                                                         [0.3, -0.2, 0.5]])}
+        cfg = SamplerConfig(n_tune=10)
+        return {name: whitening_map(target, cfg) for name, target in targets.items()}
+
+    @staticmethod
+    def assert_leaf_matches(whitening, u, p, g, eps):
+        """leaf(u, p, g, eps) against leapfrog then kinetic; returns the
+        gradient calls the leaf made, which must be the oracle's."""
+        calls = whitening.pulled_back.calls
+        before = calls[0]
+        want = leapfrog(u, p, g, eps, whitening.pulled_back)
+        oracle_calls = calls[0] - before
+        got = whitening.leaf(u, p, g, eps)
+        assert bits(got) == bits([*want, kinetic(want[1])])
+        assert calls[0] - before == 2 * oracle_calls
+        return oracle_calls
+
+    @pytest.mark.parametrize("name", ["inv-gamma-25000", "student-t-3300", "gaussian"])
+    def test_the_leaf_is_leapfrog_then_kinetic(self, maps, name):
+        whitening = maps[name]
+        dim = whitening.mass_diag.shape[0]
+        rng = np.random.default_rng(70)
+        for _ in range(200):
+            u, p, g = (rng.standard_normal(dim).tolist() for _ in range(3))
+            eps = float(rng.choice([-1.0, 1.0]) * rng.uniform(0.01, 2.0))
+            # an evaluated leaf calls the target once
+            assert self.assert_leaf_matches(whitening, u, p, g, eps) == 1
+
+    @pytest.mark.parametrize("name", ["inv-gamma-25000", "student-t-3300", "gaussian"])
+    def test_a_drift_that_overflows_returns_the_start(self, maps, name):
+        whitening = maps[name]
+        dim = whitening.mass_diag.shape[0]
+        u, p, g = [0.5] * dim, [4.0] * dim, [0.0] * dim
+        for eps in (1e308, -1e308):
+            assert self.assert_leaf_matches(whitening, u, p, g, eps) == 0
+            got = whitening.leaf(u, p, g, eps)
+            assert got[0] is u and got[1] is p and got[2] == -math.inf
+
+    def test_a_position_that_overflows_has_zero_density(self):
+        # a finite u can map past the largest float where L^-1 has entries above 1
+        whitening = whitening_map(CorrelatedGaussianTarget([[4.0, 3.8], [3.8, 4.0]]),
+                                  SamplerConfig(n_tune=10))
+        u = [1e308, -1e308]
+        for p, g in (([0.0, 0.0], [0.0, 0.0]), ([1.0, -2.0], [0.5, 0.25])):
+            assert self.assert_leaf_matches(whitening, u, p, g, 1e-3) == 0
+            assert whitening.leaf(u, p, g, 1e-3)[2] == -math.inf
+
+    @pytest.mark.parametrize("name", ["inv-gamma-25000", "student-t-3300"])
+    def test_a_target_at_minus_inf(self, maps, name):
+        # a scale coordinate far out rounds its transform onto the bound
+        whitening = maps[name]
+        dim = whitening.mass_diag.shape[0]
+        for sign in (1.0, -1.0):
+            u = [0.0] * dim
+            u[1] = sign * 1e6
+            assert self.assert_leaf_matches(whitening, u, [0.0] * dim, [0.0] * dim, 1e-3) == 1
+            assert whitening.leaf(u, [0.0] * dim, [0.0] * dim, 1e-3)[2] == -math.inf
+
+    @pytest.mark.parametrize("name", ["inv-gamma-25000", "student-t-3300", "gaussian"])
+    def test_the_u_turn_test_and_kinetic_energy_match_their_oracles(self, maps, name):
+        whitening = maps[name]
+        dim = whitening.mass_diag.shape[0]
+        rng = np.random.default_rng(71)
+        seen = set()
+        for _ in range(300):
+            left, right = ((rng.standard_normal(dim).tolist(), rng.standard_normal(dim).tolist(),
+                            None) for _ in range(2))
+            seen.add(turned(left, right))
+            assert whitening.turned(left, right) == turned(left, right)
+            assert bits(whitening.kinetic(left[1])) == bits(kinetic(left[1]))
+        assert seen == {False, True}
+        assert whitening.kinetic([1e200] * dim) == kinetic([1e200] * dim) == math.inf
+
+    @pytest.mark.parametrize("name", ["student-t", "inv-gamma"])
+    def test_a_warmup_step_replays_a_depth_zero_transition(self, pool_targets, name):
+        whitening = whitening_map(pool_targets[name], SamplerConfig(n_tune=10))
+        dim = whitening.mass_diag.shape[0]
+        rng, twin = (np.random.Generator(np.random.Philox(72)) for _ in range(2))
+        steps = np.random.default_rng(73).uniform(0.2, 2.0, 300).tolist()
+        steps[150] = 1e3  # far too long a step: a divergent leaf
+        u = [0.2] * dim
+        state = (u, *whitening.pulled_back(u))
+        moved = []
+        # the step leaves silencing floating-point errors to its caller
+        with np.errstate(over="ignore", invalid="ignore"):
+            for eps in steps:
+                *step, accept_stat = nuts._metropolis_step(*state, eps, rng, whitening)
+                *draw, info = nuts_draw(*state, eps, twin, whitening, max_tree_depth=0)
+                assert bits(step) == bits(draw)
+                assert bits(accept_stat) == bits(info["accept_stat"])
+                assert info["divergent"] or eps != 1e3
+                if info["divergent"]:
+                    # neither drew the uniform of the pick
+                    assert step[0] is state[0]
+                    assert rng.random() == twin.random()
+                moved.append(step[0] is not state[0])
+                state = tuple(step)
+        assert any(moved) and not all(moved)
 
 
 def package_errors(cls=errors.GainLossError):
