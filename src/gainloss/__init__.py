@@ -59,10 +59,6 @@ from .models import (
     ModelSpec,
     Posterior,
     SidePrior,
-    ig_moments,
-    ig_shape_rate,
-    invgamma_logpdf,
-    student_logpdf,
 )
 from .nuts import SamplerConfig, Trace, nuts_draw, run_chains, save_trace
 from .pipeline import (

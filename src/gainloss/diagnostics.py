@@ -21,7 +21,7 @@ value and one column per draw, a block of rows at a time, from a
 for. Each row's lppd and p_waic terms are reductions along its contiguous
 draw axis, which numpy sums pairwise within the row, so a row's terms do
 not depend on the block it falls in, nor on the worker process that
-computes the block: the blocks are :func:`~gainloss.nuts.fork_map` tasks.
+computes the block: the blocks are :func:`~gainloss.workers.fork_map` tasks.
 Held whole, the matrix of the default 4 x 4000 draws would take 1.4 GB for
 the 10.9k distinct hitting times of a synthetic 25k-day series at barrier
 scale 2.
@@ -44,7 +44,8 @@ from .errors import (
     TooFewSamplesError,
 )
 from .models import LoglikMatrix, Posterior
-from .nuts import Trace, fork_map
+from .nuts import Trace
+from .workers import fork_map
 
 __all__ = [
     "effect_size_draws",
@@ -211,7 +212,7 @@ def _column_terms(ll) -> tuple[np.ndarray, np.ndarray]:
     Both are read as float64 rows, one per observation or distinct value and
     ``LOGLIK_BLOCK // draws`` at a time, so the temporaries stay cache-sized
     and a :class:`~gainloss.models.LoglikMatrix` is never held whole. Each
-    block is one :func:`~gainloss.nuts.fork_map` task, so the blocks spread
+    block is one :func:`~gainloss.workers.fork_map` task, so the blocks spread
     over the usable CPUs, and a single block runs in this process.
     """
     if isinstance(ll, LoglikMatrix):

@@ -12,10 +12,10 @@ class GainLossError(Exception):
     """Base class for all errors raised by this package."""
 
 
-def outcome(make, *args):
-    """``make(*args)``, or the :class:`GainLossError` it raises."""
+def outcome(make, *args, **kwargs):
+    """``make(*args, **kwargs)``, or the :class:`GainLossError` it raises."""
     try:
-        return make(*args)
+        return make(*args, **kwargs)
     except GainLossError as exc:
         return exc
 

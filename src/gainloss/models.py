@@ -71,10 +71,11 @@ float numpy takes a scalar path that costs less than one array call on two.
 
 The report's log likelihoods are computed per side and vectorized over
 draws: a family's ``loglik`` takes each draw's constants (log-gamma and
-logs) once, in Python floats as the one-draw densities do, and applies the
-same elementwise numpy operations to a block of values, one float64 row per
-value and one column per draw, so each entry equals the one-draw density
-bit for bit. A :class:`LoglikMatrix` hands those rows out a block at a time.
+logs) once, in Python floats, and applies elementwise numpy operations to a
+block of values, one float64 row per value and one column per draw, so each
+entry equals the one-draw density of the tests' oracle
+(``tests/models_oracle.py``) bit for bit. A :class:`LoglikMatrix` hands
+those rows out a block at a time.
 """
 
 from __future__ import annotations
@@ -94,10 +95,6 @@ __all__ = [
     "ModelSpec",
     "Family",
     "FAMILIES",
-    "student_logpdf",
-    "invgamma_logpdf",
-    "ig_shape_rate",
-    "ig_moments",
     "Posterior",
     "LoglikMatrix",
 ]
@@ -189,55 +186,6 @@ def _digamma(x: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# densities
-
-
-def student_logpdf(x, mu: float, sigma: float, nu: float):
-    """Log density of the location-scale Student-t (sigma is the scale)."""
-    if sigma <= 0.0 or nu <= 0.0:
-        raise DomainError(f"sigma and nu must be positive, got {sigma}, {nu}")
-    x = np.asarray(x, dtype=np.float64)
-    t2 = ((x - mu) / sigma) ** 2
-    out = (
-        _lgamma((nu + 1.0) / 2.0)
-        - _lgamma(nu / 2.0)
-        - 0.5 * math.log(math.pi * nu)
-        - math.log(sigma)
-        - 0.5 * (nu + 1.0) * np.log1p(t2 / nu)
-    )
-    return out if out.shape else float(out)
-
-
-def invgamma_logpdf(x, alpha: float, beta: float):
-    """Log density of InverseGamma(shape alpha, rate beta) at x > 0."""
-    if alpha <= 0.0 or beta <= 0.0:
-        raise DomainError(f"alpha and beta must be positive, got {alpha}, {beta}")
-    x = np.asarray(x, dtype=np.float64)
-    if np.any(x <= 0.0):
-        raise DomainError("inverse gamma density is defined only for x > 0")
-    out = alpha * math.log(beta) - _lgamma(alpha) - (alpha + 1.0) * np.log(x) - beta / x
-    return out if out.shape else float(out)
-
-
-def ig_shape_rate(m: float, s: float) -> tuple[float, float]:
-    """Map (mean m, std s) to (shape alpha, rate beta); both moments positive."""
-    if m <= 0.0 or s <= 0.0:
-        raise DomainError(f"mean and std must be positive, got {m}, {s}")
-    alpha = 2.0 + (m * m) / (s * s)
-    beta = m * (alpha - 1.0)
-    return alpha, beta
-
-
-def ig_moments(alpha: float, beta: float) -> tuple[float, float]:
-    """Inverse of :func:`ig_shape_rate`; needs alpha > 2 for a finite std."""
-    if alpha <= 2.0 or beta <= 0.0:
-        raise DomainError(f"need alpha > 2 and beta > 0, got {alpha}, {beta}")
-    m = beta / (alpha - 1.0)
-    s = beta / ((alpha - 1.0) * math.sqrt(alpha - 2.0))
-    return m, s
-
-
-# ---------------------------------------------------------------------------
 # per-side families
 
 
@@ -322,7 +270,8 @@ def _student_loglik(theta: np.ndarray):
     """Per-draw constants of the Student-t density under each row (mu, sigma,
     nu) of ``theta``, and the map from values x [k] to log densities [k, draws].
 
-    Each entry rounds exactly as :func:`student_logpdf` at that row.
+    Each entry rounds exactly as ``student_logpdf`` of the tests' density
+    oracle, ``tests/models_oracle.py``, at that row.
     """
     mu, sigma, nu = np.array(theta.T)
     const = np.array([
@@ -371,8 +320,8 @@ def _ig_loglik(theta: np.ndarray):
     """Per-draw constants of the Inverse-Gamma density under each row (m, s)
     of ``theta``, and the map from values x [k] to log densities [k, draws].
 
-    Each entry rounds exactly as :func:`invgamma_logpdf` of
-    :func:`ig_shape_rate` at that row.
+    Each entry rounds exactly as ``invgamma_logpdf`` of ``ig_shape_rate``
+    in the tests' density oracle, ``tests/models_oracle.py``, at that row.
     """
     m, s = np.array(theta.T)
     alpha = 2.0 + (m * m) / (s * s)
@@ -395,10 +344,9 @@ class Family:
     likelihood of the prepared data plus its log prior, as a list of two
     floats, and the gradient as one list; the two side values are returned
     apart so that the posterior adds them in the order it always has.
-    ``logpdf(x, theta)`` is one side's density at each value of ``x``, and
-    ``loglik(thetas)`` its batched form over the rows of a [draws, p] array:
-    it computes the per-draw constants once and returns the map from values
-    x [k] to the [k, draws] log densities.
+    ``loglik(thetas)`` is one side's density, batched over the rows of a
+    [draws, p] array: it computes the per-draw constants once and returns
+    the map from values x [k] to the [k, draws] log densities.
     """
 
     names: tuple[str, ...]
@@ -409,7 +357,6 @@ class Family:
     prepare: Callable[[list[tuple[np.ndarray, np.ndarray]]], object]
     value_grad: Callable[[list[float], object, tuple[SidePrior, SidePrior]],
                          tuple[list[float], list[float]]]
-    logpdf: Callable[[np.ndarray, np.ndarray], np.ndarray]
     loglik: Callable[[np.ndarray], Callable[[np.ndarray], np.ndarray]]
     initial: Callable[[SidePrior], tuple[float, ...]]
 
@@ -429,7 +376,6 @@ FAMILIES: dict[ModelKind, Family] = {
         support=((-math.inf, SIGMA_LOW, NU_SHIFT), (math.inf, SIGMA_HIGH, math.inf)),
         prepare=_student_prepare,
         value_grad=_student_value_grad,
-        logpdf=lambda x, theta: student_logpdf(x, *theta),
         loglik=_student_loglik,
         initial=lambda p: (p.m, _initial_scale(p), NU_INIT),
     ),
@@ -438,7 +384,6 @@ FAMILIES: dict[ModelKind, Family] = {
         support=((0.0, SIGMA_LOW), (math.inf, SIGMA_HIGH)),
         prepare=_ig_prepare,
         value_grad=_ig_value_grad,
-        logpdf=lambda x, theta: invgamma_logpdf(x, *ig_shape_rate(*theta)),
         loglik=_ig_loglik,
         initial=lambda p: (max(p.m, 1e-3), _initial_scale(p)),
     ),

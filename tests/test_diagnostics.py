@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy import signal, stats
 
-from gainloss import diagnostics, nuts
+from gainloss import diagnostics, workers
 from gainloss.diagnostics import (
     FitReport,
     REPORT_CSV_HEADER,
@@ -322,7 +322,7 @@ class TestWaic:
         monkeypatch.setattr(diagnostics, "LOGLIK_BLOCK", 30 * 1000)
         results, terms = [], []
         for cpus in (1, 2, 3):
-            monkeypatch.setattr(nuts, "_usable_cpus", lambda: cpus)
+            monkeypatch.setattr(workers, "_usable_cpus", lambda: cpus)
             results.append(waic(ll, post.counts))
             terms.append(np.concatenate(diagnostics._column_terms(ll)))
         assert results[0] == results[1] == results[2]

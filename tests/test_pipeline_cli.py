@@ -1,8 +1,10 @@
 """Pipeline orchestration and the command line driver."""
 
+import importlib
 import io
 import json
 import math
+import pkgutil
 import subprocess
 import sys
 from dataclasses import asdict, replace
@@ -11,8 +13,9 @@ from xml.etree import ElementTree
 import numpy as np
 import pytest
 
+import gainloss
 from conftest import source_env
-from gainloss import cli, nuts
+from gainloss import cli, nuts, workers
 from gainloss.cli import EXIT_CONVERGENCE, EXIT_INPUT, EXIT_OK, EXIT_PARTIAL, main
 from gainloss.detrend import detrend, threshold_from_std
 from gainloss.diagnostics import REPORT_CSV_HEADER, FitReport, waic
@@ -47,6 +50,7 @@ from gainloss.pipeline import (
 )
 from gainloss.plots import posterior_svg, scan_svg
 from gainloss.series import write_price_csv
+from models_oracle import SIDE_LOGPDF
 
 QUICK = SamplerConfig(n_chains=2, n_draw=150, n_tune=150, seed=11)
 
@@ -168,8 +172,8 @@ class TestFitLogSample:
         xm = logs.x_minus[logs.x_minus > family.data_low]
         assert np.unique(xp).size < xp.size and np.unique(xm).size < xm.size
         k = len(family.names)
-        ll = np.array([np.concatenate([family.logpdf(xp, theta[:k]),
-                                       family.logpdf(xm, theta[k:])])
+        logpdf = SIDE_LOGPDF[kind]
+        ll = np.array([np.concatenate([logpdf(xp, theta[:k]), logpdf(xm, theta[k:])])
                        for theta in trace.draws.reshape(-1, 2 * k)])
         want = waic(ll)
         assert want.n_obs == report.n_plus + report.n_minus
@@ -360,7 +364,7 @@ class TestScans:
         cfg = SamplerConfig(n_chains=3, n_draw=100, n_tune=150, seed=13)
         rows = {}
         for cpus in (1, 4):
-            monkeypatch.setattr(nuts, "_usable_cpus", lambda: cpus)
+            monkeypatch.setattr(workers, "_usable_cpus", lambda: cpus)
             rows[cpus] = scan_rho(series, (ModelKind.STUDENT_T, ModelKind.INV_GAMMA), cfg,
                                   scales=(0.5, 2.0, 400.0), filter_size=100)
         assert scan_points_json(rows[1]) == scan_points_json(rows[4])
@@ -1041,14 +1045,14 @@ NO_NUMPY_RANDOM_SCRIPT = """
 import json, sys
 import numpy as np
 import gainloss.cli
+from gainloss.laplace import whitening_map
 from gainloss.models import ModelKind, ModelSpec, Posterior
-from gainloss.nuts import SamplerConfig, whitening_map
 
 x_plus = np.log([2.0, 3.0, 3.0, 5.0, 8.0, 4.0, 13.0, 2.0, 6.0, 21.0, 7.0, 3.0])
 x_minus = np.log([3.0, 2.0, 9.0, 4.0, 4.0, 11.0, 2.0, 5.0, 17.0, 6.0, 3.0, 2.0])
 for kind in ModelKind:
     post = Posterior(ModelSpec.from_data(kind, x_plus, x_minus), x_plus, x_minus)
-    assert whitening_map(post, SamplerConfig(n_tune=10)).init_metric == "laplace", kind
+    assert whitening_map(post, search=True).init_metric == "laplace", kind
 print(json.dumps(sorted(m for m in sys.modules if m.split('.')[:2] == ['numpy', 'random'])))
 """
 
@@ -1075,3 +1079,11 @@ class TestCliImportFootprint:
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout.splitlines()[-1]) == []
+
+
+def test_every_public_name_exists_on_its_module():
+    # a name moved to another module must leave the old module's __all__
+    for info in pkgutil.iter_modules(gainloss.__path__):
+        module = importlib.import_module(f"gainloss.{info.name}")
+        missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+        assert missing == [], info.name

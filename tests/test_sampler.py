@@ -13,11 +13,12 @@ import numpy as np
 import pytest
 
 from conftest import CorrelatedGaussianTarget, GaussianTarget, StallingTarget, source_env
-from gainloss import errors, nuts
+from gainloss import errors, laplace, nuts, workers
 from gainloss.diagnostics import ess, gelman_rubin
 from gainloss.errors import AdaptationFailedError, DomainError
+from gainloss.laplace import whitening_map
 from gainloss.models import FAMILIES, ModelKind, ModelSpec, Posterior
-from gainloss.nuts import SamplerConfig, nuts_draw, run_chain, run_chains, whitening_map
+from gainloss.nuts import SamplerConfig, nuts_draw, run_chain, run_chains
 from gainloss.pipeline import prepare_sample, synthetic_gbm_series
 from nuts_oracle import kinetic, leapfrog, turned
 
@@ -27,7 +28,7 @@ UNIT_1D = GaussianTarget([1.0])
 def unit_map(target):
     """The identity map around the origin, in whose coordinates the compiled
     leaf is a leapfrog step on ``target`` itself."""
-    return whitening_map(target, SamplerConfig(n_tune=0))
+    return whitening_map(target, search=False)
 
 
 class TestLeapfrog:
@@ -288,7 +289,7 @@ def running(pid: int) -> bool:
 KILLED_CALLER_SCRIPT = """
 import os, threading, time
 import numpy as np
-from gainloss import nuts
+from gainloss import nuts, workers
 
 class Slow:
     dim = 1
@@ -313,7 +314,7 @@ def kill_when_started():
     os.kill(os.getpid(), 9)
 
 os.fork = recording_fork
-nuts._usable_cpus = lambda: 2
+workers._usable_cpus = lambda: 2
 threading.Thread(target=kill_when_started, daemon=True).start()
 nuts.run_chains(Slow(), nuts.SamplerConfig(n_chains=2, n_draw=10**6, n_tune=0, seed=1))
 """
@@ -355,7 +356,7 @@ def pool_targets():
 @pytest.fixture
 def pooled(monkeypatch):
     """Run every multi-chain call in the worker pool, whatever the host's CPUs."""
-    monkeypatch.setattr(nuts, "_usable_cpus", lambda: 4)
+    monkeypatch.setattr(workers, "_usable_cpus", lambda: 4)
 
 
 def assert_stacked_types(trace):
@@ -377,7 +378,7 @@ class TestParallelChains:
         target = pool_targets[name]
         cfg = SamplerConfig(n_chains=n_chains, n_draw=30, n_tune=150, seed=21)
         trace = run_chains(target, cfg)
-        whitening = whitening_map(target, cfg)
+        whitening = whitening_map(target, search=cfg.n_tune > 0)
         for chain in range(n_chains):
             alone = run_chain(target, cfg, whitening, chain)
             for field in TRACE_ARRAYS:
@@ -390,17 +391,17 @@ class TestParallelChains:
 
     @pytest.mark.parametrize("pool", [False, True], ids=["in-process", "pooled"])
     def test_each_target_finds_its_map_once(self, pool_targets, monkeypatch, request, pool):
-        monkeypatch.setattr(nuts, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(workers, "_usable_cpus", lambda: 1)
         if pool:
             request.getfixturevalue("pooled")
         # the caller's pid for each call that reaches the caller's spies
         reached = {"_laplace": [], "_whitening": []}
         for name in reached:
-            def spy(*args, real=getattr(nuts, name), calls=reached[name]):
+            def spy(*args, real=getattr(laplace, name), calls=reached[name]):
                 calls.append(os.getpid())
                 return real(*args)
 
-            monkeypatch.setattr(nuts, name, spy)
+            monkeypatch.setattr(laplace, name, spy)
         targets = [pool_targets["student-t"], pool_targets["gaussian"]]
         cfg = SamplerConfig(n_chains=3, n_draw=20, n_tune=150, seed=31)
         traces = nuts.run_chains_each(targets, cfg)
@@ -469,7 +470,7 @@ class TestParallelChains:
         def no_fork():
             raise AssertionError("forked a worker")
 
-        monkeypatch.setattr(nuts, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(workers, "_usable_cpus", lambda: 1)
         monkeypatch.setattr(os, "fork", no_fork)
         trace = run_chains(GaussianTarget(np.ones(2)),
                            SamplerConfig(n_chains=2, n_draw=40, n_tune=150, seed=24))
@@ -482,7 +483,7 @@ class TestParallelChains:
             return i
 
         with pytest.raises(RuntimeError, match="worker 2 .* exit code 3 before sending"):
-            nuts.fork_map(task, 5)
+            workers.fork_map(task, 5)
         assert_no_children()
 
     def test_the_lowest_failing_task_raises(self, pooled):
@@ -491,14 +492,14 @@ class TestParallelChains:
                 raise DomainError(f"task {i}")
             return i * i
 
-        assert nuts.fork_map(lambda i: i * i, 7) == [i * i for i in range(7)]
+        assert workers.fork_map(lambda i: i * i, 7) == [i * i for i in range(7)]
         with pytest.raises(DomainError, match="task 3"):
-            nuts.fork_map(task, 7)
+            workers.fork_map(task, 7)
         assert_no_children()
 
     def test_a_worker_runs_nested_calls_in_process(self, pooled):
-        pids = nuts.fork_map(lambda i: (os.getpid(), nuts.fork_map(lambda j: os.getpid(), 3)),
-                             2)
+        pids = workers.fork_map(
+            lambda i: (os.getpid(), workers.fork_map(lambda j: os.getpid(), 3)), 2)
         for worker, nested in pids:
             assert worker != os.getpid() and nested == [worker] * 3
         assert_no_children()
@@ -516,7 +517,7 @@ class TestParallelChains:
             monkeypatch.setattr(np.linalg, name, forbidden(f"linalg.{name}"))
         cfg = SamplerConfig(n_chains=1, n_draw=30, n_tune=150, seed=27)
         for target in pool_targets.values():
-            whitening = whitening_map(target, cfg)
+            whitening = whitening_map(target, search=cfg.n_tune > 0)
             chain = run_chain(target, cfg, whitening, 0)
             assert np.all(np.isfinite(chain.draws))
             assert whitening.init_metric == "laplace"
@@ -533,7 +534,7 @@ class TestParallelChains:
         assert nuts.trace_summary(trace)["n_grad"] == [[int(warmup), int(sampling)]]
         assert_stacked_types(trace)
         # chains run in process share the map, whose search counts once
-        monkeypatch.setattr(nuts, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(workers, "_usable_cpus", lambda: 1)
         target = CountingGaussian(np.ones(3))
         trace = run_chains(target, SamplerConfig(n_chains=3, n_draw=60, n_tune=150, seed=25))
         assert trace.n_grad.sum() == target.calls
@@ -586,14 +587,14 @@ class TestLaplaceMetric:
         cov = target.cov if hasattr(target, "cov") else np.diag(target.var)
         # from the mode, and from a start the search must climb from
         for start in ([0.0, 0.0, 0.0], [0.7, -1.3, 2.0]):
-            mode, low = nuts._laplace(target.value_and_grad, start)
+            mode, low = laplace._laplace(target.value_and_grad, start)
             assert np.allclose(mode, 0.0, rtol=0.0, atol=1e-6)
             assert np.allclose(laplace_covariance(low), cov, rtol=1e-6, atol=0.0)
 
     def test_the_student_t_posterior_converges(self, pool_targets):
         target = pool_targets["student-t"]
-        mode, low = nuts._laplace(target.value_and_grad,
-                                  target.initial_unconstrained().tolist())
+        mode, low = laplace._laplace(target.value_and_grad,
+                                     target.initial_unconstrained().tolist())
         assert np.allclose(target.value_and_grad(mode)[1], 0.0, atol=1e-3)
         # the location is far narrower than the unit metric assumes
         assert laplace_covariance(low)[0, 0] < 1e-3
@@ -604,24 +605,24 @@ class TestLaplaceMetric:
         (Pinhole(), [0.0, 0.0]),  # the Hessian's stencil leaves the support
     ], ids=["saddle", "minimum", "pinhole"])
     def test_falls_back_where_the_hessian_fails(self, target, start):
-        assert nuts._laplace(target.value_and_grad, start) is None
+        assert laplace._laplace(target.value_and_grad, start) is None
 
     def test_a_fallback_warms_up_from_the_unit_metric(self, monkeypatch):
         # on the identity map around the start
         target = DoubleWell()
         cfg = SamplerConfig(n_chains=1, n_draw=50, n_tune=150, seed=28)
-        searched_map = whitening_map(target, cfg)
+        searched_map = whitening_map(target, search=cfg.n_tune > 0)
         searched = run_chain(target, cfg, searched_map, 0)
         maps = []
-        whitening = nuts._whitening
+        whitening = laplace._whitening
 
         def spy(value_and_grad, mode, low):
             maps.append((mode, low))
             return whitening(value_and_grad, mode, low)
 
-        monkeypatch.setattr(nuts, "_whitening", spy)
-        monkeypatch.setattr(nuts, "_laplace", lambda *args: None)
-        unsearched_map = whitening_map(target, cfg)
+        monkeypatch.setattr(laplace, "_whitening", spy)
+        monkeypatch.setattr(laplace, "_laplace", lambda *args: None)
+        unsearched_map = whitening_map(target, search=cfg.n_tune > 0)
         unsearched = run_chain(target, cfg, unsearched_map, 0)
         assert maps == [([0.0, 0.0], [[1.0, 0.0], [0.0, 1.0]])]
         assert searched_map.init_metric == unsearched_map.init_metric == "unit"
@@ -640,8 +641,8 @@ class TestLaplaceMetric:
         # a unit box around the moment start is hundreds of sds wide on the
         # narrow location coordinates
         target = pool_targets["inv-gamma"]
-        mode, low = nuts._laplace(target.value_and_grad,
-                                  target.initial_unconstrained().tolist())
+        mode, low = laplace._laplace(target.value_and_grad,
+                                     target.initial_unconstrained().tolist())
         starts = []
         warmup = nuts._warmup_chain
 
@@ -653,7 +654,7 @@ class TestLaplaceMetric:
 
         monkeypatch.setattr(nuts, "_warmup_chain", spy)
         cfg = SamplerConfig(n_chains=2, n_draw=10, n_tune=80, seed=30)
-        whitening = whitening_map(target, cfg)
+        whitening = whitening_map(target, search=cfg.n_tune > 0)
         assert np.allclose(whitening.mass_diag, np.diag(laplace_covariance(low)),
                            rtol=1e-12, atol=0.0)
         for chain in range(2):
@@ -683,14 +684,14 @@ class TestLaplaceMetric:
         cfg = SamplerConfig(n_chains=1, n_draw=50, n_tune=300, seed=5)
         for name in ("student-t", "inv-gamma"):
             target = pool_targets[name]
-            searched = whitening_map(target, cfg)
-            laplace = run_chain(target, cfg, searched, 0)
+            searched = whitening_map(target, search=cfg.n_tune > 0)
+            whitened = run_chain(target, cfg, searched, 0)
             with monkeypatch.context() as patch:
-                patch.setattr(nuts, "_laplace", lambda *args: None)
-                unsearched = whitening_map(target, cfg)
+                patch.setattr(laplace, "_laplace", lambda *args: None)
+                unsearched = whitening_map(target, search=cfg.n_tune > 0)
             unit = run_chain(target, cfg, unsearched, 0)
             assert searched.init_metric == "laplace" and unsearched.init_metric == "unit"
-            assert laplace.n_grad.sum() < 0.6 * unit.n_grad.sum(), name
+            assert whitened.n_grad.sum() < 0.6 * unit.n_grad.sum(), name
 
     @pytest.mark.parametrize("name", ["student-t", "inv-gamma"])
     def test_each_tuning_iteration_takes_one_gradient(self, pool_targets, name):
@@ -700,7 +701,8 @@ class TestLaplaceMetric:
         warmup = []
         for tune in (150, 300):
             cfg = SamplerConfig(n_chains=1, n_draw=10, n_tune=tune, seed=5)
-            warmup.append(run_chain(target, cfg, whitening_map(target, cfg), 0).n_grad[0])
+            whitening = whitening_map(target, search=True)
+            warmup.append(run_chain(target, cfg, whitening, 0).n_grad[0])
         assert warmup[1] - warmup[0] == 150
 
 
@@ -714,9 +716,9 @@ class TestWhitening:
             target = pool_targets[name]
             start = (target.initial_unconstrained().tolist()
                      if hasattr(target, "initial_unconstrained") else [0.5] * target.dim)
-            mode, low = nuts._laplace(target.value_and_grad, start)
-            position, pulled_back, *_, variances = nuts._whitening(target.value_and_grad,
-                                                                   mode, low)
+            mode, low = laplace._laplace(target.value_and_grad, start)
+            position, pulled_back, *_, variances = laplace._whitening(target.value_and_grad,
+                                                                      mode, low)
             out[name] = (target, mode, low, position, pulled_back, variances)
         return out
 
@@ -751,8 +753,8 @@ class TestWhitening:
     def test_a_position_that_overflows_is_off_the_support(self):
         # a finite u can map past the largest float where L^-1 has entries above 1
         target = CorrelatedGaussianTarget([[4.0, 3.8], [3.8, 4.0]])
-        mode, low = nuts._laplace(target.value_and_grad, [0.0, 0.0])
-        position, pulled_back, *_ = nuts._whitening(target.value_and_grad, mode, low)
+        mode, low = laplace._laplace(target.value_and_grad, [0.0, 0.0])
+        position, pulled_back, *_ = laplace._whitening(target.value_and_grad, mode, low)
         huge = [1e308, -1e308]
         assert not all(map(math.isfinite, position(huge)))
         assert pulled_back(huge) == (-math.inf, [0.0, 0.0])
@@ -761,7 +763,7 @@ class TestWhitening:
     def test_the_factor_is_exactly_zero_across_sides(self, maps, name):
         target, _, low, _, _, _ = maps[name]
         k = target.dim // 2
-        for factor in (low, nuts._lower_inverse(low)):
+        for factor in (low, laplace._lower_inverse(low)):
             assert all(factor[i][j] == 0.0 for i in range(k, target.dim) for j in range(k))
             # within a side the map is dense: the location and scale correlate
             assert factor[1][0] != 0.0 and factor[k + 1][k] != 0.0
@@ -816,8 +818,7 @@ class TestCompiledLeaf:
         targets = {**ci_posteriors(),
                    "gaussian": CorrelatedGaussianTarget([[2.0, 0.9, 0.3], [0.9, 1.0, -0.2],
                                                          [0.3, -0.2, 0.5]])}
-        cfg = SamplerConfig(n_tune=10)
-        return {name: whitening_map(target, cfg) for name, target in targets.items()}
+        return {name: whitening_map(target, search=True) for name, target in targets.items()}
 
     @staticmethod
     def assert_leaf_matches(whitening, u, p, g, eps):
@@ -856,7 +857,7 @@ class TestCompiledLeaf:
     def test_a_position_that_overflows_has_zero_density(self):
         # a finite u can map past the largest float where L^-1 has entries above 1
         whitening = whitening_map(CorrelatedGaussianTarget([[4.0, 3.8], [3.8, 4.0]]),
-                                  SamplerConfig(n_tune=10))
+                                  search=True)
         u = [1e308, -1e308]
         for p, g in (([0.0, 0.0], [0.0, 0.0]), ([1.0, -2.0], [0.5, 0.25])):
             assert self.assert_leaf_matches(whitening, u, p, g, 1e-3) == 0
@@ -890,7 +891,7 @@ class TestCompiledLeaf:
 
     @pytest.mark.parametrize("name", ["student-t", "inv-gamma"])
     def test_a_warmup_step_replays_a_depth_zero_transition(self, pool_targets, name):
-        whitening = whitening_map(pool_targets[name], SamplerConfig(n_tune=10))
+        whitening = whitening_map(pool_targets[name], search=True)
         dim = whitening.mass_diag.shape[0]
         rng, twin = (np.random.Generator(np.random.Philox(72)) for _ in range(2))
         steps = np.random.default_rng(73).uniform(0.2, 2.0, 300).tolist()
