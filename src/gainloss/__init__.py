@@ -12,7 +12,10 @@ the whole pipeline end to end.
 
 Typical use::
 
-    from gainloss import parse_csv, fit_series, ModelKind, SamplerConfig
+    from gainloss.models import ModelKind
+    from gainloss.nuts import SamplerConfig
+    from gainloss.pipeline import fit_series
+    from gainloss.series import parse_csv
 
     series = parse_csv("sp500.csv")
     reports, _ = fit_series(series, list(ModelKind), SamplerConfig(seed=1))
@@ -21,67 +24,5 @@ Typical use::
 
 The same pipeline is scriptable through the ``gainloss`` command line tool.
 """
-
-from .detrend import (
-    DEFAULT_FILTER_SIZE,
-    FilteredSeries,
-    daily_returns,
-    detrend,
-    rolling_median,
-    threshold_from_std,
-)
-from .diagnostics import (
-    FitReport,
-    WaicResult,
-    build_report,
-    effect_size_draws,
-    ess,
-    gelman_rubin,
-    hdi,
-    pooled_effect_size,
-    prob_below,
-    waic,
-)
-from .errors import GainLossError
-from .gbm import (
-    FHTSample,
-    fht_cdf,
-    fht_density,
-    fht_mean,
-    ks_validate,
-    simulate_fht,
-    simulate_fht_two_sided,
-)
-from .hitting import HittingSample, LogHittingSample, hitting_times, log_sample
-from .models import (
-    FAMILIES,
-    ModelKind,
-    ModelSpec,
-    Posterior,
-    SidePrior,
-)
-from .nuts import SamplerConfig, Trace, nuts_draw, run_chains, save_trace
-from .pipeline import (
-    DEFAULT_FILTER_GRID,
-    DEFAULT_RHO_SCALES,
-    ScanPoint,
-    fit_log_sample,
-    fit_series,
-    prepare_sample,
-    scan_filter,
-    scan_rho,
-    scan_window,
-    synthetic_gbm_series,
-)
-from .series import (
-    PriceSeries,
-    SeriesStats,
-    align_common_dates,
-    cross_correlation,
-    log_prices,
-    parse_csv,
-    slice_window,
-    summary_stats,
-)
 
 __version__ = "0.1.0"

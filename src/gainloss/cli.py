@@ -14,25 +14,29 @@ plot          render report/scan files to SVG
 
 Exit codes: 0 success, 2 input error, 3 convergence failure,
 4 partial scan failure, 141 when a downstream pipe closes early.
-Options may also come from a JSON config file
-(``--config``) whose keys mirror the long flag names with underscores;
-explicit flags win over the file.
+
+Each option is declared once, in ``_OPTIONS``: its flag, the cast that reads
+its value and its help text. ``_COMMANDS`` lists each subcommand's options
+with that subcommand's defaults. Every option of the chosen subcommand may
+also come from a JSON config file (``--config``) whose keys are the long flag
+names with underscores, switches included. ``main`` resolves all of them
+before the command runs: an explicit flag wins over the file, and the file
+over the default.
 """
 
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import math
 import os
 import sys
 from dataclasses import asdict
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from . import __version__
-from .detrend import DEFAULT_FILTER_SIZE, detrend, threshold_from_std
+from .detrend import DEFAULT_FILTER_SIZE, daily_returns, detrend, threshold_from_std
 from .diagnostics import (
     HDI_MASS,
     MIN_CHAIN_DRAWS,
@@ -69,9 +73,7 @@ from .series import (
     cross_correlation,
     log_prices,
     parse_csv,
-    write_value_csv,
 )
-from .detrend import daily_returns
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -98,21 +100,9 @@ def _load_config(path: Optional[str]) -> dict:
     return payload
 
 
-def _resolve(args, config: dict, key: str, default, cast):
-    """Flag value if given, else config file value, else the default, by ``cast``."""
-    value = next((v for v in (getattr(args, key, None), config.get(key), default)
-                  if v is not None), None)
-    try:
-        return None if value is None else cast(value)
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"bad value for {key}: {value!r} ({exc})") from exc
-
-
-def _sampler_config(args, config: dict) -> SamplerConfig:
-    defaults = SamplerConfig()
-    chains = _resolve(args, config, "chains", defaults.n_chains, _int)
-    draws = _resolve(args, config, "draws", defaults.n_draw, _int)
+def _sampler_config(args) -> SamplerConfig:
     # refuse, before sampling, draws that R^ or the HDI of the report rejects
+    chains, draws = args.chains, args.draws
     if chains < MIN_CHAINS:
         raise InputError(f"--chains must be >= {MIN_CHAINS} for R^, got {chains}")
     if draws < MIN_CHAIN_DRAWS:
@@ -120,18 +110,21 @@ def _sampler_config(args, config: dict) -> SamplerConfig:
     if chains * draws < MIN_HDI_SAMPLES:
         raise InputError(f"--chains x --draws must be >= {MIN_HDI_SAMPLES} for the "
                          f"HDI, got {chains} x {draws}")
-    return SamplerConfig(
-        n_chains=chains,
-        n_draw=draws,
-        n_tune=_resolve(args, config, "tune", defaults.n_tune, _int),
-        seed=_resolve(args, config, "seed", defaults.seed, _int),
-    )
+    return SamplerConfig(n_chains=chains, n_draw=draws, n_tune=args.tune, seed=args.seed)
 
 
-def _out_dir(args, config: dict) -> Path:
-    out = _resolve(args, config, "out_dir", ".", Path)
+def _out_dir(args) -> Path:
+    out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     return out
+
+
+def _write(out: Optional[str], text: str) -> None:
+    """Write ``text`` to the file ``out``, or to standard output without one."""
+    if out:
+        Path(out).write_text(text, encoding="utf-8")
+    else:
+        sys.stdout.write(text)
 
 
 def _int(value) -> int:
@@ -168,17 +161,16 @@ def _bool(value) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# commands
+# commands; each reads its options already resolved on ``args``
 
 
-def _cmd_stats(args, config) -> int:
-    f = _resolve(args, config, "filter_size", DEFAULT_FILTER_SIZE, _int)
+def _cmd_stats(args) -> int:
     print("index,raw_count,raw_mean,raw_std,filtered_count,filtered_mean,filtered_std")
     series_list = []
     for path in args.inputs:
         series = _read_series(path)
         series_list.append(series)
-        raw, filt = summarize_series(series, f)
+        raw, filt = summarize_series(series, args.filter_size)
         print(
             f"{series.name},{raw.count},{raw.mean:.6g},{raw.std:.6g},"
             f"{filt.count},{filt.mean:.6g},{filt.std:.6g}"
@@ -193,25 +185,19 @@ def _cmd_stats(args, config) -> int:
     return EXIT_OK
 
 
-def _cmd_detrend(args, config) -> int:
-    f = _resolve(args, config, "filter_size", DEFAULT_FILTER_SIZE, _int)
-    series = _read_series(args.input)
-    filtered = detrend(series, f)
-    if args.out:
-        write_value_csv(args.out, filtered.dates, filtered.values, ("date", "x"))
-    else:
-        print("date,x")
-        for day, val in zip(filtered.dates, filtered.values):
-            print(f"{day},{val:.10g}")
+def _cmd_detrend(args) -> int:
+    filtered = detrend(_read_series(args.input), args.filter_size)
+    lines = ["date,x"] + [f"{day},{val:.10g}"
+                          for day, val in zip(filtered.dates, filtered.values)]
+    _write(args.out, "\n".join(lines) + "\n")
     return EXIT_OK
 
 
-def _cmd_hittimes(args, config) -> int:
-    f = _resolve(args, config, "filter_size", DEFAULT_FILTER_SIZE, _int)
-    rho = _resolve(args, config, "rho", None, _float)
+def _cmd_hittimes(args) -> int:
+    f = args.filter_size
     series = _read_series(args.input)
     filtered = detrend(series, f)
-    rho = rho if rho is not None else threshold_from_std(filtered)
+    rho = args.rho if args.rho is not None else threshold_from_std(filtered)
     sample = hitting_times(filtered.values, rho)
     lines = [
         f"# index={series.name} filter_size={f} rho={rho:.10g}",
@@ -221,11 +207,7 @@ def _cmd_hittimes(args, config) -> int:
     ]
     lines += [f"plus,{t}" for t in sample.tau_plus]
     lines += [f"minus,{t}" for t in sample.tau_minus]
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+    _write(args.out, "\n".join(lines) + "\n")
     return EXIT_OK
 
 
@@ -240,21 +222,16 @@ def _report_line(r: FitReport) -> str:
     )
 
 
-def _cmd_fit(args, config) -> int:
-    f = _resolve(args, config, "filter_size", DEFAULT_FILTER_SIZE, _int)
-    rho_opt = _resolve(args, config, "rho", None, _float)
-    model = _resolve(args, config, "model", "both", str)
-    allow = _resolve(args, config, "allow_nonconverged", False, _bool)
-    hdi_mass = _resolve(args, config, "hdi_mass", HDI_MASS, _float)
-    save = _resolve(args, config, "save_trace", False, _bool)
+def _cmd_fit(args) -> int:
+    f, hdi_mass = args.filter_size, args.hdi_mass
     if not 0.0 < hdi_mass < 1.0:
         raise InputError(f"--hdi-mass must lie in (0, 1), got {hdi_mass}")
-    sampler = _sampler_config(args, config)
-    out = _out_dir(args, config)
+    sampler = _sampler_config(args)
+    out = _out_dir(args)
 
     series = _read_series(args.input)
-    kinds = parse_model_choice(model)
-    _, rho_used, sample, logs = prepare_sample(series, f, rho_opt)
+    kinds = parse_model_choice(args.model)
+    _, rho_used, sample, logs = prepare_sample(series, f, args.rho)
     print(
         f"# {series.name}: anchors={sample.n_anchors} n+={logs.n_plus} "
         f"n-={logs.n_minus} censored+={sample.censored_plus} "
@@ -268,7 +245,7 @@ def _cmd_fit(args, config) -> int:
         )
         reports.append(report)
         report.save(out / f"{series.name}_{report.model}_report.json")
-        if save:
+        if args.save_trace:
             save_trace(trace, out, prefix=f"{series.name}_{report.model}")
         print(_report_line(report))
     csv_path = out / "reports.csv"
@@ -277,7 +254,7 @@ def _cmd_fit(args, config) -> int:
         encoding="utf-8",
     )
     worst = max(r.max_rhat for r in reports)
-    if worst >= RHAT_FAIL and not allow:
+    if worst >= RHAT_FAIL and not args.allow_nonconverged:
         print(f"error: max rhat {worst:.4f} >= {RHAT_FAIL}; rerun with more tuning "
               "or --allow-nonconverged", file=sys.stderr)
         return EXIT_CONVERGENCE
@@ -306,36 +283,29 @@ def _finish_scan(points: list[ScanPoint], out: Path, stem: str, allow: bool) -> 
     return EXIT_PARTIAL if n_bad else EXIT_OK
 
 
-# Per scan: each config key, in resolution order, with the library keyword it
-# feeds and its cast. Unset keys are left out, so the library defaults apply.
-_SCAN_KEYS = {
-    "filter": {"rho": ("rho", _float), "filter_sizes": ("filter_sizes", _int_list)},
-    "rho": {"filter_size": ("filter_size", _int), "rho_scales": ("scales", _float_list)},
-    "window": {"filter_size": ("filter_size", _int), "rho": ("rho", _float),
-               "window_years": ("window_years", _int)},
-}
-
-
-def _cmd_scan(args, config) -> int:
-    sampler = _sampler_config(args, config)
+def _cmd_scan(args) -> int:
+    scan = args.command.removeprefix("scan-")
+    sampler = _sampler_config(args)
+    # the scan's own options feed the library keywords of the same name (the
+    # scales for --rho-scales); one left unset passes none, so the library
+    # default applies
     kwargs = {}
-    for key, (kwarg, cast) in _SCAN_KEYS[args.scan].items():
-        value = _resolve(args, config, key, None, cast)
+    for key in [k for k in _COMMANDS[args.command].options if k not in _SAMPLING]:
+        value = getattr(args, key)
         if value == ():
             raise InputError(f"--{key.replace('_', '-')} names no grid point")
         if value is not None:
-            kwargs[kwarg] = value
-    out = _out_dir(args, config)
-    allow = _resolve(args, config, "allow_nonconverged", False, _bool)
-    model = _resolve(args, config, "model", "both", str)
+            kwargs["scales" if key == "rho_scales" else key] = value
+    out = _out_dir(args)
     series = _read_series(args.input)
-    points = args.scan_fn(series, parse_model_choice(model), sampler, **kwargs)
+    run = {"filter": scan_filter, "rho": scan_rho, "window": scan_window}[scan]
+    points = run(series, parse_model_choice(args.model), sampler, **kwargs)
     if not points:  # only a window grid can be empty; the others are checked above
         years = kwargs.get("window_years", DEFAULT_WINDOW_YEARS)
         print(f"notice: no complete {years}-year window fits inside "
               f"[{series.dates[0]}, {series.dates[-1]}]; nothing to fit",
               file=sys.stderr)
-    return _finish_scan(points, out, f"scan_{args.scan}_{series.name}", allow)
+    return _finish_scan(points, out, f"scan_{scan}_{series.name}", args.allow_nonconverged)
 
 
 def _write_taus(out: str, name: str, sample) -> None:
@@ -345,53 +315,36 @@ def _write_taus(out: str, name: str, sample) -> None:
     (out_path / name).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _default(fn, name: str):
-    return inspect.signature(fn).parameters[name].default
-
-
-def _cmd_gbm_validate(args, config) -> int:
-    two_sided = _resolve(args, config, "two_sided", False, _bool)
-    simulate = simulate_fht_two_sided if two_sided else simulate_fht
-    seed = _resolve(args, config, "seed", _default(simulate, "seed"), _int)
-    out = _resolve(args, config, "out_dir", None, str)
-    # simulate_fht takes no default drift; a positive one gives a finite mean
-    lam = _resolve(args, config, "drift",
-                   _default(simulate, "lam") if two_sided else 0.05, _float)
-    sigma = _resolve(args, config, "sigma", 0.3, _float)
-    rho = _resolve(args, config, "rho", 0.3, _float)
-    dt = _resolve(args, config, "dt", 1.0 / 200.0, _float)
-    paths = _resolve(args, config, "paths", 100_000, _int)
-    horizon = _resolve(args, config, "horizon", _default(simulate, "horizon"), _float)
-    if two_sided:
-        up, down = simulate_fht_two_sided(
-            sigma=sigma, rho=rho, dt=dt,
-            n_paths=paths, horizon=horizon, seed=seed, lam=lam,
-        )
+def _cmd_gbm_validate(args) -> int:
+    given = {"lam": args.drift, "sigma": args.sigma, "rho": args.rho, "dt": args.dt,
+             "n_paths": args.paths, "horizon": args.horizon, "seed": args.seed}
+    # an option left unset passes nothing, so the simulator's default applies
+    kwargs = {k: v for k, v in given.items() if v is not None}
+    if args.two_sided:
+        up, down = simulate_fht_two_sided(**kwargs)
         from scipy.stats import ks_2samp
 
         result = ks_2samp(up.taus, down.taus)
         print(f"paths={up.n_paths} n_up={up.taus.size} n_down={down.taus.size} "
               f"censored_up={up.n_censored} censored_down={down.n_censored}")
         print(f"ks2={result.statistic:.6g} pvalue={result.pvalue:.6g}")
-        if out:
-            _write_taus(out, "gbm_taus_up.csv", up)
-            _write_taus(out, "gbm_taus_down.csv", down)
+        if args.out_dir:
+            _write_taus(args.out_dir, "gbm_taus_up.csv", up)
+            _write_taus(args.out_dir, "gbm_taus_down.csv", down)
         return EXIT_OK
-    sample = simulate_fht(
-        lam=lam, sigma=sigma, rho=rho, dt=dt,
-        n_paths=paths, horizon=horizon, seed=seed,
-    )
+    # simulate_fht takes no default drift; a positive one gives a finite mean
+    sample = simulate_fht(**{"lam": 0.05, **kwargs})
     ks = ks_validate(sample)
     print(f"paths={sample.n_paths} censored={sample.n_censored} "
           f"censoring_rate={sample.censoring_rate:.6g}")
     print(f"ks={ks:.6g}")
-    if out:
-        _write_taus(out, "gbm_taus.csv", sample)
+    if args.out_dir:
+        _write_taus(args.out_dir, "gbm_taus.csv", sample)
     return EXIT_OK
 
 
-def _cmd_plot(args, config) -> int:
-    out = _out_dir(args, config)
+def _cmd_plot(args) -> int:
+    out = _out_dir(args)
     written = []
     for raw in args.inputs:
         path = Path(raw)
@@ -422,20 +375,101 @@ def _cmd_plot(args, config) -> int:
 
 
 # ---------------------------------------------------------------------------
-# parser
+# options and parser
 
 
-def _add_sampler_flags(p: argparse.ArgumentParser):
-    p.add_argument("--chains", type=int, default=None, help="number of chains")
-    p.add_argument("--draws", type=int, default=None, help="retained draws per chain")
-    p.add_argument("--tune", type=int, default=None, help="warmup iterations per chain")
-    p.add_argument("--seed", type=int, default=None, help="run seed")
-    p.add_argument("--model", default=None,
-                   choices=["student-t", "inv-gamma", "both"], help="model(s) to fit")
-    p.add_argument("--out-dir", dest="out_dir", default=None, help="output directory")
-    p.add_argument("--allow-nonconverged", dest="allow_nonconverged",
-                   action="store_const", const=True, default=None,
-                   help="do not fail on rhat >= 1.2")
+class _Option(NamedTuple):
+    cast: Callable  # reads a config value and the flag's value alike
+    help: Optional[str] = None
+    choices: Optional[tuple[str, ...]] = None
+
+
+# The flag of each option is its key with dashes, and its config key the key
+# itself. A ``_bool`` option is a switch, and takes true or false in a config.
+_OPTIONS = {
+    "filter_size": _Option(_int),
+    "filter_sizes": _Option(_int_list, "comma-separated window sizes"),
+    "rho": _Option(_float),
+    "rho_scales": _Option(_float_list, "comma-separated multiples of the sample std"),
+    "window_years": _Option(_int),
+    "correlate": _Option(_bool, "also print the daily-return correlation of two inputs"),
+    "out": _Option(os.fspath),
+    "hdi_mass": _Option(_float),
+    "save_trace": _Option(_bool),
+    "chains": _Option(_int, "number of chains"),
+    "draws": _Option(_int, "retained draws per chain"),
+    "tune": _Option(_int, "warmup iterations per chain"),
+    "seed": _Option(_int, "run seed"),
+    "model": _Option(str, "model(s) to fit", ("student-t", "inv-gamma", "both")),
+    "out_dir": _Option(os.fspath, "output directory"),
+    "allow_nonconverged": _Option(_bool, "do not fail on rhat >= 1.2"),
+    "drift": _Option(_float),
+    "sigma": _Option(_float),
+    "dt": _Option(_float),
+    "paths": _Option(_int),
+    "horizon": _Option(_float),
+    "two_sided": _Option(_bool, "record up and down passages on the same driftless paths"),
+}
+
+
+class _Command(NamedTuple):
+    run: Callable[[argparse.Namespace], int]
+    help: str
+    inputs: Optional[str]  # the positional: "input", or "inputs" for one or more
+    options: dict          # each option, in --help order, with this command's default
+    helps: dict = {}       # the help of an option where this command's differs
+
+
+# the options of every command that samples
+_SAMPLING = {
+    "chains": SamplerConfig.n_chains,
+    "draws": SamplerConfig.n_draw,
+    "tune": SamplerConfig.n_tune,
+    "seed": SamplerConfig.seed,
+    "model": "both",
+    "out_dir": ".",
+    "allow_nonconverged": False,
+}
+
+_COMMANDS = {
+    "stats": _Command(_cmd_stats, "summary statistics per input file", "inputs",
+                      {"filter_size": DEFAULT_FILTER_SIZE, "correlate": False}),
+    "detrend": _Command(_cmd_detrend, "write the detrended series", "input",
+                        {"filter_size": DEFAULT_FILTER_SIZE, "out": None}),
+    "hittimes": _Command(_cmd_hittimes, "extract first-hitting times", "input",
+                         {"filter_size": DEFAULT_FILTER_SIZE, "rho": None, "out": None}),
+    "fit": _Command(_cmd_fit, "fit the asymmetry models to one series", "input",
+                    {"filter_size": DEFAULT_FILTER_SIZE, "rho": None, "hdi_mass": HDI_MASS,
+                     "save_trace": False, **_SAMPLING}),
+    "scan-filter": _Command(
+        _cmd_scan, "scan the detrending window size", "input",
+        {"filter_sizes": None, "rho": None, **_SAMPLING},
+        {"rho": "fixed barrier level (default: std at the reference window)"}),
+    "scan-rho": _Command(_cmd_scan, "scan the barrier level", "input",
+                         {"rho_scales": None, "filter_size": None, **_SAMPLING}),
+    "scan-window": _Command(
+        _cmd_scan, "rolling calendar-window refits", "input",
+        {"window_years": None, "filter_size": None, "rho": None, **_SAMPLING}),
+    "gbm-validate": _Command(
+        _cmd_gbm_validate, "check simulated first passages against the density", None,
+        {"drift": None, "sigma": 0.3, "rho": 0.3, "dt": 1.0 / 200.0, "paths": 100_000,
+         "horizon": None, "seed": None, "out_dir": None, "two_sided": False},
+        {"seed": None, "out_dir": None}),
+    "plot": _Command(_cmd_plot, "render reports or scans to SVG", "inputs",
+                     {"out_dir": "."}, {"out_dir": None}),
+}
+
+
+def _resolve(args, config: dict, options: dict) -> None:
+    """Set each option on ``args``: its flag if given, else its config value,
+    else the default in ``options``, read by the option's cast."""
+    for key, default in options.items():
+        value = next((v for v in (getattr(args, key), config.get(key), default)
+                      if v is not None), None)
+        try:
+            setattr(args, key, None if value is None else _OPTIONS[key].cast(value))
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"bad value for {key}: {value!r} ({exc})") from exc
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -447,91 +481,31 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", default=None,
                         help="JSON file with default option values")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("stats", help="summary statistics per input file")
-    p.add_argument("inputs", nargs="+")
-    p.add_argument("--filter-size", dest="filter_size", type=int, default=None)
-    p.add_argument("--correlate", action="store_true",
-                   help="also print the daily-return correlation of two inputs")
-    p.set_defaults(func=_cmd_stats)
-
-    p = sub.add_parser("detrend", help="write the detrended series")
-    p.add_argument("input")
-    p.add_argument("--filter-size", dest="filter_size", type=int, default=None)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_detrend)
-
-    p = sub.add_parser("hittimes", help="extract first-hitting times")
-    p.add_argument("input")
-    p.add_argument("--filter-size", dest="filter_size", type=int, default=None)
-    p.add_argument("--rho", type=float, default=None)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_hittimes)
-
-    p = sub.add_parser("fit", help="fit the asymmetry models to one series")
-    p.add_argument("input")
-    p.add_argument("--filter-size", dest="filter_size", type=int, default=None)
-    p.add_argument("--rho", type=float, default=None)
-    p.add_argument("--hdi-mass", dest="hdi_mass", type=float, default=None)
-    p.add_argument("--save-trace", dest="save_trace", action="store_const",
-                   const=True, default=None)
-    _add_sampler_flags(p)
-    p.set_defaults(func=_cmd_fit)
-
-    p = sub.add_parser("scan-filter", help="scan the detrending window size")
-    p.add_argument("input")
-    p.add_argument("--filter-sizes", dest="filter_sizes", default=None,
-                   help="comma-separated window sizes")
-    p.add_argument("--rho", type=float, default=None,
-                   help="fixed barrier level (default: std at the reference window)")
-    _add_sampler_flags(p)
-    p.set_defaults(func=_cmd_scan, scan="filter", scan_fn=scan_filter)
-
-    p = sub.add_parser("scan-rho", help="scan the barrier level")
-    p.add_argument("input")
-    p.add_argument("--rho-scales", dest="rho_scales", default=None,
-                   help="comma-separated multiples of the sample std")
-    p.add_argument("--filter-size", dest="filter_size", type=int, default=None)
-    _add_sampler_flags(p)
-    p.set_defaults(func=_cmd_scan, scan="rho", scan_fn=scan_rho)
-
-    p = sub.add_parser("scan-window", help="rolling calendar-window refits")
-    p.add_argument("input")
-    p.add_argument("--window-years", dest="window_years", type=int, default=None)
-    p.add_argument("--filter-size", dest="filter_size", type=int, default=None)
-    p.add_argument("--rho", type=float, default=None)
-    _add_sampler_flags(p)
-    p.set_defaults(func=_cmd_scan, scan="window", scan_fn=scan_window)
-
-    p = sub.add_parser("gbm-validate",
-                       help="check simulated first passages against the density")
-    p.add_argument("--drift", type=float, default=None)
-    p.add_argument("--sigma", type=float, default=None)
-    p.add_argument("--rho", type=float, default=None)
-    p.add_argument("--dt", type=float, default=None)
-    p.add_argument("--paths", type=int, default=None)
-    p.add_argument("--horizon", type=float, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out-dir", dest="out_dir", default=None)
-    p.add_argument("--two-sided", dest="two_sided", action="store_const",
-                   const=True, default=None,
-                   help="record up and down passages on the same driftless paths")
-    p.set_defaults(func=_cmd_gbm_validate)
-
-    p = sub.add_parser("plot", help="render reports or scans to SVG")
-    p.add_argument("inputs", nargs="+")
-    p.add_argument("--out-dir", dest="out_dir", default=None)
-    p.set_defaults(func=_cmd_plot)
-
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        if command.inputs:
+            p.add_argument(command.inputs, nargs="+" if command.inputs == "inputs" else None)
+        for key in command.options:
+            option = _OPTIONS[key]
+            if option.cast is _bool:
+                kind = {"action": "store_const", "const": True}
+            else:
+                # argparse reads a number as the builtin does, so a bad one
+                # is its usage error; the cast then reads the value that wins
+                kind = {"type": {_int: int, _float: float}.get(option.cast),
+                        "choices": option.choices}
+            # default None: a flag left out falls through to the config file
+            p.add_argument("--" + key.replace("_", "-"), default=None,
+                           help=command.helps.get(key, option.help), **kind)
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    command = _COMMANDS[args.command]
     try:
-        config = _load_config(args.config)
-        return args.func(args, config)
+        _resolve(args, _load_config(args.config), command.options)
+        return command.run(args)
     except BrokenPipeError:
         # reader closed the pipe (e.g. | head); silence the pending flush
         # and exit with the conventional 128+SIGPIPE status
@@ -540,13 +514,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except AdaptationFailedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONVERGENCE
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except GainLossError as exc:
+    except (FileNotFoundError, GainLossError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -406,6 +406,22 @@ class TestCliStats:
         assert corr_line.startswith("correlation,synth,other,")
         assert abs(float(corr_line.split(",")[-1])) < 0.2
 
+    @pytest.mark.parametrize("config, flags", [
+        ({"correlate": True}, []), ({"correlate": False}, ["--correlate"]),
+    ], ids=["config", "flag-wins"])
+    def test_correlate_may_come_from_the_config(self, price_file, tmp_path, capsys,
+                                                config, flags):
+        other = synthetic_gbm_series(800, sigma=0.012, seed=6, name="other")
+        other_path = tmp_path / "other.csv"
+        write_price_csv(other, other_path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        code, out, _ = run_cli(
+            ["--config", str(cfg), "stats", str(price_file), str(other_path), *flags],
+            capsys)
+        assert code == EXIT_OK
+        assert out.strip().splitlines()[-1].startswith("correlation,synth,other,")
+
     def test_correlation_needs_exactly_two(self, price_file, capsys):
         code, _, err = run_cli(["stats", str(price_file), "--correlate"], capsys)
         assert code == EXIT_INPUT
@@ -460,6 +476,24 @@ class TestCliDetrendHittimes:
         )
         assert code == EXIT_OK
         assert target.read_text().startswith("# index=synth")
+
+    @pytest.mark.parametrize("command, head", [
+        ("detrend", "date,x"), ("hittimes", "# index=synth"),
+    ])
+    def test_out_may_come_from_the_config_and_the_flag_wins(
+            self, price_file, tmp_path, capsys, command, head):
+        cfg = tmp_path / "cfg.json"
+        from_config, from_flag = tmp_path / "config.txt", tmp_path / "flag.txt"
+        cfg.write_text(json.dumps({"out": str(from_config)}))
+        argv = ["--config", str(cfg), command, str(price_file)]
+        code, out, _ = run_cli(argv, capsys)
+        assert code == EXIT_OK and out == ""
+        assert from_config.read_text().startswith(head)
+        from_config.unlink()
+        code, out, _ = run_cli(argv + ["--out", str(from_flag)], capsys)
+        assert code == EXIT_OK and out == ""
+        assert from_flag.read_text().startswith(head)
+        assert not from_config.exists()
 
 
 @pytest.fixture(scope="module")
