@@ -31,7 +31,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import replace
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -262,15 +262,9 @@ def _cmd_fit(args) -> int:
 
 
 def _finish_scan(points: list[ScanPoint], out: Path, stem: str, allow: bool) -> int:
-    flagged = []
-    for p in points:
-        if not p.error and math.isfinite(p.max_rhat) and p.max_rhat >= RHAT_FAIL \
-                and not allow:
-            flagged.append(
-                ScanPoint(**{**asdict(p), "error": f"NonConverged: max_rhat={p.max_rhat:.4f}"})
-            )
-        else:
-            flagged.append(p)
+    flagged = [replace(p, error=f"NonConverged: max_rhat={p.max_rhat:.4f}")
+               if not (p.error or allow) and math.isfinite(p.max_rhat)
+               and p.max_rhat >= RHAT_FAIL else p for p in points]
     (out / f"{stem}.csv").write_text(scan_points_csv(flagged), encoding="utf-8")
     (out / f"{stem}.json").write_text(scan_points_json(flagged), encoding="utf-8")
     n_bad = sum(1 for p in flagged if p.error)
@@ -321,9 +315,11 @@ def _cmd_gbm_validate(args) -> int:
     # an option left unset passes nothing, so the simulator's default applies
     kwargs = {k: v for k, v in given.items() if v is not None}
     if args.two_sided:
+        try:
+            from scipy.stats import ks_2samp
+        except ImportError as exc:
+            raise InputError("gbm-validate --two-sided needs scipy") from exc
         up, down = simulate_fht_two_sided(**kwargs)
-        from scipy.stats import ks_2samp
-
         result = ks_2samp(up.taus, down.taus)
         print(f"paths={up.n_paths} n_up={up.taus.size} n_down={down.taus.size} "
               f"censored_up={up.n_censored} censored_down={down.n_censored}")
@@ -514,7 +510,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except AdaptationFailedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONVERGENCE
-    except (FileNotFoundError, GainLossError) as exc:
+    except (OSError, GainLossError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

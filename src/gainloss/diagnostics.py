@@ -87,13 +87,12 @@ def pooled_effect_size(loc_plus, loc_minus, scale_plus, scale_minus,
 def effect_size_draws(trace: Trace, posterior: Posterior) -> np.ndarray:
     """Effect-size posterior, [n_chains, n_draw], from a trace of ``posterior``.
 
-    The posterior's family names the location and scale parameters, and its
-    two sides give the sizes the scale is pooled over.
+    The family's first two per-side names are the location and the scale;
+    the posterior's two sides give the sizes the scale is pooled over.
     """
-    family = posterior.family
     (loc_p, loc_m), (sc_p, sc_m) = (
-        [trace.chains_for(name) for name in family.side_names(index)]
-        for index in (family.loc, family.scale)
+        [trace.chains_for(f"{name}_{side}") for side in ("plus", "minus")]
+        for name in posterior.family.names[:2]
     )
     return pooled_effect_size(loc_p, loc_m, sc_p, sc_m,
                               posterior.x_plus.size, posterior.x_minus.size)

@@ -47,6 +47,7 @@ __all__ = [
 
 _PATH_CHUNK = 20_000   # paths simulated per RNG stream; fixed for determinism
 _STEP_BLOCK = 128      # steps advanced per vectorized block
+_CDF_GRID = 200_001    # log-spaced points of fht_cdf's trapezoid rule
 
 MAX_CENSORING = 0.01
 
@@ -214,7 +215,7 @@ def fht_density(t, lam: float, sigma: float, rho: float):
     return out if out.shape else float(out)
 
 
-def fht_cdf(t, lam: float, sigma: float, rho: float, n_grid: int = 200_001):
+def fht_cdf(t, lam: float, sigma: float, rho: float):
     """CDF by trapezoid integration of :func:`fht_density` on a log grid."""
     t = np.asarray(t, dtype=np.float64)
     scalar = t.ndim == 0
@@ -222,7 +223,7 @@ def fht_cdf(t, lam: float, sigma: float, rho: float, n_grid: int = 200_001):
     t_max = float(t.max()) if t.size else 1.0
     if t_max <= 0.0:
         return float(t.squeeze() * 0.0) if scalar else np.zeros_like(t)
-    grid = np.geomspace(t_max * 1e-9, t_max, n_grid)
+    grid = np.geomspace(t_max * 1e-9, t_max, _CDF_GRID)
     # Density vanishes as t -> 0+, so anchor the integral with p(0) = 0.
     dens = np.concatenate([[0.0], fht_density(grid, lam, sigma, rho)])
     grid = np.concatenate([[0.0], grid])

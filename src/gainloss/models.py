@@ -336,22 +336,21 @@ def _ig_loglik(theta: np.ndarray):
 class Family:
     """One per-side model family; :data:`FAMILIES` holds the two instances.
 
-    ``support`` holds the (low, high) bounds of each per-side parameter,
-    the same for every data set. ``prepare(sides)`` reduces both sides'
-    (distinct value, count) pairs, gain side first, to what the likelihood
-    reads; ``value_grad(theta, data, priors)`` takes both sides' parameters
-    as one list of floats, gain side first, and returns each side's log
-    likelihood of the prepared data plus its log prior, as a list of two
+    ``names`` lists the per-side parameters, the location first and the scale
+    second. ``support`` holds the (low, high) bounds of each per-side
+    parameter, the same for every data set. ``prepare(sides)`` reduces both
+    sides' (distinct value, count) pairs, gain side first, to what the
+    likelihood reads; ``value_grad(theta, data, priors)`` takes both sides'
+    parameters as one list of floats, gain side first, and returns each side's
+    log likelihood of the prepared data plus its log prior, as a list of two
     floats, and the gradient as one list; the two side values are returned
     apart so that the posterior adds them in the order it always has.
     ``loglik(thetas)`` is one side's density, batched over the rows of a
-    [draws, p] array: it computes the per-draw constants once and returns
-    the map from values x [k] to the [k, draws] log densities.
+    [draws, p] array: it computes the per-draw constants once and returns the
+    map from values x [k] to the [k, draws] log densities.
     """
 
     names: tuple[str, ...]
-    loc: int
-    scale: int
     data_low: float  # observations must exceed this
     support: tuple[tuple[float, ...], tuple[float, ...]]
     prepare: Callable[[list[tuple[np.ndarray, np.ndarray]]], object]
@@ -365,14 +364,10 @@ class Family:
         """Gain-side parameters first, then loss-side."""
         return tuple(f"{n}_{side}" for side in ("plus", "minus") for n in self.names)
 
-    def side_names(self, index: int) -> tuple[str, str]:
-        """Gain-side and loss-side names of one per-side parameter."""
-        return f"{self.names[index]}_plus", f"{self.names[index]}_minus"
-
 
 FAMILIES: dict[ModelKind, Family] = {
     ModelKind.STUDENT_T: Family(
-        names=("mu", "sigma", "nu"), loc=0, scale=1, data_low=-math.inf,
+        names=("mu", "sigma", "nu"), data_low=-math.inf,
         support=((-math.inf, SIGMA_LOW, NU_SHIFT), (math.inf, SIGMA_HIGH, math.inf)),
         prepare=_student_prepare,
         value_grad=_student_value_grad,
@@ -380,7 +375,7 @@ FAMILIES: dict[ModelKind, Family] = {
         initial=lambda p: (p.m, _initial_scale(p), NU_INIT),
     ),
     ModelKind.INV_GAMMA: Family(
-        names=("m", "s"), loc=0, scale=1, data_low=0.0,
+        names=("m", "s"), data_low=0.0,
         support=((0.0, SIGMA_LOW), (math.inf, SIGMA_HIGH)),
         prepare=_ig_prepare,
         value_grad=_ig_value_grad,
@@ -509,10 +504,6 @@ class Posterior:
         return float(value), grad
 
     # -- per-value likelihood -------------------------------------------------
-
-    @property
-    def n_obs(self) -> int:
-        return int(self.x_plus.size + self.x_minus.size)
 
     def pointwise_loglik(self, theta: np.ndarray) -> np.ndarray:
         """Log likelihood of one observation at each distinct value (gain side

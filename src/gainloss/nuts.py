@@ -89,7 +89,6 @@ __all__ = [
     "run_chain",
     "run_chains",
     "run_chains_each",
-    "trace_to_csv",
     "trace_summary",
     "save_trace",
 ]
@@ -429,10 +428,12 @@ def run_chains_each(targets, cfg: SamplerConfig) -> list:
     per (target, chain), after each target's
     :func:`~gainloss.laplace.whitening_map` is found here. A target whose
     map or chain raises a :class:`GainLossError` gets that error, or its
-    lowest failing chain's, in place of its trace. The traces are the same
+    lowest failing chain's, in place of its trace; an entry that already is
+    a :class:`GainLossError` is returned as it is. The traces are the same
     whatever the number of workers.
     """
-    maps = [outcome(whitening_map, target, search=cfg.n_tune > 0) for target in targets]
+    maps = [target if isinstance(target, GainLossError)
+            else outcome(whitening_map, target, search=cfg.n_tune > 0) for target in targets]
     tasks = [(target, cfg, whitening, c) for target, whitening in zip(targets, maps)
              if not isinstance(whitening, GainLossError) for c in range(cfg.n_chains)]
     chains = iter(fork_map(lambda k: outcome(run_chain, *tasks[k]), len(tasks)))
@@ -473,26 +474,6 @@ def run_chains(target, cfg: SamplerConfig) -> Trace:
     return trace
 
 
-def trace_to_csv(trace: Trace, out_dir: Union[str, Path], prefix: str = "trace") -> list[Path]:
-    """Write one columnar CSV per chain: chain, draw, parameters, stats."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    paths = []
-    header = "chain,draw," + ",".join(trace.param_names) + ",accept_stat,divergent"
-    for chain in range(trace.n_chains):
-        lines = [header]
-        for it in range(trace.n_draw):
-            vals = ",".join(f"{v:.10g}" for v in trace.draws[chain, it])
-            lines.append(
-                f"{chain},{it},{vals},{trace.accept_stat[chain, it]:.6g},"
-                f"{int(trace.divergent[chain, it])}"
-            )
-        path = out / f"{prefix}_chain{chain}.csv"
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        paths.append(path)
-    return paths
-
-
 def trace_summary(trace: Trace) -> dict:
     """JSON-ready run summary (config, adaptation results, divergences); each
     ``mass_diag`` row is the Laplace variances of the chains' map, or ones."""
@@ -515,9 +496,22 @@ def trace_summary(trace: Trace) -> dict:
 
 
 def save_trace(trace: Trace, out_dir: Union[str, Path], prefix: str = "trace") -> Path:
-    """CSV per chain plus a JSON summary; returns the summary path."""
+    """One CSV per chain, a row per draw (chain, draw, parameters, stats),
+    and the :func:`trace_summary` as JSON, under ``out_dir``, which is made
+    if missing; returns the summary path."""
     out = Path(out_dir)
-    trace_to_csv(trace, out, prefix)
+    out.mkdir(parents=True, exist_ok=True)
+    header = "chain,draw," + ",".join(trace.param_names) + ",accept_stat,divergent"
+    for chain in range(trace.n_chains):
+        lines = [header]
+        for it in range(trace.n_draw):
+            vals = ",".join(f"{v:.10g}" for v in trace.draws[chain, it])
+            lines.append(
+                f"{chain},{it},{vals},{trace.accept_stat[chain, it]:.6g},"
+                f"{int(trace.divergent[chain, it])}"
+            )
+        (out / f"{prefix}_chain{chain}.csv").write_text("\n".join(lines) + "\n",
+                                                       encoding="utf-8")
     summary_path = out / f"{prefix}_summary.json"
     summary_path.write_text(
         json.dumps(trace_summary(trace), indent=2, sort_keys=True) + "\n",

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Optional, Sequence, get_type_hints
 
 import numpy as np
@@ -129,13 +129,8 @@ def draw_fits(fits: Sequence[tuple[LogHittingSample | GainLossError, ModelKind]]
     """
     posteriors = [logs if isinstance(logs, GainLossError) else outcome(_posterior, logs, kind)
                   for logs, kind in fits]
-    traces = iter(run_chains_each(
-        [p for p in posteriors if not isinstance(p, GainLossError)], sampler))
-    drawn = []
-    for posterior in posteriors:
-        trace = posterior if isinstance(posterior, GainLossError) else next(traces)
-        drawn.append(trace if isinstance(trace, GainLossError) else (posterior, trace))
-    return drawn
+    return [trace if isinstance(trace, GainLossError) else (posterior, trace)
+            for posterior, trace in zip(posteriors, run_chains_each(posteriors, sampler))]
 
 
 def fit_log_sample(
@@ -232,33 +227,27 @@ class ScanPoint:
     error: str = ""
 
     def csv_row(self) -> str:
-        def num(v: float) -> str:
-            return "nan" if isinstance(v, float) and math.isnan(v) else f"{v:.10g}"
-        fields = [
-            self.scan, self.label, self.index_id.replace(",", ";"), self.model,
-            str(self.filter_size), num(self.rho), str(self.n_plus),
-            str(self.n_minus), num(self.d_mean), num(self.d_std),
-            num(self.hdi_low), num(self.hdi_high), num(self.ess),
-            num(self.max_rhat), num(self.waic), num(self.waic_se),
-            num(self.divergence_rate), self.error.replace(",", ";"),
-        ]
-        return ",".join(fields)
+        """This point's row under :data:`SCAN_CSV_HEADER`, each cell written
+        by its field's annotated type."""
+        return ",".join(_CSV_CELL[hint](getattr(self, name))
+                        for name, hint in _SCAN_HINTS.items())
 
     @classmethod
     def from_report(cls, scan: str, label: str, report: FitReport) -> "ScanPoint":
-        return cls(
-            scan=scan, label=label, index_id=report.index_id, model=report.model,
-            filter_size=report.filter_size, rho=report.rho,
-            n_plus=report.n_plus, n_minus=report.n_minus,
-            d_mean=report.d_mean, d_std=report.d_std,
-            hdi_low=report.hdi_low, hdi_high=report.hdi_high,
-            ess=report.ess_d, max_rhat=report.max_rhat,
-            waic=report.waic, waic_se=report.waic_se,
-            divergence_rate=report.divergence_rate,
-        )
+        """The point of one fit: every field the report shares by name, its
+        effect size's ESS and its largest R^."""
+        shared = _SCAN_HINTS.keys() & {f.name for f in fields(report)}
+        return cls(scan=scan, label=label, ess=report.ess_d, max_rhat=report.max_rhat,
+                   **{name: getattr(report, name) for name in shared})
 
 
 _SCAN_HINTS = get_type_hints(ScanPoint)
+# one scan CSV cell by its field's type: commas in text become semicolons
+_CSV_CELL = {
+    str: lambda v: v.replace(",", ";"),
+    int: str,
+    float: lambda v: "nan" if isinstance(v, float) and math.isnan(v) else f"{v:.10g}",
+}
 
 
 def scan_points_csv(points: Sequence[ScanPoint]) -> str:
@@ -388,20 +377,20 @@ def scan_filter(
     sampler: SamplerConfig,
     filter_sizes: Sequence[int] = DEFAULT_FILTER_GRID,
     rho: Optional[float] = None,
-    reference_filter: int = DEFAULT_FILTER_SIZE,
 ) -> list[ScanPoint]:
     """Refit across detrending window sizes with the barrier held fixed.
 
     The barrier defaults to the sample std of the series detrended at the
-    reference window, so the grid varies only the filter. When that reference
-    fails, for instance on a series shorter than the window, every grid point
-    fails with it. A size below 1 or a given ``rho <= 0`` is refused first.
+    reference window, ``DEFAULT_FILTER_SIZE``, so the grid varies only the
+    filter. When that reference fails, for instance on a series shorter than
+    the window, every grid point fails with it. A size below 1 or a given
+    ``rho <= 0`` is refused first.
     """
     _refuse_fixed_inputs(filter_sizes, rho)
     failed = None
     if rho is None:
         try:
-            rho = threshold_from_std(detrend(series, reference_filter))
+            rho = threshold_from_std(detrend(series, DEFAULT_FILTER_SIZE))
         except GainLossError as exc:
             rho, failed = math.nan, exc
     grid = [(str(f), f, rho, failed or outcome(_prepared_logs, series, f, rho))

@@ -40,10 +40,10 @@ def _fmt(v: float) -> str:
     return f"{v:.6g}"
 
 
-def _nice_ticks(lo: float, hi: float, n: int = 5) -> list[float]:
+def _nice_ticks(lo: float, hi: float) -> list[float]:
     if not (math.isfinite(lo) and math.isfinite(hi)) or hi <= lo:
         return [lo]
-    raw = (hi - lo) / n
+    raw = (hi - lo) / 5  # about five ticks
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
         if raw <= mult * mag:
@@ -169,7 +169,7 @@ def posterior_svg(report: FitReport) -> str:
     return cv.render()
 
 
-def scan_svg(points: Sequence[ScanPoint], title: str = "") -> str:
+def scan_svg(points: Sequence[ScanPoint]) -> str:
     """Effect size against a scanned grid, HDI whiskers, one series per model."""
     ok = [p for p in points if not p.error and math.isfinite(p.d_mean)]
     if not ok:
@@ -187,9 +187,7 @@ def scan_svg(points: Sequence[ScanPoint], title: str = "") -> str:
     pad_y = 0.1 * (y_hi - y_lo) or 1.0
 
     scan_name = ok[0].scan
-    if not title:
-        title = f"{ok[0].index_id or 'series'}: effect size across {scan_name} grid"
-    cv = _Canvas(title)
+    cv = _Canvas(f"{ok[0].index_id or 'series'}: effect size across {scan_name} grid")
     px, py = _axes(cv, x_lo - pad_x, x_hi + pad_x, y_lo - pad_y, y_hi + pad_y,
                    f"{scan_name} grid", "effect size d")
     cv.line(_ML, py(0.0), _W - _MR, py(0.0), "#888", 1.0, dash="4,4")

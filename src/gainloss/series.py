@@ -34,7 +34,6 @@ __all__ = [
     "summary_stats",
     "cross_correlation",
     "align_common_dates",
-    "write_value_csv",
     "write_price_csv",
 ]
 
@@ -224,15 +223,6 @@ def align_common_dates(a: PriceSeries, b: PriceSeries) -> tuple[PriceSeries, Pri
         PriceSeries(a.dates[mask_a], a.closes[mask_a], a.name),
         PriceSeries(b.dates[mask_b], b.closes[mask_b], b.name),
     )
-
-
-def write_value_csv(path: Union[str, Path], dates: np.ndarray, values: np.ndarray,
-                    header: tuple[str, str] = ("date", "value")) -> None:
-    """Write a two-column (date, value) CSV with a fixed float format."""
-    lines = [f"{header[0]},{header[1]}"]
-    for day, val in zip(dates, values):
-        lines.append(f"{day},{val:.10g}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def write_price_csv(series: PriceSeries, path: Union[str, Path, None] = None) -> str:

@@ -495,6 +495,15 @@ class TestCliDetrendHittimes:
         assert from_flag.read_text().startswith(head)
         assert not from_config.exists()
 
+    @pytest.mark.parametrize("command", ["detrend", "hittimes"])
+    def test_out_naming_a_directory_is_an_input_error(self, price_file, tmp_path,
+                                                      capsys, command):
+        code, out, err = run_cli([command, str(price_file), "--out", str(tmp_path)],
+                                 capsys)
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert err.startswith("error: ") and str(tmp_path) in err
+
 
 @pytest.fixture(scope="module")
 def fit_out(tmp_path_factory, price_file):
@@ -686,6 +695,20 @@ class TestCliFit:
 
 
 class TestCliScan:
+    @pytest.mark.parametrize("allow", [False, True])
+    def test_only_a_finite_high_rhat_is_flagged(self, tmp_path, capsys, allow):
+        points = [full_point(label="1", max_rhat=1.5), full_point(label="2"),
+                  full_point(label="3", max_rhat=math.inf),
+                  full_point(label="4", max_rhat=math.nan),
+                  full_point(label="5", max_rhat=2.0, error="DomainError: x")]
+        code = cli._finish_scan(points, tmp_path, "scan", allow)
+        capsys.readouterr()
+        got = scan_points_from_json((tmp_path / "scan.json").read_text())
+        flagged = "" if allow else "NonConverged: max_rhat=1.5000"
+        assert [p.error for p in got] == [flagged, "", "", "", "DomainError: x"]
+        assert got[:2] == [replace(points[0], error=flagged), points[1]]
+        assert code == EXIT_PARTIAL
+
     def test_scan_rho_isolates_failures_and_writes_artifacts(self, price_file,
                                                              tmp_path, capsys):
         code, out, _ = run_cli(
@@ -914,6 +937,18 @@ class TestCliGbmValidate:
                                + two_sided, capsys)
         assert code == EXIT_INPUT
         assert "seed must be >= 0, got -2" in err
+
+    def test_two_sided_without_scipy_is_an_input_error_before_simulating(
+            self, capsys, monkeypatch):
+        def no_simulation(**kwargs):
+            raise AssertionError("the paths were simulated")
+
+        monkeypatch.setitem(sys.modules, "scipy.stats", None)
+        monkeypatch.setattr(cli, "simulate_fht_two_sided", no_simulation)
+        code, out, err = run_cli(["gbm-validate", "--two-sided", "--paths", "200"], capsys)
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert "error: gbm-validate --two-sided needs scipy" in err
 
     def test_non_boolean_two_sided_in_config_is_an_input_error(self, tmp_path,
                                                               capsys):

@@ -1,5 +1,6 @@
 """Leapfrog integrator, tree sampler, warmup adaptation, and chain driver."""
 
+import dataclasses
 import math
 import os
 import pickle
@@ -421,6 +422,21 @@ class TestParallelChains:
         assert drawn.draws.shape == (2, 20, 2) and np.all(np.isfinite(drawn.draws))
         with pytest.raises(DomainError, match="no density here"):
             run_chains(Undefined(np.ones(2)), cfg)
+        assert_no_children()
+
+    def test_an_error_in_place_of_a_target_is_passed_through(self, pool_targets, pooled):
+        err = DomainError("stopped before sampling")
+        target = pool_targets["gaussian"]
+        cfg = SamplerConfig(n_chains=2, n_draw=20, n_tune=150, seed=33)
+        passed, drawn = nuts.run_chains_each([err, target], cfg)
+        assert passed is err
+        alone = run_chains(target, cfg)
+        for field in dataclasses.fields(alone):
+            want, got = getattr(alone, field.name), getattr(drawn, field.name)
+            if isinstance(want, np.ndarray):
+                assert got.dtype == want.dtype and np.array_equal(got, want), field.name
+            else:
+                assert got == want, field.name
         assert_no_children()
 
     def test_a_target_that_cannot_be_pickled_samples(self, pooled):

@@ -21,7 +21,6 @@ from gainloss.series import (
     slice_window,
     summary_stats,
     write_price_csv,
-    write_value_csv,
 )
 
 
@@ -238,12 +237,3 @@ class TestWriters:
         back = parse_csv(path)
         assert np.array_equal(back.dates, s.dates)
         assert np.array_equal(back.closes, s.closes)
-
-    def test_value_csv_format(self, tmp_path):
-        path = tmp_path / "vals.csv"
-        dates = np.datetime64("2020-01-01") + np.arange(2)
-        write_value_csv(path, dates, np.array([0.125, -1.5]))
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "date,value"
-        assert lines[1] == "2020-01-01,0.125"
-        assert lines[2] == "2020-01-02,-1.5"
